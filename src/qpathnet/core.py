@@ -7,6 +7,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,9 @@ import numpy as np
 # Construction-time tolerances vs tolerances on derived identities.
 TOL_CONSTRUCT = 1e-12
 TOL_DERIVED = 1e-10
+# U(t) matrices kept per propagator, least recently used dropped first; well
+# above the distinct times one chain asks for.
+UNITARY_CACHE_SIZE = 256
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -172,7 +176,7 @@ class Propagator:
     hamiltonian: np.ndarray
     _eigenvalues: np.ndarray = field(init=False, repr=False)
     _eigenvectors: np.ndarray = field(init=False, repr=False)
-    _cache: dict = field(init=False, repr=False, default_factory=dict)
+    _cache: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = _check_hermitian(self.hamiltonian, "hamiltonian")
@@ -180,6 +184,8 @@ class Propagator:
         vals, vecs = np.linalg.eigh(h)
         object.__setattr__(self, "_eigenvalues", vals)
         object.__setattr__(self, "_eigenvectors", vecs)
+        compute = functools.partial(_spectral_unitary, vals, vecs)
+        object.__setattr__(self, "_cache", functools.lru_cache(UNITARY_CACHE_SIZE)(compute))
 
     @property
     def dim(self) -> int:
@@ -194,12 +200,12 @@ class Propagator:
         t = float(t)
         if not np.isfinite(t):
             raise ValueError("time must be finite")
-        cached = self._cache.get(t)
-        if cached is None:
-            v = self._eigenvectors
-            cached = (v * np.exp(-1j * self._eigenvalues * t)) @ v.conj().T
-            self._cache[t] = _readonly(cached)
-        return cached
+        return self._cache(t)
+
+
+def _spectral_unitary(eigenvalues: np.ndarray, eigenvectors: np.ndarray, t: float) -> np.ndarray:
+    v = eigenvectors
+    return _readonly((v * np.exp(-1j * eigenvalues * t)) @ v.conj().T)
 
 
 def evolve(state: StateVector, prop: Propagator, t: float) -> StateVector:

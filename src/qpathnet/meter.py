@@ -11,10 +11,11 @@ between paths with different functional values (accurate limit); very wide
 profiles leave it intact, and the mean reading tends to the real part of
 the amplitude-weighted mean.
 
-Numerics: composite trapezoid quadrature on the grid.  The rectangular
-profile reports the half-jump value exactly at its edges, which makes
-trapezoid sums over edge-aligned grids exact for piecewise-constant
-densities.
+Numerics: one kernel serves 1 or R meters: it groups path amplitudes by their
+exact tuple of values and contracts per-axis profile samples, block by block,
+into one float64 density.  Moments use composite trapezoid quadrature; the
+rectangular profile reports the half-jump value at its edges, which makes
+trapezoid sums over edge-aligned grids exact for piecewise-constant densities.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ GRID_POINTS_PER_WIDTH = 200
 GRID_PAD_WIDTHS = 6.0
 # Minimum padding the coverage precondition insists on.
 MIN_PAD_WIDTHS = 5.0
+# Cap on the cells of a reading grid (268 MB of float64; presets need <= 2601^2).
+MAX_GRID_CELLS = 1 << 25
+# Cells of one kernel output block and of its groups-by-rows profile samples.
+KERNEL_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -142,15 +147,16 @@ class Grid:
     def xs(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.n)
 
-    def weights(self) -> np.ndarray:
-        """Composite trapezoid quadrature weights."""
-        w = np.full(self.n, self.step)
-        w[0] = w[-1] = self.step / 2.0
+    def weights(self, lo: float = -math.inf, hi: float = math.inf) -> np.ndarray:
+        """Composite trapezoid quadrature weights over the nodes in [lo, hi],
+        zero at every other node."""
+        xs = self.xs()
+        i, j = np.searchsorted(xs, lo, side="left"), np.searchsorted(xs, hi, side="right")
+        w = np.zeros(self.n)
+        if j > i:
+            w[i:j] = self.step
+            w[i] = w[j - 1] = self.step / 2.0
         return w
-
-    def covers(self, lo: float, hi: float) -> bool:
-        eps = 1e-9 * self.step
-        return self.start <= lo + eps and self.stop >= hi - eps
 
     @classmethod
     def cover(
@@ -230,21 +236,69 @@ def default_grid(
     )
 
 
+def _check_grids(keys: np.ndarray, profiles, grids) -> None:
+    """Cell cap and per-axis coverage of the values, before any grid array exists."""
+    cells = math.prod(g.n for g in grids)
+    if cells > MAX_GRID_CELLS:
+        r = max(range(len(grids)), key=lambda i: grids[i].n)
+        width = f"meters[{r}].profile.width" if len(grids) > 1 else "the meter's profile.width"
+        raise ValueError(
+            f"reading grid of {cells} cells exceeds MAX_GRID_CELLS = {MAX_GRID_CELLS}: "
+            f"widen {width} ({profiles[r].width}) or coarsen "
+            f"run.grid_step ({grids[r].step})"
+        )
+    for r, (profile, grid) in enumerate(zip(profiles, grids)):
+        lo = keys[:, r].min() - MIN_PAD_WIDTHS * profile.width
+        hi = keys[:, r].max() + MIN_PAD_WIDTHS * profile.width
+        eps = 1e-9 * grid.step
+        if grid.start > lo + eps or grid.stop < hi - eps:
+            raise ValueError(f"grid [{grid.start}, {grid.stop}] too narrow: needs to span [{lo}, {hi}]")
+
+
+def _contract(weights: np.ndarray, first: np.ndarray, rest: list) -> np.ndarray:
+    """sum_g weights[g] first[g, i] prod_r rest[r][g, j_r] for one block."""
+    if not rest:
+        return weights @ first
+    lead = first.T * weights
+    if len(rest) == 1:
+        return lead @ rest[0]
+    axes = "bcdefhijklmnopqrstuvwxyz"[: len(rest)]
+    return np.einsum(f"ag,{','.join('g' + c for c in axes)}->a{axes}", lead, *rest)
+
+
+def _pointer_kernel(amps: np.ndarray, keys: np.ndarray, profiles, grids, dtype) -> np.ndarray:
+    """M(xi) = sum_g A_g prod_r G_r(xi_r - keys[g, r]) on the grids, as complex
+    M for a complex dtype or as |M|^2 for a float dtype, in blocks of axis 0."""
+    _check_grids(keys, profiles, grids)
+    keep = amps != 0
+    amps, keys = amps[keep], keys[keep]
+    rest = [p.samples(g.xs() - keys[:, r, None]) for r, (p, g) in enumerate(zip(profiles, grids)) if r]
+    out = np.empty(tuple(g.n for g in grids), dtype=dtype)
+    rows = max(1, KERNEL_BLOCK_CELLS // max(math.prod(out.shape[1:]), amps.size))
+    xs = grids[0].xs()
+    for lo in range(0, xs.size, rows):
+        first = profiles[0].samples(xs[lo : lo + rows] - keys[:, :1])
+        re, im = (_contract(part, first, rest) for part in (amps.real, amps.imag))
+        if out.dtype.kind == "c":
+            out.real[lo : lo + rows], out.imag[lo : lo + rows] = re, im
+        else:
+            out[lo : lo + rows] = re * re + im * im
+    return out
+
+
+def _integrate(density: np.ndarray, weights) -> np.ndarray:
+    """Trapezoid-integrate every axis whose weights are given (None keeps it)."""
+    for axis in range(len(weights) - 1, -1, -1):
+        if weights[axis] is not None:
+            density = np.tensordot(density, weights[axis], axes=([axis], [0]))
+    return density
+
+
 def final_pointer_state(
     dist: AmplitudeDistribution, profile: PointerProfile, grid: Grid
 ) -> np.ndarray:
     """Pointer amplitude samples M(xi) = sum_m A_m G(xi - f_m)."""
-    lo = float(dist.support.min()) - MIN_PAD_WIDTHS * profile.width
-    hi = float(dist.support.max()) + MIN_PAD_WIDTHS * profile.width
-    if not grid.covers(lo, hi):
-        raise ValueError(
-            f"grid [{grid.start}, {grid.stop}] too narrow: needs to span [{lo}, {hi}]"
-        )
-    xs = grid.xs()
-    out = np.zeros(grid.n, dtype=complex)
-    for f, a in zip(dist.support, dist.amplitudes):
-        out += a * profile.samples(xs - f)
-    return out
+    return _pointer_kernel(dist.amplitudes, dist.support[:, None], [profile], [grid], complex)
 
 
 def reading_distribution(
@@ -258,9 +312,8 @@ def reading_distribution(
     if grid is None:
         grid = default_grid(dist, meter.profile)
     amp = final_pointer_state(dist, meter.profile, grid)
-    density = np.abs(amp) ** 2
-    norm = float(density @ grid.weights())
-    return PointerDistribution(grid, density, norm)
+    density = amp.real**2 + amp.imag**2
+    return PointerDistribution(grid, density, float(_integrate(density, [grid.weights()])))
 
 
 def total_reading_distribution(
@@ -274,14 +327,11 @@ def total_reading_distribution(
     For a normalized profile this density integrates to one regardless of
     the profile width.
     """
-    branches = chain.branches()
-    if grid is None:
-        dist = amplitude_distribution(branches[0], meter.functional, merge_tol)
-        grid = default_grid(dist, meter.profile)
-    total = np.zeros(grid.n)
-    for branch in branches:
-        total += reading_distribution(branch, meter, grid, merge_tol).density
-    return PointerDistribution(grid, total, float(total @ grid.weights()))
+    first, *rest = chain.branches()
+    head = reading_distribution(first, meter, grid, merge_tol)
+    grid = head.grid
+    total = sum((reading_distribution(b, meter, grid, merge_tol).density for b in rest), head.density)
+    return PointerDistribution(grid, total, float(_integrate(total, [grid.weights()])))
 
 
 def mean_reading(p: PointerDistribution) -> float:
@@ -303,18 +353,11 @@ def window_masses(p: PointerDistribution, support) -> dict[float, float]:
     for supports commensurate with the step.
     """
     support = np.sort(np.asarray(support, dtype=float))
-    xs = p.grid.xs()
-    halves = (support[:-1] + support[1:]) / 2.0
-    bounds = np.concatenate([[xs[0]], halves, [xs[-1]]])
-    out: dict[float, float] = {}
-    for m, f in enumerate(support):
-        i = int(np.searchsorted(xs, bounds[m], side="left"))
-        j = int(np.searchsorted(xs, bounds[m + 1], side="right")) - 1
-        seg = p.density[i : j + 1]
-        seg_w = np.full(seg.size, p.grid.step)
-        seg_w[0] = seg_w[-1] = p.grid.step / 2.0
-        out[float(f)] = float(seg @ seg_w)
-    return out
+    bounds = np.concatenate([[-math.inf], (support[:-1] + support[1:]) / 2.0, [math.inf]])
+    return {
+        float(f): float(p.density @ p.grid.weights(bounds[m], bounds[m + 1]))
+        for m, f in enumerate(support)
+    }
 
 
 def conditional_state(chain: MeasurementChain, meter: MeterSpec, xi0: float):
@@ -358,12 +401,9 @@ class JointDistribution:
 
     def marginal(self, axis: int) -> PointerDistribution:
         """Integrate out every other axis."""
-        density = self.density
-        for other in range(self.n_axes - 1, -1, -1):
-            if other == axis:
-                continue
-            density = np.tensordot(density, self.grids[other].weights(), axes=([other], [0]))
-        norm = float(density @ self.grids[axis].weights())
+        weights = [None if r == axis else g.weights() for r, g in enumerate(self.grids)]
+        density = _integrate(self.density, weights)
+        norm = float(_integrate(density, [self.grids[axis].weights()]))
         return PointerDistribution(self.grids[axis], density, norm)
 
     def marginal_mean(self, axis: int) -> float:
@@ -377,28 +417,18 @@ class JointDistribution:
         """
         if self.n_axes < 2:
             raise ValueError("cannot restrict the only axis")
-        g = self.grids[axis]
-        xs = g.xs()
-        mask = (xs >= lo) & (xs <= hi)
-        if not mask.any():
+        w = self.grids[axis].weights(lo, hi)
+        if not w.any():
             raise ValueError("restriction window contains no grid points")
-        idx = np.flatnonzero(mask)
-        w = np.full(idx.size, g.step)
-        w[0] = w[-1] = g.step / 2.0
-        sliced = np.take(self.density, idx, axis=axis)
-        density = np.tensordot(sliced, w, axes=([axis], [0]))
+        density = _integrate(self.density, [w if r == axis else None for r in range(self.n_axes)])
         grids = tuple(gr for i, gr in enumerate(self.grids) if i != axis)
-        norm = density
-        for i in range(len(grids) - 1, -1, -1):
-            norm = np.tensordot(norm, grids[i].weights(), axes=([i], [0]))
-        return JointDistribution(grids, density, float(norm))
+        return JointDistribution(grids, density, float(_integrate(density, [gr.weights() for gr in grids])))
 
 
 def joint_reading_distribution(
     chain: MeasurementChain,
     meters: list[MeterSpec],
     grids: list[Grid] | None = None,
-    merge_tol: float = DEFAULT_MERGE_TOL,
 ) -> JointDistribution:
     """Joint density of several pointer readings,
 
@@ -408,47 +438,17 @@ def joint_reading_distribution(
     """
     if not meters:
         raise ValueError("need at least one meter")
-    amps = path_amplitudes(chain)
-    all_values = [m.functional.values(chain) for m in meters]
+    values = np.stack([m.functional.values(chain) for m in meters], axis=1)
     if grids is None:
-        grids = [
-            Grid.cover(group_support(vals, merge_tol), m.profile.width)
-            for m, vals in zip(meters, all_values)
-        ]
+        grids = [Grid.cover(values[:, r], m.profile.width) for r, m in enumerate(meters)]
     if len(grids) != len(meters):
         raise ValueError("need one grid per meter")
-    for m, vals, grid in zip(meters, all_values, grids):
-        lo = vals.min() - MIN_PAD_WIDTHS * m.profile.width
-        hi = vals.max() + MIN_PAD_WIDTHS * m.profile.width
-        if not grid.covers(lo, hi):
-            raise ValueError(f"grid [{grid.start}, {grid.stop}] too narrow: needs [{lo}, {hi}]")
-
-    shape = tuple(g.n for g in grids)
-    pointer = np.zeros(shape, dtype=complex)
-    for p, a in enumerate(amps):
-        if a == 0:
-            continue
-        factors = [
-            m.profile.samples(g.xs() - vals[p])
-            for m, vals, g in zip(meters, all_values, grids)
-        ]
-        term = factors[0].astype(complex)
-        for f in factors[1:]:
-            term = np.multiply.outer(term, f)
-        pointer += a * term
-    density = np.abs(pointer) ** 2
-    norm = density
-    for i in range(len(grids) - 1, -1, -1):
-        norm = np.tensordot(norm, grids[i].weights(), axes=([i], [0]))
-    return JointDistribution(tuple(grids), density, float(norm))
-
-
-def group_support(values: np.ndarray, merge_tol: float = DEFAULT_MERGE_TOL) -> np.ndarray:
-    """Distinct functional values up to the merge tolerance."""
-    sorted_vals = np.sort(np.asarray(values, dtype=float))
-    boundaries = np.flatnonzero(np.diff(sorted_vals) > merge_tol) + 1
-    segments = np.concatenate([[0], boundaries])
-    return sorted_vals[segments]
+    # exact grouping by the tuple of values: one term per distinct tuple
+    keys, inverse = np.unique(values, axis=0, return_inverse=True)
+    amps = np.zeros(len(keys), dtype=complex)
+    np.add.at(amps, inverse.reshape(-1), path_amplitudes(chain))
+    density = _pointer_kernel(amps, keys, [m.profile for m in meters], grids, float)
+    return JointDistribution(tuple(grids), density, float(_integrate(density, [g.weights() for g in grids])))
 
 
 def strong_limit_bins(

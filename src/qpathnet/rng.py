@@ -35,13 +35,14 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def worker_count(max_workers: int | None = None) -> int:
-    """Requested worker cap, falling back to the QPATHNET_THREADS env var."""
+    """Requested worker cap, falling back to the QPATHNET_THREADS env var,
+    and never above os.cpu_count()."""
+    requested = 1
     if max_workers is not None:
-        return max(1, int(max_workers))
-    env = os.environ.get(THREADS_ENV)
-    if env:
+        requested = int(max_workers)
+    else:
         try:
-            return max(1, int(env))
+            requested = int(os.environ.get(THREADS_ENV) or 1)
         except ValueError:
             pass
-    return 1
+    return max(1, min(requested, os.cpu_count() or 1))

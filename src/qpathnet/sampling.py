@@ -138,35 +138,44 @@ def sample_trials(
     if n_trials < 1:
         raise ValueError("need at least one trial")
     branches = chain.branches()
-    joints = [joint_reading_distribution(b, meters, grids) for b in branches]
-    grids = list(joints[0].grids)
+    first = joint_reading_distribution(branches[0], meters, grids)
+    grids = list(first.grids)
+    shape = first.density.shape
 
-    # cell mass = density * separable trapezoid weights, flattened per branch
-    cell_weights = None
-    for g in grids:
-        w = g.weights()
-        cell_weights = w if cell_weights is None else np.multiply.outer(cell_weights, w)
-    masses = np.concatenate([(j.density * cell_weights).reshape(-1) for j in joints])
+    # cell mass = density * separable trapezoid weights, one row per branch;
+    # the CDF then overwrites the masses in place
+    masses = np.empty((len(branches), first.density.size))
+    row_weights = grids[0].weights().reshape((-1,) + (1,) * (len(grids) - 1))
+    inner_weights = np.ones(())
+    for g in grids[1:]:
+        inner_weights = np.multiply.outer(inner_weights, g.weights())
+    for b, branch in enumerate(branches):
+        density = first.density if b == 0 else joint_reading_distribution(branch, meters, grids).density
+        cell = masses[b].reshape(shape)
+        np.multiply(density, row_weights, out=cell)
+        cell *= inner_weights
+    masses = masses.reshape(-1)
     total = masses.sum()
     if total <= 0.0:
         raise ValueError("total probability of all branches is zero; nothing to sample")
-    cdf = np.cumsum(masses)
-    exact_success = joints[0].norm / total
+    cdf = np.cumsum(masses, out=masses)
+    exact_success = first.norm / total
     exact_means = tuple(
-        joints[0].marginal_mean(r) if joints[0].norm > 0 else math.nan
-        for r in range(len(meters))
+        first.marginal_mean(r) if first.norm > 0 else math.nan for r in range(len(meters))
     )
 
-    cells_per_branch = int(np.prod([g.n for g in grids]))
-    shape = tuple(g.n for g in grids)
+    cells_per_branch = first.density.size
     axes_xs = [g.xs() for g in grids]
 
     def run_chunk(chunk_index: int) -> tuple[np.ndarray, np.ndarray]:
         lo = chunk_index * CHUNK
         hi = min(lo + CHUNK, n_trials)
         u = uniform_block(seed, lo, hi - lo)
-        flat = np.searchsorted(cdf, u * total, side="right")
-        flat = np.minimum(flat, masses.size - 1)
+        # sorted keys keep the bisections in cache; trial order is restored
+        order = np.argsort(u)
+        flat = np.empty(u.size, dtype=np.intp)
+        flat[order] = np.searchsorted(cdf, u[order] * total, side="right")
+        flat = np.minimum(flat, cdf.size - 1)
         branch_ids = flat // cells_per_branch
         cell_ids = flat % cells_per_branch
         cell_idx = np.unravel_index(cell_ids, shape)

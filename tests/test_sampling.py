@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qpathnet import (
     mean_reading,
     sample_trials,
 )
-from qpathnet.rng import uniform_block
+from qpathnet.rng import THREADS_ENV, uniform_block, worker_count
 
 
 class TestUniformBlocks:
@@ -31,6 +32,20 @@ class TestUniformBlocks:
 
     def test_seeds_differ(self):
         assert not np.array_equal(uniform_block(1, 0, 16), uniform_block(2, 0, 16))
+
+
+class TestWorkerCount:
+    def test_env_var_is_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV, str(10**6))
+        assert 1 <= worker_count() <= (os.cpu_count() or 1)
+
+    def test_argument_is_capped_at_cpu_count(self):
+        assert worker_count(10**6) == (os.cpu_count() or 1)
+        assert worker_count(0) == 1
+
+    def test_unparsable_env_var_means_one(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV, "many")
+        assert worker_count() == 1
 
 
 class TestSampleTrials:
