@@ -17,9 +17,7 @@ from qpathnet import (
     build_difference_meter,
     chain_comparator,
     classical_mean,
-    classical_paths,
     classical_sample,
-    comparator_path_key,
     path_amplitudes,
     reading_distribution,
     sample_trials,
@@ -46,13 +44,10 @@ def main():
     print(f"  classical (probabilities)  : {classical_zero:.6f}")
     print(f"quantum conditional mean     : {strong_mean(chain, functional):+.6f}")
 
-    network = chain_comparator(chain)
-    paths = classical_paths(network)
-    values = functional.values(chain)
-    per_path = [
-        float(values[np.ravel_multi_index(comparator_path_key(p)[0], (2, 2))]) for p in paths
-    ]
-    print(f"classical conditional mean   : {classical_mean(network, per_path, {'f0'}):+.6f}")
+    # one comparator entry per (final branch, path), branch-major
+    paths = chain_comparator(chain)
+    per_path = np.tile(functional.values(chain), len(paths) // chain.n_paths)
+    print(f"classical conditional mean   : {classical_mean(paths, per_path, {'f0'}):+.6f}")
 
     # seeded sampling on both sides
     trials = sample_trials(
@@ -69,9 +64,8 @@ def main():
         freq = float(np.mean(np.abs(readings - value) <= 0.25))
         print(f"  reading ~{value:+.0f}: frequency {freq:.4f}  exact {exact[value] / total:.4f}")
 
-    counts, cpaths = classical_sample(network, args.trials, args.seed)
-    kept = np.array([p.receptacle == "f0" for p in cpaths])
-    per_path = np.asarray(per_path)
+    counts = classical_sample(paths, args.trials, args.seed)
+    kept = np.array([p.receptacle == "f0" for p in paths])
     empirical = float((counts[kept] * per_path[kept]).sum() / counts[kept].sum())
     print(f"classical sampling conditional mean: {empirical:+.6f}")
 

@@ -28,6 +28,7 @@ from .core import (
 )
 from .meter import (
     Grid,
+    GridCapError,
     JointDistribution,
     MeterSpec,
     PointerDistribution,
@@ -37,6 +38,7 @@ from .meter import (
     final_pointer_state,
     joint_reading_distribution,
     mean_reading,
+    pointer_distribution,
     reading_distribution,
     strong_limit_bins,
     strong_limit_probabilities,

@@ -8,6 +8,10 @@ the entry to terminal receptacles, each travelled with the product of its
 connector probabilities.  Conditional means over path values follow plain
 classical statistics, which makes the contrast with interference-grouped
 quantum paths explicit.
+
+A list of ClassicalPath entries is the currency of this module: a network
+yields one through classical_paths, a quantum chain through
+chain_comparator, and means and sampling take either.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .paths import enumerate_paths, path_amplitudes
 from .rng import CHUNK, uniform_block, worker_count
 
 WEIGHT_TOL = 1e-12
@@ -191,15 +196,14 @@ def label_values(network: ClassicalNetwork, paths: list[ClassicalPath] | None = 
 
 
 def classical_mean(
-    network: ClassicalNetwork,
+    paths: list[ClassicalPath],
     values,
     condition: set[str] | None = None,
 ) -> float:
     """Conditional mean of per-path values over runs ending in `condition`.
 
-    `values` is a sequence aligned with classical_paths(network) order.
+    `values` is a sequence aligned with `paths`.
     """
-    paths = classical_paths(network)
     values = list(values)
     if len(values) != len(paths):
         raise ValueError(f"need one value per path ({len(paths)}), got {len(values)}")
@@ -216,19 +220,18 @@ def classical_mean(
 
 
 def classical_sample(
-    network: ClassicalNetwork,
+    paths: list[ClassicalPath],
     n_trials: int,
     seed: int,
     max_workers: int | None = None,
-) -> tuple[np.ndarray, list[ClassicalPath]]:
-    """Seeded trial counts per path (aligned with classical_paths order).
+) -> np.ndarray:
+    """Seeded trial counts per path, aligned with `paths`.
 
     Sampling is inverse CDF over the exact path distribution, which is the
     law of a ball walking the network at random.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    paths = classical_paths(network)
     probs = np.array([p.probability for p in paths])
     cdf = np.cumsum(probs)
     total = cdf[-1]
@@ -248,8 +251,7 @@ def classical_sample(
             parts = list(pool.map(run_chunk, range(n_chunks)))
     else:
         parts = [run_chunk(c) for c in range(n_chunks)]
-    counts = np.sum(parts, axis=0)
-    return counts, paths
+    return np.sum(parts, axis=0)
 
 
 def two_layer_network(
@@ -293,69 +295,26 @@ def uniform_two_layer_network() -> ClassicalNetwork:
     return two_layer_network(half, {"a0": half, "a1": half}, {"b0": half, "b1": half})
 
 
-def _column(p0: float) -> np.ndarray:
-    p0 = min(max(p0, 0.0), 1.0)
-    return np.array([[p0, p0], [1.0 - p0, 1.0 - p0]])
+def chain_comparator(chain) -> list[ClassicalPath]:
+    """Distinguishable-path twin of a quantum chain: one entry per (final
+    branch b, virtual path), travelled with probability |A_{path, b}|^2.
 
-
-def chain_comparator(chain) -> ClassicalNetwork:
-    """Classical network whose path probabilities are the squared moduli of
-    the chain's per-step transition factors.
-
-    Supports two-level chains with one or two steps; the success receptacle
-    is f0.  Paths that differ only by interference-grouped values stay
-    distinct here, which is exactly the point of the comparison.
+    Entries run branch-major, each branch in path-enumeration order; the
+    receptacle is f{b}, and f0 is the success branch.  Hop k of a path is
+    (s{k}, index at step k-1, index at step k), entering step 0 at 0.  Paths
+    that differ only by interference-grouped values stay distinct here,
+    which is exactly the point of the comparison.
     """
-    if chain.dim != 2:
-        raise ValueError("comparator networks are defined for two-level chains")
-    if chain.n_steps not in (1, 2):
-        raise ValueError("comparator networks support one or two steps")
-    chain = chain.with_completion()
-    u = chain.propagator.unitary
-    steps = chain.steps
-    first = steps[0].observable.eigenvectors.conj().T @ (
-        u(steps[0].time) @ chain.pre_state.amplitudes
-    )
-    entry = _column(abs(first[0]) ** 2)
-
-    finals = np.column_stack(
-        [chain.post_state.amplitudes] + [c.amplitudes for c in chain.post_complement]
-    )
-    if chain.n_steps == 1:
-        closing = finals.conj().T @ u(chain.total_time - steps[0].time) @ steps[0].observable.eigenvectors
-        connectors = {
-            "in": ClassicalConnector("in", entry),
-            "a0": ClassicalConnector("a0", _column(abs(closing[0, 0]) ** 2)),
-            "a1": ClassicalConnector("a1", _column(abs(closing[0, 1]) ** 2)),
-        }
-        wiring = {
-            ("in", 0): to_connector("a0", 0),
-            ("in", 1): to_connector("a1", 0),
-            ("a0", 0): to_receptacle("f0"),
-            ("a0", 1): to_receptacle("f1"),
-            ("a1", 0): to_receptacle("f0"),
-            ("a1", 1): to_receptacle("f1"),
-        }
-        return ClassicalNetwork(connectors, wiring, ("in", 0))
-
-    hop = steps[1].observable.eigenvectors.conj().T @ (
-        u(steps[1].time - steps[0].time) @ steps[0].observable.eigenvectors
-    )
-    closing = finals.conj().T @ u(chain.total_time - steps[1].time) @ steps[1].observable.eigenvectors
-    # second-layer wiring is crossed: a1 outlet 0 feeds b1, outlet 1 feeds b0,
-    # and b1 outlet 0 drops into f1
-    first_layer = {
-        "a0": _column(abs(hop[0, 0]) ** 2),
-        "a1": _column(abs(hop[1, 1]) ** 2),
-    }
-    second_layer = {
-        "b0": _column(abs(closing[0, 0]) ** 2),
-        "b1": _column(1.0 - abs(closing[0, 1]) ** 2),
-    }
-    return two_layer_network(entry, first_layer, second_layer)
+    out: list[ClassicalPath] = []
+    paths = enumerate_paths(chain)
+    for b, branch in enumerate(chain.branches()):
+        probs = np.abs(path_amplitudes(branch)) ** 2
+        for indices, p in zip(paths, probs):
+            hops = tuple((f"s{k}", i, j) for k, (i, j) in enumerate(zip((0,) + indices, indices)))
+            out.append(ClassicalPath(hops, f"f{b}", float(p)))
+    return out
 
 
 def comparator_path_key(path: ClassicalPath) -> tuple[tuple[int, ...], bool]:
-    """(step indices, selection succeeded) of a comparator-network path."""
-    indices = tuple(int(name[1]) for name, _, _ in path.hops if name[0] in "ab" and len(name) == 2)
-    return indices, path.receptacle == "f0"
+    """(step indices, selection succeeded) of a chain_comparator entry."""
+    return tuple(j for _, _, j in path.hops), path.receptacle == "f0"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import chain_comparator, classical_mean, classical_paths, comparator_path_key
+from .classical import chain_comparator, classical_mean
 from .config import (
     ClassicalSettings,
     ConfigError,
@@ -28,20 +28,14 @@ from .config import (
     parse_config,
 )
 from .meter import (
+    GridCapError,
     default_grid,
     joint_reading_distribution,
     mean_reading,
-    reading_distribution,
-    strong_limit_bins,
+    pointer_distribution,
     weak_limit_report,
 )
-from .paths import (
-    ForbiddenTransitionError,
-    amplitude_distribution,
-    relative_amplitudes,
-    strong_mean,
-    weak_value,
-)
+from .paths import ForbiddenTransitionError, amplitude_distribution
 from .sampling import sample_trials
 from .scenarios import build_preset
 
@@ -92,42 +86,42 @@ def _with_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     )
 
 
-def _grid_for(config: ScenarioConfig, meter):
-    if config.run.grid_step is None and config.run.grid_pad is None:
-        return None
-    dist = amplitude_distribution(config.chain, meter.functional)
-    return default_grid(dist, meter.profile, step=config.run.grid_step, pad=config.run.grid_pad)
-
-
 def _run_exact(config: ScenarioConfig, out: Path) -> dict:
     chain = config.chain
     meters = config.meters
     summary: dict = {"name": config.name, "mode": "exact", "dim": chain.dim, "meters": []}
     for i, meter in enumerate(meters):
-        dist = reading_distribution(chain, meter, _grid_for(config, meter))
+        amps = amplitude_distribution(chain, meter.functional)
+        grid = default_grid(amps, meter.profile, step=config.run.grid_step, pad=config.run.grid_pad)
+        try:
+            dist = pointer_distribution(amps, meter.profile, grid)
+        except GridCapError as exc:
+            raise exc.for_meter(i) from None
         csv_name = f"distribution_m{i}.csv"
         dist.write_csv(out / csv_name)
-        wv = weak_value(chain, meter.functional)
-        rel = relative_amplitudes(chain, meter.functional)
-        bins = strong_limit_bins(chain, meter.functional)
-        summary["meters"].append(
-            {
-                "index": i,
-                "shape": meter.profile.shape,
-                "width": meter.profile.width,
-                "norm": dist.norm,
-                "mean_reading": mean_reading(dist),
-                "strong_mean": strong_mean(chain, meter.functional),
-                "weak_value_re": wv.real,
-                "weak_value_im": wv.imag,
-                "strong_bins": [[f, m] for f, m in sorted(bins.items())],
-                "relative_amplitudes": [[f, a.real, a.imag] for f, a in sorted(rel.items())],
-                "distribution_csv": csv_name,
-            }
-        )
+        entry = {
+            "index": i,
+            "shape": meter.profile.shape,
+            "width": meter.profile.width,
+            "norm": dist.norm,
+            "mean_reading": mean_reading(dist),
+            "strong_mean": amps.strong_mean(),
+            "strong_bins": [[f, m] for f, m in sorted(amps.strong_bins().items())],
+            "distribution_csv": csv_name,
+        }
+        try:
+            wv = amps.weak_value()
+            rel = [[f, a.real, a.imag] for f, a in sorted(amps.relative().items())]
+            entry.update(weak_value_re=wv.real, weak_value_im=wv.imag, relative_amplitudes=rel)
+        except ForbiddenTransitionError as exc:
+            entry.update(
+                weak_value_re=None, weak_value_im=None, relative_amplitudes=None, weak_unavailable=str(exc)
+            )
+        summary["meters"].append(entry)
     head = summary["meters"][0]
-    for key in ("strong_mean", "weak_value_re", "weak_value_im", "norm", "mean_reading"):
-        summary[key] = head[key]
+    for key in ("strong_mean", "weak_value_re", "weak_value_im", "norm", "mean_reading", "weak_unavailable"):
+        if key in head:
+            summary[key] = head[key]
     if len(meters) >= 2:
         joint = joint_reading_distribution(chain, list(meters))
         summary["weak_marginals"] = [joint.marginal_mean(r) for r in range(len(meters))]
@@ -191,23 +185,19 @@ def _run_sample(config: ScenarioConfig, out: Path) -> dict:
 def _classical_settings(config: ScenarioConfig) -> ClassicalSettings:
     if config.classical is not None:
         return config.classical
-    # derive the comparator network from the quantum chain
-    network = chain_comparator(config.chain)
+    # the chain's distinguishable-path twin, one entry per (branch, path)
+    chain = config.chain
+    paths = tuple(chain_comparator(chain))
     values = None
     if config.meters:
-        functional_values = config.meters[0].functional.values(config.chain)
-        shape = (config.chain.dim,) * config.chain.n_steps
-        values = []
-        for path in classical_paths(network):
-            indices, _ = comparator_path_key(path)
-            values.append(float(functional_values[np.ravel_multi_index(indices, shape)]))
-        values = tuple(values)
-    return ClassicalSettings(network, values, frozenset({"f0"}))
+        per_path = config.meters[0].functional.values(chain)
+        values = tuple(np.tile(per_path, len(paths) // chain.n_paths).tolist())
+    return ClassicalSettings(paths, values, frozenset({"f0"}))
 
 
 def _run_classical(config: ScenarioConfig, out: Path) -> dict:
     settings = _classical_settings(config)
-    paths = classical_paths(settings.network)
+    paths = settings.paths
     with open(out / "classical_paths.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path", "receptacle", "probability", "value"])
@@ -227,9 +217,7 @@ def _run_classical(config: ScenarioConfig, out: Path) -> dict:
     if settings.values is not None:
         condition = settings.condition or {p.receptacle for p in paths}
         summary["condition"] = sorted(condition)
-        summary["conditional_mean"] = classical_mean(
-            settings.network, settings.values, set(condition)
-        )
+        summary["conditional_mean"] = classical_mean(paths, settings.values, set(condition))
     return summary
 
 

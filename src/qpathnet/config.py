@@ -16,13 +16,15 @@ import numpy as np
 from .classical import (
     ClassicalConnector,
     ClassicalNetwork,
+    ClassicalPath,
+    classical_paths,
     label_values,
     to_connector,
     to_receptacle,
 )
 from .core import Observable, Propagator, StateVector
 from .meter import MeterSpec, PointerProfile
-from .paths import MeasurementChain, MeasurementStep, PathFunctional
+from .paths import FUNCTIONAL_RULES, MeasurementChain, MeasurementStep, PathFunctional
 
 
 class ConfigError(ValueError):
@@ -85,7 +87,7 @@ class RunSettings:
 
 @dataclass(frozen=True)
 class ClassicalSettings:
-    network: ClassicalNetwork
+    paths: tuple[ClassicalPath, ...]
     values: tuple[float, ...] | None = None
     condition: frozenset[str] | None = None
 
@@ -99,15 +101,6 @@ class ScenarioConfig:
     run: RunSettings = RunSettings()
     classical: ClassicalSettings | None = None
 
-
-_FUNCTIONAL_RULES = {
-    "step_eigenvalue",
-    "weighted_steps",
-    "step_difference",
-    "path_indicator",
-    "table",
-    "constant",
-}
 
 MODES = ("exact", "sweep", "sample", "classical")
 
@@ -142,7 +135,7 @@ def _parse_functional(doc, where: str) -> tuple[str, PathFunctional]:
     name = doc.get("name")
     _require(isinstance(name, str) and name, f"{where}.name", "functionals need a nonempty name")
     rule = doc.get("rule")
-    _require(rule in _FUNCTIONAL_RULES, f"{where}.rule", f"must be one of {sorted(_FUNCTIONAL_RULES)}")
+    _require(rule in FUNCTIONAL_RULES, f"{where}.rule", f"must be one of {sorted(FUNCTIONAL_RULES)}")
     if rule == "step_eigenvalue":
         return name, PathFunctional.step_eigenvalue(int(_real(doc.get("step", None), f"{where}.step")))
     if rule == "weighted_steps":
@@ -247,17 +240,19 @@ def _parse_classical(doc, where: str) -> ClassicalSettings:
     except ValueError as exc:
         _fail(where, str(exc))
 
+    paths = classical_paths(network)
     values = doc.get("values")
     if values is not None:
         _require(isinstance(values, list), f"{where}.values", "expected a list")
         values = tuple(_real(v, f"{where}.values[{i}]") for i, v in enumerate(values))
+        _require(len(values) == len(paths), f"{where}.values", f"needs one value per path ({len(paths)})")
     elif labels:
-        values = tuple(label_values(network))
+        values = tuple(label_values(network, paths))
     condition = doc.get("condition")
     if condition is not None:
         _require(isinstance(condition, list) and condition, f"{where}.condition", "expected a nonempty list")
         condition = frozenset(str(c) for c in condition)
-    return ClassicalSettings(network, values, condition)
+    return ClassicalSettings(tuple(paths), values, condition)
 
 
 def parse_config(doc: dict) -> ScenarioConfig:

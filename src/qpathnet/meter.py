@@ -35,7 +35,6 @@ from .paths import (
     PathFunctional,
     amplitude_distribution,
     path_amplitudes,
-    weak_value,
 )
 
 # Default grid: 200 samples per profile width, padded by 6 widths beyond the
@@ -236,13 +235,24 @@ def default_grid(
     )
 
 
+_ONE_METER_WIDTH = "the meter's profile.width"
+
+
+class GridCapError(ValueError):
+    """A reading grid above MAX_GRID_CELLS, refused before anything grid-sized exists."""
+
+    def for_meter(self, index: int) -> "GridCapError":
+        """The same error, naming the width field of meter `index` of a config."""
+        return GridCapError(str(self).replace(_ONE_METER_WIDTH, f"meters[{index}].profile.width"))
+
+
 def _check_grids(keys: np.ndarray, profiles, grids) -> None:
     """Cell cap and per-axis coverage of the values, before any grid array exists."""
     cells = math.prod(g.n for g in grids)
     if cells > MAX_GRID_CELLS:
         r = max(range(len(grids)), key=lambda i: grids[i].n)
-        width = f"meters[{r}].profile.width" if len(grids) > 1 else "the meter's profile.width"
-        raise ValueError(
+        width = f"meters[{r}].profile.width" if len(grids) > 1 else _ONE_METER_WIDTH
+        raise GridCapError(
             f"reading grid of {cells} cells exceeds MAX_GRID_CELLS = {MAX_GRID_CELLS}: "
             f"widen {width} ({profiles[r].width}) or coarsen "
             f"run.grid_step ({grids[r].step})"
@@ -301,6 +311,17 @@ def final_pointer_state(
     return _pointer_kernel(dist.amplitudes, dist.support[:, None], [profile], [grid], complex)
 
 
+def pointer_distribution(
+    dist: AmplitudeDistribution, profile: PointerProfile, grid: Grid | None = None
+) -> PointerDistribution:
+    """Reading density |sum_m A_m G(xi - f_m)|^2 of one pointer over A(f)."""
+    if grid is None:
+        grid = default_grid(dist, profile)
+    amp = final_pointer_state(dist, profile, grid)
+    density = amp.real**2 + amp.imag**2
+    return PointerDistribution(grid, density, float(_integrate(density, [grid.weights()])))
+
+
 def reading_distribution(
     chain: MeasurementChain,
     meter: MeterSpec,
@@ -309,11 +330,7 @@ def reading_distribution(
 ) -> PointerDistribution:
     """Density of pointer readings conditioned on the chain's final selection."""
     dist = amplitude_distribution(chain, meter.functional, merge_tol)
-    if grid is None:
-        grid = default_grid(dist, meter.profile)
-    amp = final_pointer_state(dist, meter.profile, grid)
-    density = amp.real**2 + amp.imag**2
-    return PointerDistribution(grid, density, float(_integrate(density, [grid.weights()])))
+    return pointer_distribution(dist, meter.profile, grid)
 
 
 def total_reading_distribution(
@@ -456,13 +473,12 @@ def strong_limit_bins(
     functional: PathFunctional,
     merge_tol: float = DEFAULT_MERGE_TOL,
 ) -> dict[float, float]:
-    """Exact reading masses in the accurate limit: |A(f_m)|^2 per value.
+    """AmplitudeDistribution.strong_bins of the chain's grouped amplitudes.
 
     Equals the window masses of a rectangular-profile reading distribution
     whenever the width is below the smallest support gap.
     """
-    dist = amplitude_distribution(chain, functional, merge_tol)
-    return {float(f): float(abs(a) ** 2) for f, a in zip(dist.support, dist.amplitudes)}
+    return amplitude_distribution(chain, functional, merge_tol).strong_bins()
 
 
 def strong_limit_probabilities(
@@ -470,12 +486,8 @@ def strong_limit_probabilities(
     functional: PathFunctional,
     merge_tol: float = DEFAULT_MERGE_TOL,
 ) -> dict[float, float]:
-    """Strong-limit bins normalized over the selected branch."""
-    bins = strong_limit_bins(chain, functional, merge_tol)
-    total = sum(bins.values())
-    if total <= 0.0:
-        raise ValueError("all bins vanish; no reading survives the selection")
-    return {f: p / total for f, p in bins.items()}
+    """AmplitudeDistribution.strong_probabilities of the chain's grouped amplitudes."""
+    return amplitude_distribution(chain, functional, merge_tol).strong_probabilities()
 
 
 @dataclass(frozen=True)
@@ -515,9 +527,7 @@ def weak_limit_report(
     widths = tuple(float(w) for w in widths)
     if any(w2 <= w1 for w1, w2 in zip(widths, widths[1:])):
         raise ValueError("widths must be strictly increasing")
-    weak = weak_value(chain, functional, merge_tol)
-    means = []
-    for w in widths:
-        meter = MeterSpec(functional, PointerProfile.gaussian(w))
-        means.append(mean_reading(reading_distribution(chain, meter, merge_tol=merge_tol)))
-    return WeakLimitReport(widths, tuple(means), weak)
+    dist = amplitude_distribution(chain, functional, merge_tol)
+    weak = dist.weak_value()
+    means = tuple(mean_reading(pointer_distribution(dist, PointerProfile.gaussian(w))) for w in widths)
+    return WeakLimitReport(widths, means, weak)

@@ -32,6 +32,16 @@ DEFAULT_MERGE_TOL = 1e-9
 
 VirtualPath = tuple[int, ...]
 
+# Rule names of PathFunctional, in the order its constructors are listed.
+FUNCTIONAL_RULES = (
+    "step_eigenvalue",
+    "weighted_steps",
+    "step_difference",
+    "path_indicator",
+    "table",
+    "constant",
+)
+
 
 class ForbiddenTransitionError(ValueError):
     """Raised when the selected transition amplitude is (numerically) zero,
@@ -142,6 +152,8 @@ class PathFunctional:
     """
 
     def __init__(self, rule: str, **params):
+        if rule not in FUNCTIONAL_RULES:
+            raise ValueError(f"unknown functional rule {rule!r}")
         self.rule = rule
         self.params = params
 
@@ -226,9 +238,8 @@ class PathFunctional:
             if not np.all(np.isfinite(table)):
                 raise ValueError("functional values must be finite")
             return table.copy()
-        if self.rule == "constant":
-            return np.full(n, self.params["value"])
-        raise ValueError(f"unknown functional rule {self.rule!r}")
+        # the last of FUNCTIONAL_RULES, "constant"; __init__ rejects any other
+        return np.full(n, self.params["value"])
 
     def value(self, chain: MeasurementChain, path: VirtualPath) -> float:
         idx = int(np.ravel_multi_index(tuple(path), (chain.dim,) * chain.n_steps))
@@ -237,7 +248,8 @@ class PathFunctional:
 
 @dataclass(frozen=True)
 class AmplitudeDistribution:
-    """Summed path amplitudes over the distinct values of a functional."""
+    """Summed path amplitudes over the distinct values of a functional; every
+    statistic of a meter coupled to the functional derives from it."""
 
     support: np.ndarray
     amplitudes: np.ndarray
@@ -254,6 +266,60 @@ class AmplitudeDistribution:
 
     def total(self) -> complex:
         return complex(self.amplitudes.sum())
+
+    def _allowed_total(self) -> complex:
+        """The total amplitude, refused when the transition is forbidden."""
+        total = self.total()
+        if abs(total) <= FORBIDDEN_TOL:
+            raise ForbiddenTransitionError(
+                "total transition amplitude is numerically zero; "
+                "relative amplitudes and the weak value diverge"
+            )
+        return total
+
+    def relative(self) -> dict[float, complex]:
+        """Grouped amplitudes divided by the total transition amplitude.
+
+        The returned values always sum to one.  Raises
+        ForbiddenTransitionError when the transition amplitude vanishes,
+        because the normalization (and with it every weak mean) then
+        diverges.
+        """
+        total = self._allowed_total()
+        return {float(f): complex(a / total) for f, a in zip(self.support, self.amplitudes)}
+
+    def weak_value(self) -> complex:
+        """Amplitude-weighted mean of the functional, sum_m f_m A_m / sum_m A_m.
+
+        Complex in general; its real part is the large-width limit of the
+        mean pointer reading.  Unbounded by the functional's range on a
+        nearly forbidden transition.
+        """
+        return complex(np.sum(self.support * self.amplitudes) / self._allowed_total())
+
+    def strong_mean(self) -> float:
+        """Probability-weighted mean in the accurate-measurement limit.
+
+        Amplitudes sharing a functional value are summed before squaring, so
+        indistinguishable paths interfere.
+        """
+        weights = np.abs(self.amplitudes) ** 2
+        total = weights.sum()
+        if total <= 0.0:
+            raise ValueError("all grouped amplitudes vanish; the strong mean is undefined")
+        return float(np.sum(self.support * weights) / total)
+
+    def strong_bins(self) -> dict[float, float]:
+        """Exact reading masses in the accurate limit: |A(f_m)|^2 per value."""
+        return {float(f): float(abs(a) ** 2) for f, a in zip(self.support, self.amplitudes)}
+
+    def strong_probabilities(self) -> dict[float, float]:
+        """Strong-limit bins normalized over the selected branch."""
+        bins = self.strong_bins()
+        total = sum(bins.values())
+        if total <= 0.0:
+            raise ValueError("all bins vanish; no reading survives the selection")
+        return {f: p / total for f, p in bins.items()}
 
 
 def enumerate_paths(chain: MeasurementChain) -> list[VirtualPath]:
@@ -410,19 +476,8 @@ def relative_amplitudes(
     functional: PathFunctional,
     merge_tol: float = DEFAULT_MERGE_TOL,
 ) -> dict[float, complex]:
-    """Grouped amplitudes divided by the total transition amplitude.
-
-    The returned values always sum to one.  Raises ForbiddenTransitionError
-    when the transition amplitude vanishes, because the normalization (and
-    with it every weak mean) then diverges.
-    """
-    dist = amplitude_distribution(chain, functional, merge_tol)
-    total = dist.total()
-    if abs(total) <= FORBIDDEN_TOL:
-        raise ForbiddenTransitionError(
-            "total transition amplitude is numerically zero; relative amplitudes diverge"
-        )
-    return {float(f): complex(a / total) for f, a in zip(dist.support, dist.amplitudes)}
+    """AmplitudeDistribution.relative of the chain's grouped amplitudes."""
+    return amplitude_distribution(chain, functional, merge_tol).relative()
 
 
 def weak_value(
@@ -430,19 +485,8 @@ def weak_value(
     functional: PathFunctional,
     merge_tol: float = DEFAULT_MERGE_TOL,
 ) -> complex:
-    """Amplitude-weighted mean of the functional, sum_m f_m A_m / sum_m A_m.
-
-    Complex in general; its real part is the large-width limit of the mean
-    pointer reading.  Unbounded by the functional's range on a nearly
-    forbidden transition.
-    """
-    dist = amplitude_distribution(chain, functional, merge_tol)
-    total = dist.total()
-    if abs(total) <= FORBIDDEN_TOL:
-        raise ForbiddenTransitionError(
-            "total transition amplitude is numerically zero; the weak value diverges"
-        )
-    return complex(np.sum(dist.support * dist.amplitudes) / total)
+    """AmplitudeDistribution.weak_value of the chain's grouped amplitudes."""
+    return amplitude_distribution(chain, functional, merge_tol).weak_value()
 
 
 def strong_mean(
@@ -450,14 +494,5 @@ def strong_mean(
     functional: PathFunctional,
     merge_tol: float = DEFAULT_MERGE_TOL,
 ) -> float:
-    """Probability-weighted mean in the accurate-measurement limit.
-
-    Amplitudes sharing a functional value are summed before squaring, so
-    indistinguishable paths interfere.
-    """
-    dist = amplitude_distribution(chain, functional, merge_tol)
-    weights = np.abs(dist.amplitudes) ** 2
-    total = weights.sum()
-    if total <= 0.0:
-        raise ValueError("all grouped amplitudes vanish; the strong mean is undefined")
-    return float(np.sum(dist.support * weights) / total)
+    """AmplitudeDistribution.strong_mean of the chain's grouped amplitudes."""
+    return amplitude_distribution(chain, functional, merge_tol).strong_mean()

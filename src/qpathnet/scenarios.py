@@ -29,6 +29,7 @@ from .paths import (
     MeasurementChain,
     MeasurementStep,
     PathFunctional,
+    amplitude_distribution,
     relative_amplitudes,
     strong_mean,
     weak_value,
@@ -158,14 +159,15 @@ def build_difference_meter(
     chain = _chain(psi, [(t1, a_obs), (t2, b_obs)], phi)
     functional = PathFunctional.step_difference(later=1, earlier=0)
     meters = (MeterSpec(functional, PointerProfile.rectangular(strong_width)),)
+    dist = amplitude_distribution(chain, functional)
     expected: dict[str, Expected] = {}
-    expected["strong_mean"] = Expected(strong_mean(chain, functional), "analytic")
-    wv = weak_value(chain, functional)
+    expected["strong_mean"] = Expected(dist.strong_mean(), "analytic")
+    wv = dist.weak_value()
     expected["weak_value_re"] = Expected(wv.real, "analytic")
     expected["weak_value_im"] = Expected(wv.imag, "analytic")
     expected["sweep_limit"] = Expected(wv.real, "sweep")
     # same number from the relative-amplitude route: 2 Re(alpha(+2) - alpha(-2))
-    rel = relative_amplitudes(chain, functional)
+    rel = dist.relative()
     expected["weak_from_relative"] = Expected(
         2.0 * (rel.get(2.0, 0j).real - rel.get(-2.0, 0j).real), "analytic"
     )
@@ -212,8 +214,10 @@ def build_three_box(c: complex = 1.0 / 3.0) -> ScenarioPreset:
         "relative_amplitude_2": Expected(1.0, "analytic"),
         "strong_first_indicator_at_1": Expected(1.0, "analytic"),
         "strong_third_indicator_at_1": Expected(1.0, "analytic"),
+        "sweep_limit": Expected(1.0, "sweep"),
     }
-    return ScenarioPreset("three-box", chain, meters, expected, notes={"width": width})
+    widths = (10.0, 100.0, 1000.0, 10000.0)
+    return ScenarioPreset("three-box", chain, meters, expected, widths, notes={"width": width})
 
 
 def states_for_target_weak_value(target: float) -> tuple[StateVector, StateVector]:

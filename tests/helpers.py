@@ -88,3 +88,21 @@ def brute_force_joint_density(amps, value_table, profiles, axes):
             total += term
         pointer[idx] = total
     return np.abs(pointer) ** 2
+
+
+def count_path_amplitudes(monkeypatch):
+    """Count path_amplitudes calls made through the paths and meter modules;
+    the returned one-element list holds the running count."""
+    import qpathnet.meter
+    import qpathnet.paths
+
+    original = qpathnet.paths.path_amplitudes
+    calls = [0]
+
+    def counted(chain):
+        calls[0] += 1
+        return original(chain)
+
+    for module in (qpathnet.paths, qpathnet.meter):
+        monkeypatch.setattr(module, "path_amplitudes", counted)
+    return calls

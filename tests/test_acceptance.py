@@ -31,7 +31,6 @@ from qpathnet import (
     build_three_box,
     chain_comparator,
     classical_mean,
-    classical_paths,
     comparator_path_key,
     disturbance_gap,
     final_pointer_state,
@@ -186,13 +185,12 @@ def test_criterion_6_quantum_classical_contrast():
     classical_bin = abs(amps[0]) ** 2 + abs(amps[3]) ** 2
     contrast_ok = abs(quantum_bin - classical_bin) >= 1e-3
 
-    network = chain_comparator(chain)
     values = functional.values(chain)
-    paths = classical_paths(network)
+    paths = chain_comparator(chain)
     per_path = [
         float(values[np.ravel_multi_index(comparator_path_key(p)[0], (2, 2))]) for p in paths
     ]
-    computed = classical_mean(network, per_path, condition={"f0"})
+    computed = classical_mean(paths, per_path, condition={"f0"})
     p = {
         comparator_path_key(path)[0]: path.probability
         for path in paths

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import random_chain
 from qpathnet import (
     ClassicalConnector,
     ClassicalNetwork,
@@ -154,7 +157,7 @@ class TestClassicalPaths:
         values = {"a0": -1.0, "a1": 1.0}
         per_path = [values[p.hops[1][0]] for p in classical_paths(net)]
         expected = (0.18 * -1.0 + 0.56 * 1.0) / (0.18 + 0.56)
-        assert classical_mean(net, per_path, condition={"b0"}) == pytest.approx(
+        assert classical_mean(classical_paths(net), per_path, condition={"b0"}) == pytest.approx(
             expected, abs=1e-14
         )
 
@@ -163,36 +166,35 @@ class TestClassicalMean:
     def test_constant_values(self):
         net = uniform_two_layer_network()
         n = len(classical_paths(net))
-        assert classical_mean(net, [2.5] * n) == pytest.approx(2.5, abs=1e-14)
+        assert classical_mean(classical_paths(net), [2.5] * n) == pytest.approx(2.5, abs=1e-14)
 
     def test_antisymmetric_values_cancel(self):
         net = uniform_two_layer_network()
         values = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
-        assert classical_mean(net, values) == pytest.approx(0.0, abs=1e-14)
+        assert classical_mean(classical_paths(net), values) == pytest.approx(0.0, abs=1e-14)
 
     def test_conditioning(self):
         net = uniform_two_layer_network()
         paths = classical_paths(net)
         values = [1.0 if p.receptacle == "f0" else -7.0 for p in paths]
-        assert classical_mean(net, values, condition={"f0"}) == pytest.approx(1.0, abs=1e-14)
+        assert classical_mean(paths, values, condition={"f0"}) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_probability_condition(self):
         net = simple_network(np.eye(2))
         with pytest.raises(ValueError, match="zero probability"):
-            classical_mean(net, [1.0], condition={"f1"})
+            classical_mean(classical_paths(net), [1.0], condition={"f1"})
 
     def test_value_count_checked(self):
         net = uniform_two_layer_network()
         with pytest.raises(ValueError, match="one value per path"):
-            classical_mean(net, [1.0, 2.0])
+            classical_mean(classical_paths(net), [1.0, 2.0])
 
 
 class TestComparator:
     def test_path_probabilities_match_squared_amplitudes(self):
         chain = build_difference_meter().chain.with_completion()
-        net = chain_comparator(chain)
         branches = chain.branches()
-        for path in classical_paths(net):
+        for path in chain_comparator(chain):
             indices, success = comparator_path_key(path)
             branch = branches[0] if success else branches[1]
             expected = abs(path_amplitude(branch, indices)) ** 2
@@ -202,8 +204,7 @@ class TestComparator:
         from qpathnet import build_projector_postselected
 
         chain = build_projector_postselected().chain.with_completion()
-        net = chain_comparator(chain)
-        paths = classical_paths(net)
+        paths = chain_comparator(chain)
         assert sum(p.probability for p in paths) == pytest.approx(1.0, abs=1e-12)
         for path in paths:
             indices, success = comparator_path_key(path)
@@ -217,13 +218,12 @@ class TestComparator:
         # (sum F p) / (sum p) with per-path probabilities, no interference
         preset = build_difference_meter()
         chain = preset.chain
-        net = chain_comparator(chain)
         values = preset.meters[0].functional.values(chain)
-        paths = classical_paths(net)
+        paths = chain_comparator(chain)
         per_path = [
             float(values[np.ravel_multi_index(comparator_path_key(p)[0], (2, 2))]) for p in paths
         ]
-        computed = classical_mean(net, per_path, condition={"f0"})
+        computed = classical_mean(paths, per_path, condition={"f0"})
         p = {
             comparator_path_key(path)[0]: path.probability
             for path in paths
@@ -237,38 +237,54 @@ class TestComparator:
         assert abs(computed - strong_mean(chain, preset.meters[0].functional)) > 0.05
 
 
+    @given(st.integers(0, 10_000), st.integers(2, 3), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_distinguishable_path_law_on_random_chains(self, seed, dim, n_steps):
+        chain = random_chain(np.random.default_rng(seed), dim, n_steps)
+        branches = chain.branches()
+        paths = chain_comparator(chain)
+        assert len(paths) == len(branches) * chain.n_paths
+        for path in paths:
+            indices, success = comparator_path_key(path)
+            b = int(path.receptacle.removeprefix("f"))
+            assert success == (b == 0)
+            assert path.probability == pytest.approx(
+                abs(path_amplitude(branches[b], indices)) ** 2, abs=1e-12
+            )
+        assert sum(p.probability for p in paths) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestClassicalSampling:
     def test_deterministic_network(self):
         net = simple_network(np.eye(2))
-        counts, paths = classical_sample(net, 500, seed=1)
+        counts = classical_sample(classical_paths(net), 500, seed=1)
         assert counts.tolist() == [500]
 
     def test_uniform_frequencies(self):
         net = uniform_two_layer_network()
         n = 100_000
-        counts, paths = classical_sample(net, n, seed=12)
+        counts = classical_sample(classical_paths(net), n, seed=12)
         sigma = math.sqrt(n * 0.125 * 0.875)
         assert all(abs(c - n * 0.125) <= 3 * sigma for c in counts)
 
     def test_reproducible_and_worker_independent(self):
-        net = uniform_two_layer_network()
-        a, _ = classical_sample(net, 50_000, seed=5, max_workers=1)
-        b, _ = classical_sample(net, 50_000, seed=5, max_workers=4)
+        paths = classical_paths(uniform_two_layer_network())
+        a = classical_sample(paths, 50_000, seed=5, max_workers=1)
+        b = classical_sample(paths, 50_000, seed=5, max_workers=4)
         assert np.array_equal(a, b)
 
     def test_sampled_conditional_mean_matches_exact(self):
         preset = build_difference_meter()
-        net = chain_comparator(preset.chain)
-        paths = classical_paths(net)
+        paths = chain_comparator(preset.chain)
         values = preset.meters[0].functional.values(preset.chain)
         per_path = np.array(
             [values[np.ravel_multi_index(comparator_path_key(p)[0], (2, 2))] for p in paths]
         )
         keep = np.array([p.receptacle == "f0" for p in paths])
-        counts, _ = classical_sample(net, 200_000, seed=23)
+        counts = classical_sample(paths, 200_000, seed=23)
         n_kept = counts[keep].sum()
         empirical = float((counts[keep] * per_path[keep]).sum() / n_kept)
-        exact = classical_mean(net, per_path.tolist(), condition={"f0"})
+        exact = classical_mean(paths, per_path.tolist(), condition={"f0"})
         second_moment = float((counts[keep] * per_path[keep] ** 2).sum() / n_kept)
         se = math.sqrt(max(second_moment - empirical**2, 0.0) / n_kept)
         assert abs(empirical - exact) <= 3 * se

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qpathnet import ConfigError, export_config, parse_config
+from helpers import count_path_amplitudes
+from qpathnet import ConfigError, PathFunctional, export_config, parse_config
 from qpathnet.cli import main, report, run
 from qpathnet.config import RunSettings
 from qpathnet.scenarios import build_difference_meter, build_projector_postselected
@@ -81,6 +82,14 @@ class TestParsing:
         doc["pre_state"] = [0.9, 0.44]
         with pytest.raises(ConfigError, match=r"pre_state\[0\]"):
             parse_config(doc)
+
+    def test_unknown_functional_rule(self):
+        doc = sample_config()
+        doc["functionals"][0]["rule"] = "bogus"
+        with pytest.raises(ConfigError, match=r"functionals\[0\]\.rule: must be one of \['constant', "):
+            parse_config(doc)
+        with pytest.raises(ValueError, match="unknown functional rule 'bogus'"):
+            PathFunctional("bogus")
 
     def test_functional_consistency_checked_against_chain(self):
         doc = sample_config()
@@ -164,6 +173,22 @@ class TestRunModes:
         assert summary["conditional_mean"] == pytest.approx(-0.6, abs=1e-12)
         assert (tmp_path / "classical_paths.csv").exists()
 
+    @pytest.mark.parametrize(
+        "preset, mean",
+        [
+            ("projector", 0.8),
+            ("minus-hundred", 0.4950249987624374),
+            ("difference", -0.6),
+            ("three-box", 1.0 / 3.0),
+        ],
+    )
+    def test_classical_mean_is_the_distinguishable_path_mean(self, tmp_path, preset, mean):
+        # dim-2 values are those of the hand-wired comparator networks the
+        # distinguishable-path law replaced; three-box is |A_0|^2 / sum |A|^2
+        summary = run(f"preset:{preset}", tmp_path, _Args(mode="classical"))
+        assert summary["conditional_mean"] == pytest.approx(mean, abs=1e-12)
+        assert sum(summary["probabilities"]) == pytest.approx(1.0, abs=1e-12)
+
     def test_classical_only_config(self, tmp_path):
         doc = {
             "name": "toy",
@@ -214,6 +239,20 @@ class TestRunModes:
         # uniform weights make the +2 and -2 paths equally likely
         assert summary["conditional_mean"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_classical_value_count_checked(self):
+        doc = {
+            "name": "short",
+            "run": {"mode": "classical"},
+            "classical": {
+                "connectors": {"in": {"weights": [[0.5, 0.5], [0.5, 0.5]]}},
+                "wiring": {"in.0": "left", "in.1": "right"},
+                "entry": "in.0",
+                "values": [1.0],
+            },
+        }
+        with pytest.raises(ConfigError, match=r"classical\.values: needs one value per path \(2\)"):
+            parse_config(doc)
+
     def test_label_of_unknown_connector_rejected(self, tmp_path):
         doc = {
             "name": "bad",
@@ -262,8 +301,50 @@ class TestCliEntryPoint:
         doc["post_state"] = [[0.0, 0.0], [1.0, 0.0]]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        assert main(["run", str(path), str(tmp_path / "out")]) == 3
+        assert main(["run", str(path), str(tmp_path / "out"), "--mode", "sweep"]) == 3
         assert "remedy" in capsys.readouterr().err
+
+    def test_forbidden_transition_exact_mode_reports_strong_numbers(self, tmp_path):
+        doc = sample_config()
+        r2 = 1.0 / math.sqrt(2.0)
+        doc["pre_state"] = [[r2, 0.0], [r2, 0.0]]
+        doc["post_state"] = [[r2, 0.0], [-r2, 0.0]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(path), str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        meter = summary["meters"][0]
+        for s in (summary, meter):
+            assert s["weak_value_re"] is None and s["weak_value_im"] is None
+            assert "numerically zero" in s["weak_unavailable"]
+        assert meter["relative_amplitudes"] is None
+        # paths 0 and 1 carry amplitudes +-1/2: strong bins 1/4 each
+        assert summary["strong_mean"] == pytest.approx(0.5, abs=1e-12)
+        assert meter["strong_bins"] == [[0.0, pytest.approx(0.25)], [1.0, pytest.approx(0.25)]]
+        assert (out / "distribution_m0.csv").exists()
+        table = report([out / "summary.json"])
+        assert "strong_mean" in table and "weak_value_re" not in table
+
+    def test_grid_cap_names_the_meter_index(self, tmp_path, capsys):
+        doc = sample_config()
+        doc["meters"].append({"functional": "first", "profile": {"shape": "gaussian", "width": 1e-6}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out")]) == 3
+        assert "widen meters[1].profile.width (1e-06)" in capsys.readouterr().err
+
+    def test_exact_run_builds_each_amplitude_distribution_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(sample_config()))
+        calls = count_path_amplitudes(monkeypatch)
+        assert main(["run", str(path), str(tmp_path / "out")]) == 0
+        assert calls == [1]
+
+    def test_three_box_sweep(self, tmp_path):
+        assert main(["run", "preset:three-box", str(tmp_path), "--mode", "sweep"]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["means"][-1] == pytest.approx(1.0, abs=1e-4)
 
     def test_overrides(self, tmp_path):
         assert main(["run", "preset:projector", str(tmp_path), "--mode", "sample", "--trials", "500", "--seed", "9"]) == 0
