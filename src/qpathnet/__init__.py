@@ -52,10 +52,12 @@ from .paths import (
     MeasurementChain,
     MeasurementStep,
     PathBundle,
+    PathCapError,
     PathFunctional,
     amplitude_distribution,
     combine_paths,
     enumerate_paths,
+    grouped_amplitudes,
     path_amplitude,
     path_amplitudes,
     relative_amplitudes,

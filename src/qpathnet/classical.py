@@ -28,7 +28,7 @@ from .rng import CHUNK, uniform_block, worker_count
 WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalConnector:
     """Two-inlet, two-outlet junction with column-stochastic weights."""
 
@@ -92,7 +92,7 @@ class ClassicalPath:
     probability: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalNetwork:
     """Acyclic wiring of connectors with one entry point.
 

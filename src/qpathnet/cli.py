@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -226,8 +228,6 @@ def run(source: str, out_dir, args=None) -> dict:
     config = _load(source)
     if args is not None:
         config = _with_overrides(config, args)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     mode = config.run.mode
     if mode != "classical" and config.chain is None:
         raise ConfigError(f"run.mode: mode {mode!r} needs a quantum system section")
@@ -237,9 +237,30 @@ def run(source: str, out_dir, args=None) -> dict:
         "sample": _run_sample,
         "classical": _run_classical,
     }[mode]
-    summary = runner(config, out)
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    # artifacts are staged in a hidden directory inside the output, on its
+    # own filesystem, and move up only once the whole run has succeeded; a
+    # failed run removes them and every directory it created
+    out = Path(out_dir).resolve()
+    created = None
+    for directory in (out, *out.parents):
+        if directory.exists():
+            break
+        created = directory
+    out.mkdir(parents=True, exist_ok=True)
+    staging = out / f".partial-{os.urandom(4).hex()}"
+    staging.mkdir()
+    try:
+        summary = runner(config, staging)
+        with open(staging / "summary.json", "w") as fh:
+            json.dump(summary, fh, indent=2)
+        for artifact in staging.iterdir():
+            os.replace(artifact, out / artifact.name)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return summary
 
 

@@ -92,7 +92,7 @@ class ClassicalSettings:
     condition: frozenset[str] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     name: str
     chain: MeasurementChain | None
@@ -356,7 +356,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         _require(fname not in functionals, f"functionals[{i}].name", "duplicate functional name")
         # fail fast on rules inconsistent with the chain
         try:
-            functional.values(chain)
+            functional.step_weights(chain)
         except ValueError as exc:
             _fail(f"functionals[{i}]", str(exc))
         functionals[fname] = functional

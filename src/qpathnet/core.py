@@ -2,7 +2,10 @@
 
 Everything here is plain dense complex linear algebra on small Hilbert
 spaces (dim of order 2..16).  Values are immutable after construction and
-safe to share across threads.
+safe to share across threads.  Dataclasses in this package that hold arrays
+(directly or through another such class) compare and hash by identity
+(`eq=False`): generated field-wise equality would compare arrays elementwise
+and raise.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state of a dim-dimensional system, stored as complex amplitudes."""
 
@@ -110,7 +113,7 @@ def _check_hermitian(matrix: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """Hermitian operator with its spectral decomposition.
 
@@ -165,7 +168,7 @@ class Observable:
         return float(val.real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Propagator:
     """Unitary evolution U(t) = exp(-i H t) from a time-independent Hamiltonian.
 

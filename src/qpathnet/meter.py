@@ -11,9 +11,9 @@ between paths with different functional values (accurate limit); very wide
 profiles leave it intact, and the mean reading tends to the real part of
 the amplitude-weighted mean.
 
-Numerics: one kernel serves 1 or R meters: it groups path amplitudes by their
-exact tuple of values and contracts per-axis profile samples, block by block,
-into one float64 density.  Moments use composite trapezoid quadrature; the
+Numerics: one kernel serves 1 or R meters: it takes the path amplitudes
+grouped by their exact tuple of values (paths.grouped_amplitudes) and
+contracts per-axis profile samples, block by block, into one float64 density.  Moments use composite trapezoid quadrature; the
 rectangular profile reports the half-jump value at its edges, which makes
 trapezoid sums over edge-aligned grids exact for piecewise-constant densities.
 """
@@ -34,7 +34,7 @@ from .paths import (
     MeasurementChain,
     PathFunctional,
     amplitude_distribution,
-    path_amplitudes,
+    grouped_amplitudes,
 )
 
 # Default grid: 200 samples per profile width, padded by 6 widths beyond the
@@ -118,6 +118,20 @@ class PointerProfile:
     def with_width(self, width: float) -> "PointerProfile":
         return PointerProfile(self.shape, float(width), self.template_xs, self.template_values)
 
+    def _key(self) -> tuple:
+        templates = (self.template_xs, self.template_values)
+        return (self.shape, self.width, *(None if t is None else t.tobytes() for t in templates))
+
+    # by value, templates compared byte for byte (field-wise == would
+    # compare the template arrays elementwise and raise)
+    def __eq__(self, other):
+        if not isinstance(other, PointerProfile):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 @dataclass(frozen=True)
 class MeterSpec:
@@ -181,7 +195,7 @@ class Grid:
         return cls(start, step, int(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointerDistribution:
     """Unnormalized reading density on a grid; norm is its total integral."""
 
@@ -397,7 +411,7 @@ def conditional_state(chain: MeasurementChain, meter: MeterSpec, xi0: float):
     return StateVector(amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Reading density of several pointers coupled to one chain."""
 
@@ -455,15 +469,11 @@ def joint_reading_distribution(
     """
     if not meters:
         raise ValueError("need at least one meter")
-    values = np.stack([m.functional.values(chain) for m in meters], axis=1)
+    keys, amps = grouped_amplitudes(chain, [m.functional for m in meters])
     if grids is None:
-        grids = [Grid.cover(values[:, r], m.profile.width) for r, m in enumerate(meters)]
+        grids = [Grid.cover(keys[:, r], m.profile.width) for r, m in enumerate(meters)]
     if len(grids) != len(meters):
         raise ValueError("need one grid per meter")
-    # exact grouping by the tuple of values: one term per distinct tuple
-    keys, inverse = np.unique(values, axis=0, return_inverse=True)
-    amps = np.zeros(len(keys), dtype=complex)
-    np.add.at(amps, inverse.reshape(-1), path_amplitudes(chain))
     density = _pointer_kernel(amps, keys, [m.profile for m in meters], grids, float)
     return JointDistribution(tuple(grids), density, float(_integrate(density, [g.weights() for g in grids])))
 

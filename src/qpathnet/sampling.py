@@ -61,7 +61,7 @@ class TrialSummary:
     meters: tuple[MeterSummary, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialSet:
     """Sampled records in trial order plus the exact distribution they came
     from."""

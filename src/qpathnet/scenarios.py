@@ -48,7 +48,7 @@ class Expected:
     kind: str  # analytic | quadrature | marginal | sweep | mc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioPreset:
     name: str
     chain: MeasurementChain

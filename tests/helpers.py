@@ -90,19 +90,19 @@ def brute_force_joint_density(amps, value_table, profiles, axes):
     return np.abs(pointer) ** 2
 
 
-def count_path_amplitudes(monkeypatch):
-    """Count path_amplitudes calls made through the paths and meter modules;
-    the returned one-element list holds the running count."""
+def count_grouped_amplitudes(monkeypatch):
+    """Count A(f) builds, i.e. grouped_amplitudes calls made through the paths
+    and meter modules; the returned one-element list holds the running count."""
     import qpathnet.meter
     import qpathnet.paths
 
-    original = qpathnet.paths.path_amplitudes
+    original = qpathnet.paths.grouped_amplitudes
     calls = [0]
 
-    def counted(chain):
+    def counted(chain, functionals):
         calls[0] += 1
-        return original(chain)
+        return original(chain, functionals)
 
     for module in (qpathnet.paths, qpathnet.meter):
-        monkeypatch.setattr(module, "path_amplitudes", counted)
+        monkeypatch.setattr(module, "grouped_amplitudes", counted)
     return calls

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import count_path_amplitudes
+from helpers import count_grouped_amplitudes
 from qpathnet import ConfigError, PathFunctional, export_config, parse_config
+from qpathnet import cli
 from qpathnet.cli import main, report, run
 from qpathnet.config import RunSettings
 from qpathnet.scenarios import build_difference_meter, build_projector_postselected
@@ -334,10 +335,46 @@ class TestCliEntryPoint:
         assert main(["run", str(path), str(tmp_path / "out")]) == 3
         assert "widen meters[1].profile.width (1e-06)" in capsys.readouterr().err
 
+    def test_failed_run_leaves_no_artifacts(self, tmp_path):
+        # meter 0 succeeds and meter 1 hits the grid cap
+        doc = sample_config()
+        doc["meters"].append({"functional": "first", "profile": {"shape": "gaussian", "width": 1e-6}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        for out in (tmp_path / "new", tmp_path / "new" / "nested", tmp_path):
+            assert main(["run", str(path), str(out)]) == 3
+            assert not (out / "distribution_m0.csv").exists()
+        # the directories the failed runs created are gone too
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_run_stages_inside_the_output(self, tmp_path, monkeypatch):
+        # an existing output under a read-only parent: the staging directory
+        # is inside the output, so nothing is written next to it and the
+        # final moves stay on the output's own filesystem
+        parent, out = tmp_path / "parent", tmp_path / "parent" / "out"
+        out.mkdir(parents=True)
+        staged = []
+        exact = cli._run_exact
+
+        def spy(config, where):
+            staged.append(where)
+            return exact(config, where)
+
+        monkeypatch.setattr(cli, "_run_exact", spy)
+        parent.chmod(0o555)
+        try:
+            assert main(["run", "preset:projector", str(out)]) == 0
+        finally:
+            parent.chmod(0o755)
+        assert [p.parent for p in staged] == [out]
+        assert [p.name for p in parent.iterdir()] == ["out"]
+        assert (out / "summary.json").exists()
+        assert not any(p.name.startswith(".") for p in out.iterdir())
+
     def test_exact_run_builds_each_amplitude_distribution_once(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(sample_config()))
-        calls = count_path_amplitudes(monkeypatch)
+        calls = count_grouped_amplitudes(monkeypatch)
         assert main(["run", str(path), str(tmp_path / "out")]) == 0
         assert calls == [1]
 

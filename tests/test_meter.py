@@ -5,7 +5,7 @@ import pytest
 
 from helpers import (
     brute_force_joint_density,
-    count_path_amplitudes,
+    count_grouped_amplitudes,
     gaussian_overlap_mean,
     gaussian_overlap_norm,
     random_chain,
@@ -380,7 +380,7 @@ class TestWeakLimitReport:
             weak_limit_report(preset.chain, preset.meters[0].functional, (10.0, 5.0))
 
     def test_builds_the_amplitude_distribution_once(self, monkeypatch):
-        calls = count_path_amplitudes(monkeypatch)
+        calls = count_grouped_amplitudes(monkeypatch)
         preset = build_minus_hundred()
         report = weak_limit_report(preset.chain, preset.meters[0].functional, (1.0, 10.0, 100.0, 1e3, 1e4))
         assert len(report.means) == 5

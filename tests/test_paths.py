@@ -19,6 +19,7 @@ from qpathnet import (
     build_difference_meter,
     build_minus_hundred,
     build_three_box,
+    chain_comparator,
     combine_paths,
     enumerate_paths,
     path_amplitude,
@@ -66,16 +67,27 @@ class TestEnumeration:
         assert path_amplitudes(chain).tolist() == [chain.transition_amplitude()]
 
     def test_path_count_cap(self):
+        # 4^10 paths: the chain exists, but every operation that lists its
+        # paths refuses before allocating them
         obs = Observable.from_matrix(np.diag([1.0, 2.0, 3.0, 4.0]))
         steps = tuple(MeasurementStep(0.05 * (k + 1), obs) for k in range(10))
-        with pytest.raises(ValueError, match="cap"):
-            MeasurementChain(
-                StateVector.from_components([1, 0, 0, 0]),
-                steps,
-                Propagator.free(4),
-                StateVector.from_components([0, 1, 0, 0]),
-                1.0,
-            )
+        chain = MeasurementChain(
+            StateVector.from_components([1, 0, 0, 0]),
+            steps,
+            Propagator.free(4),
+            StateVector.from_components([0, 1, 0, 0]),
+            1.0,
+        )
+        dense = (
+            path_amplitudes,
+            enumerate_paths,
+            PathFunctional.step_eigenvalue(0).values,
+            lambda c: amplitude_distribution(c, PathFunctional.path_indicator((0,) * 10)),
+            chain_comparator,
+        )
+        for operation in dense:
+            with pytest.raises(ValueError, match="cap"):
+                operation(chain)
 
     def test_times_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
