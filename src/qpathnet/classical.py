@@ -16,14 +16,12 @@ chain_comparator, and means and sampling take either.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .paths import enumerate_paths, path_amplitudes
-from .rng import CHUNK, uniform_block, worker_count
+from .rng import inverse_cdf_draws
 
 WEIGHT_TOL = 1e-12
 
@@ -232,26 +230,9 @@ def classical_sample(
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    probs = np.array([p.probability for p in paths])
-    cdf = np.cumsum(probs)
-    total = cdf[-1]
-
-    def run_chunk(chunk_index: int) -> np.ndarray:
-        lo = chunk_index * CHUNK
-        hi = min(lo + CHUNK, n_trials)
-        u = uniform_block(seed, lo, hi - lo)
-        idx = np.searchsorted(cdf, u * total, side="right")
-        idx = np.minimum(idx, probs.size - 1)
-        return np.bincount(idx, minlength=probs.size)
-
-    n_chunks = math.ceil(n_trials / CHUNK)
-    workers = min(worker_count(max_workers), n_chunks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        parts = [run_chunk(c) for c in range(n_chunks)]
-    return np.sum(parts, axis=0)
+    cdf = np.cumsum([p.probability for p in paths])
+    idx = inverse_cdf_draws(cdf, cdf[-1], n_trials, seed, max_workers)
+    return np.bincount(idx, minlength=cdf.size)
 
 
 def two_layer_network(

@@ -15,6 +15,7 @@ import json
 import os
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,30 +63,15 @@ def _load(source: str) -> ScenarioConfig:
 
 
 def _with_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    run = config.run
-    updates = {}
-    if args.mode:
-        updates["mode"] = args.mode
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.grid_step is not None:
-        updates["grid_step"] = args.grid_step
-    if args.grid_extent is not None:
-        updates["grid_pad"] = args.grid_extent
-    if updates:
-        run = RunSettings(
-            mode=updates.get("mode", run.mode),
-            seed=updates.get("seed", run.seed),
-            trials=updates.get("trials", run.trials),
-            widths=run.widths,
-            grid_step=updates.get("grid_step", run.grid_step),
-            grid_pad=updates.get("grid_pad", run.grid_pad),
-        )
-    return ScenarioConfig(
-        config.name, config.chain, config.functionals, config.meters, run, config.classical
-    )
+    overrides = {
+        "mode": args.mode,
+        "seed": args.seed,
+        "trials": args.trials,
+        "grid_step": args.grid_step,
+        "grid_pad": args.grid_extent,
+    }
+    run = replace(config.run, **{k: v for k, v in overrides.items() if v is not None})
+    return replace(config, run=run)
 
 
 def _run_exact(config: ScenarioConfig, out: Path) -> dict:

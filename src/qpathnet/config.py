@@ -405,6 +405,13 @@ def _functional_doc(name: str, functional: PathFunctional) -> dict:
     return out
 
 
+def _profile_doc(profile: PointerProfile) -> dict:
+    out = {"shape": profile.shape, "width": profile.width}
+    if profile.shape == "tabulated":
+        out.update(xs=profile.template_xs.tolist(), values=profile.template_values.tolist())
+    return out
+
+
 def export_config(
     name: str,
     chain: MeasurementChain,
@@ -446,10 +453,7 @@ def export_config(
             _functional_doc(fname, m.functional) for fname, m in zip(functional_names, meters)
         ],
         "meters": [
-            {
-                "functional": fname,
-                "profile": {"shape": m.profile.shape, "width": m.profile.width},
-            }
+            {"functional": fname, "profile": _profile_doc(m.profile)}
             for fname, m in zip(functional_names, meters)
         ],
         "run": {
@@ -459,6 +463,9 @@ def export_config(
             "widths": list(run.widths),
         },
     }
+    grid = {key: value for key, value in (("step", run.grid_step), ("pad", run.grid_pad)) if value is not None}
+    if grid:
+        doc["run"]["grid"] = grid
     if chain.post_complement is not None:
         doc["post_complement"] = [_vector_doc(c.amplitudes) for c in chain.post_complement]
     return doc

@@ -12,7 +12,7 @@ profiles leave it intact, and the mean reading tends to the real part of
 the amplitude-weighted mean.
 
 Numerics: one kernel serves 1 or R meters: it takes the path amplitudes
-grouped by their exact tuple of values (paths.grouped_amplitudes) and
+grouped by their tuple of values (paths.grouped_amplitudes) and
 contracts per-axis profile samples, block by block, into one float64 density.  Moments use composite trapezoid quadrature; the
 rectangular profile reports the half-jump value at its edges, which makes
 trapezoid sums over edge-aligned grids exact for piecewise-constant densities.
@@ -29,7 +29,6 @@ import numpy as np
 
 from .core import StateVector
 from .paths import (
-    DEFAULT_MERGE_TOL,
     AmplitudeDistribution,
     MeasurementChain,
     PathFunctional,
@@ -340,10 +339,9 @@ def reading_distribution(
     chain: MeasurementChain,
     meter: MeterSpec,
     grid: Grid | None = None,
-    merge_tol: float = DEFAULT_MERGE_TOL,
 ) -> PointerDistribution:
     """Density of pointer readings conditioned on the chain's final selection."""
-    dist = amplitude_distribution(chain, meter.functional, merge_tol)
+    dist = amplitude_distribution(chain, meter.functional)
     return pointer_distribution(dist, meter.profile, grid)
 
 
@@ -351,7 +349,6 @@ def total_reading_distribution(
     chain: MeasurementChain,
     meter: MeterSpec,
     grid: Grid | None = None,
-    merge_tol: float = DEFAULT_MERGE_TOL,
 ) -> PointerDistribution:
     """Reading density summed over the full set of final states.
 
@@ -359,9 +356,9 @@ def total_reading_distribution(
     the profile width.
     """
     first, *rest = chain.branches()
-    head = reading_distribution(first, meter, grid, merge_tol)
+    head = reading_distribution(first, meter, grid)
     grid = head.grid
-    total = sum((reading_distribution(b, meter, grid, merge_tol).density for b in rest), head.density)
+    total = sum((reading_distribution(b, meter, grid).density for b in rest), head.density)
     return PointerDistribution(grid, total, float(_integrate(total, [grid.weights()])))
 
 
@@ -478,26 +475,18 @@ def joint_reading_distribution(
     return JointDistribution(tuple(grids), density, float(_integrate(density, [g.weights() for g in grids])))
 
 
-def strong_limit_bins(
-    chain: MeasurementChain,
-    functional: PathFunctional,
-    merge_tol: float = DEFAULT_MERGE_TOL,
-) -> dict[float, float]:
+def strong_limit_bins(chain: MeasurementChain, functional: PathFunctional) -> dict[float, float]:
     """AmplitudeDistribution.strong_bins of the chain's grouped amplitudes.
 
     Equals the window masses of a rectangular-profile reading distribution
     whenever the width is below the smallest support gap.
     """
-    return amplitude_distribution(chain, functional, merge_tol).strong_bins()
+    return amplitude_distribution(chain, functional).strong_bins()
 
 
-def strong_limit_probabilities(
-    chain: MeasurementChain,
-    functional: PathFunctional,
-    merge_tol: float = DEFAULT_MERGE_TOL,
-) -> dict[float, float]:
+def strong_limit_probabilities(chain: MeasurementChain, functional: PathFunctional) -> dict[float, float]:
     """AmplitudeDistribution.strong_probabilities of the chain's grouped amplitudes."""
-    return amplitude_distribution(chain, functional, merge_tol).strong_probabilities()
+    return amplitude_distribution(chain, functional).strong_probabilities()
 
 
 @dataclass(frozen=True)
@@ -522,12 +511,7 @@ class WeakLimitReport:
         return all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def weak_limit_report(
-    chain: MeasurementChain,
-    functional: PathFunctional,
-    widths,
-    merge_tol: float = DEFAULT_MERGE_TOL,
-) -> WeakLimitReport:
+def weak_limit_report(chain: MeasurementChain, functional: PathFunctional, widths) -> WeakLimitReport:
     """Gaussian-meter mean readings for increasing widths.
 
     The error against the real part of the amplitude-weighted mean is
@@ -537,7 +521,7 @@ def weak_limit_report(
     widths = tuple(float(w) for w in widths)
     if any(w2 <= w1 for w1, w2 in zip(widths, widths[1:])):
         raise ValueError("widths must be strictly increasing")
-    dist = amplitude_distribution(chain, functional, merge_tol)
+    dist = amplitude_distribution(chain, functional)
     weak = dist.weak_value()
     means = tuple(mean_reading(pointer_distribution(dist, PointerProfile.gaussian(w))) for w in widths)
     return WeakLimitReport(widths, means, weak)

@@ -11,7 +11,8 @@ A functional that adds one term per step (an eigenvalue times a weight) is
 grouped without listing paths: the amplitudes are propagated step by step
 over the nodes (eigenstate at step k, value accumulated so far) of the
 chain's stochastic network, merging nodes that coincide exactly.  Only the
-functionals given as a table over paths need the dense path list.
+functionals given as a table over paths need the dense path list.  Either
+way, values closer than MERGE_TOL are then joined into one.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ TABLE_JOIN_ROWS = 64
 # Below this total transition amplitude, relative amplitudes are meaningless.
 FORBIDDEN_TOL = 1e-14
 
-DEFAULT_MERGE_TOL = 1e-9
+# Functional values closer than this are one value: grouped_amplitudes joins
+# them (eigenvalues from a diagonalisation carry rounding of a few ulps).
+MERGE_TOL = 1e-9
 
 VirtualPath = tuple[int, ...]
 
@@ -286,8 +289,18 @@ class PathFunctional:
         return total
 
     def value(self, chain: MeasurementChain, path: VirtualPath) -> float:
-        idx = int(np.ravel_multi_index(tuple(path), (chain.dim,) * chain.n_steps))
-        return float(self.values(chain)[idx])
+        """Value on one path, bit-identical to its entry of values().  The
+        additive rules sum its K terms; the others read their table."""
+        path = tuple(int(i) for i in path)
+        if len(path) != chain.n_steps or any(not 0 <= i < chain.dim for i in path):
+            raise ValueError(f"path {path} is not valid for this chain")
+        rule = self.step_weights(chain)
+        if rule is None:
+            return float(self.values(chain)[np.ravel_multi_index(path, (chain.dim,) * chain.n_steps)])
+        weights, total = rule
+        for step in np.flatnonzero(weights):
+            total += weights[step] * chain.steps[step].observable.eigenvalues[path[step]]
+        return float(total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,32 +456,24 @@ def path_amplitude(chain: MeasurementChain, path: VirtualPath) -> complex:
     return amp
 
 
-def group_by_value(
-    values: np.ndarray, amplitudes: np.ndarray, merge_tol: float = DEFAULT_MERGE_TOL
-) -> AmplitudeDistribution:
-    """Sum amplitudes over clusters of equal functional values.
-
-    Values closer than merge_tol end up in one cluster; the cluster keeps its
-    smallest member as the support point, so exact values survive grouping.
-    """
-    if merge_tol < 0:
-        raise ValueError("merge_tol must be non-negative")
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    sorted_amps = amplitudes[order]
-    boundaries = np.flatnonzero(np.diff(sorted_vals) > merge_tol) + 1
-    segments = np.concatenate([[0], boundaries, [values.size]])
-    support = sorted_vals[segments[:-1]]
-    amps = np.add.reduceat(sorted_amps, segments[:-1])
-    return AmplitudeDistribution(support, amps)
+def _cluster(values: np.ndarray) -> np.ndarray:
+    """Each value replaced by the smallest member of its cluster: along the
+    sorted values, neighbours at most MERGE_TOL apart chain into one cluster."""
+    order = np.argsort(values)
+    ranked = values[order]
+    new = np.ones(ranked.size, dtype=bool)
+    new[1:] = np.diff(ranked) > MERGE_TOL
+    out = np.empty_like(ranked)
+    out[order] = ranked[np.flatnonzero(new)][np.cumsum(new) - 1]
+    return out
 
 
-def _merge_rows(cols: list, amps: np.ndarray) -> tuple[list, np.ndarray]:
+def _merge_rows(cols: list, amps: np.ndarray, kind: str | None = None) -> tuple[list, np.ndarray]:
     """Sum amplitudes over rows whose columns all agree exactly; the rows come
     out sorted by cols[0], then cols[1], ...  (one column: argsort, ~3x
-    faster than a one-key lexsort; the order within a group only changes
-    the order of its sum)"""
-    order = np.argsort(cols[0]) if len(cols) == 1 else np.lexsort(cols[::-1])
+    faster than a one-key lexsort, stable only when kind asks for it; the
+    order within a group only changes the order of its sum)"""
+    order = np.argsort(cols[0], kind=kind) if len(cols) == 1 else np.lexsort(cols[::-1])
     cols = [c[order] for c in cols]
     new = np.zeros(amps.size, dtype=bool)
     new[0] = True
@@ -476,6 +481,23 @@ def _merge_rows(cols: list, amps: np.ndarray) -> tuple[list, np.ndarray]:
         new[1:] |= c[1:] != c[:-1]
     starts = np.flatnonzero(new)
     return [c[starts] for c in cols], np.add.reduceat(amps[order], starts)
+
+
+def _merge_clusters(cols: list, amps: np.ndarray) -> tuple[list, np.ndarray]:
+    """Rows merged once more after each column's near-equal values are
+    clustered, when any are.  The stable sort keeps each group's rows in
+    their order, so an already sorted column sums its clusters in order."""
+    clustered = [_cluster(c) for c in cols]
+    if all(np.array_equal(a, b) for a, b in zip(clustered, cols)):
+        return cols, amps
+    return _merge_rows(clustered, amps, kind="stable")
+
+
+def group_by_value(values: np.ndarray, amplitudes: np.ndarray) -> AmplitudeDistribution:
+    """Sum amplitudes over clusters of near-equal functional values, by the
+    rule of grouped_amplitudes."""
+    (support,), amps = _merge_clusters(*_merge_rows([values], amplitudes))
+    return AmplitudeDistribution(support, amps)
 
 
 def _transfer_table(chain: MeasurementChain, rules: list) -> tuple[list, np.ndarray] | None:
@@ -521,14 +543,16 @@ def _transfer_table(chain: MeasurementChain, rules: list) -> tuple[list, np.ndar
 
 
 def grouped_amplitudes(chain: MeasurementChain, functionals) -> tuple[np.ndarray, np.ndarray]:
-    """Path amplitudes summed over paths sharing one exact tuple of values.
+    """Path amplitudes summed over paths sharing one tuple of values.
 
     Returns keys of shape (groups, R), one column per functional, sorted
-    lexicographically, and the summed amplitude of each group.  When every
-    functional adds one term per step (step_weights is not None) the groups
-    come from the transfer table and no path is listed, unless the table
-    finds the partial sums distinct on a chain within MAX_PATHS; otherwise
-    every path's amplitude and values are listed, under the MAX_PATHS cap.
+    lexicographically, and the summed amplitude of each group.  Values of a
+    column closer than MERGE_TOL, chained along the sorted values, count as
+    one value, the smallest of them.  When every functional adds one term
+    per step (step_weights is not None) the groups come from the transfer
+    table and no path is listed, unless the table finds the partial sums
+    distinct on a chain within MAX_PATHS; otherwise every path's amplitude
+    and values are listed, under the MAX_PATHS cap.
     """
     functionals = list(functionals)
     if not functionals:
@@ -537,18 +561,14 @@ def grouped_amplitudes(chain: MeasurementChain, functionals) -> tuple[np.ndarray
     table = _transfer_table(chain, rules) if all(r is not None for r in rules) else None
     if table is None:
         table = _merge_rows([f.values(chain) for f in functionals], path_amplitudes(chain))
-    cols, amps = table
+    cols, amps = _merge_clusters(*table)
     return np.stack(cols, axis=1), amps
 
 
-def amplitude_distribution(
-    chain: MeasurementChain,
-    functional: PathFunctional,
-    merge_tol: float = DEFAULT_MERGE_TOL,
-) -> AmplitudeDistribution:
+def amplitude_distribution(chain: MeasurementChain, functional: PathFunctional) -> AmplitudeDistribution:
     """Group path amplitudes by the functional's value on each path."""
     keys, amps = grouped_amplitudes(chain, [functional])
-    return group_by_value(keys[:, 0], amps, merge_tol)
+    return AmplitudeDistribution(keys[:, 0], amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,7 +597,7 @@ class PathBundle:
         vals = [functional.value(self.chain, p) for w, p in self.terms if w != 0]
         if not vals:
             return None, False
-        if max(vals) - min(vals) <= DEFAULT_MERGE_TOL:
+        if max(vals) - min(vals) <= MERGE_TOL:
             return vals[0], True
         return None, False
 
@@ -596,28 +616,16 @@ def combine_paths(
     return PathBundle(p.chain, tuple((w, path) for path, w in terms.items()))
 
 
-def relative_amplitudes(
-    chain: MeasurementChain,
-    functional: PathFunctional,
-    merge_tol: float = DEFAULT_MERGE_TOL,
-) -> dict[float, complex]:
+def relative_amplitudes(chain: MeasurementChain, functional: PathFunctional) -> dict[float, complex]:
     """AmplitudeDistribution.relative of the chain's grouped amplitudes."""
-    return amplitude_distribution(chain, functional, merge_tol).relative()
+    return amplitude_distribution(chain, functional).relative()
 
 
-def weak_value(
-    chain: MeasurementChain,
-    functional: PathFunctional,
-    merge_tol: float = DEFAULT_MERGE_TOL,
-) -> complex:
+def weak_value(chain: MeasurementChain, functional: PathFunctional) -> complex:
     """AmplitudeDistribution.weak_value of the chain's grouped amplitudes."""
-    return amplitude_distribution(chain, functional, merge_tol).weak_value()
+    return amplitude_distribution(chain, functional).weak_value()
 
 
-def strong_mean(
-    chain: MeasurementChain,
-    functional: PathFunctional,
-    merge_tol: float = DEFAULT_MERGE_TOL,
-) -> float:
+def strong_mean(chain: MeasurementChain, functional: PathFunctional) -> float:
     """AmplitudeDistribution.strong_mean of the chain's grouped amplitudes."""
-    return amplitude_distribution(chain, functional, merge_tol).strong_mean()
+    return amplitude_distribution(chain, functional).strong_mean()

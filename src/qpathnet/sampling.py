@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .meter import Grid, MeterSpec, joint_reading_distribution, mean_reading
+from .meter import Grid, MeterSpec, joint_reading_distribution
 from .paths import MeasurementChain
-from .rng import CHUNK, uniform_block, worker_count
+from .rng import inverse_cdf_draws
 
 
 @dataclass(frozen=True)
@@ -164,38 +163,12 @@ def sample_trials(
         first.marginal_mean(r) if first.norm > 0 else math.nan for r in range(len(meters))
     )
 
-    cells_per_branch = first.density.size
-    axes_xs = [g.xs() for g in grids]
-
-    def run_chunk(chunk_index: int) -> tuple[np.ndarray, np.ndarray]:
-        lo = chunk_index * CHUNK
-        hi = min(lo + CHUNK, n_trials)
-        u = uniform_block(seed, lo, hi - lo)
-        # sorted keys keep the bisections in cache; trial order is restored
-        order = np.argsort(u)
-        flat = np.empty(u.size, dtype=np.intp)
-        flat[order] = np.searchsorted(cdf, u[order] * total, side="right")
-        flat = np.minimum(flat, cdf.size - 1)
-        branch_ids = flat // cells_per_branch
-        cell_ids = flat % cells_per_branch
-        cell_idx = np.unravel_index(cell_ids, shape)
-        readings = np.column_stack([axes_xs[r][cell_idx[r]] for r in range(len(grids))])
-        return readings, branch_ids.astype(np.int64)
-
-    n_chunks = math.ceil(n_trials / CHUNK)
-    workers = min(worker_count(max_workers), n_chunks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        parts = [run_chunk(c) for c in range(n_chunks)]
-
-    readings = np.concatenate([p[0] for p in parts], axis=0)
-    branch_ids = np.concatenate([p[1] for p in parts])
-    return TrialSet(seed, readings, branch_ids, float(exact_success), exact_means)
-
-
-def exact_conditional_mean(chain: MeasurementChain, meters: list[MeterSpec], axis: int = 0):
-    """Convenience: exact mean reading of one meter on the success branch."""
-    joint = joint_reading_distribution(chain.branches()[0], meters)
-    return mean_reading(joint.marginal(axis))
+    # a drawn index is (branch, i_0, ..., i_R-1) in row-major order; peeling
+    # the axes off from the last, in place, leaves the branch and holds no
+    # second trial-sized index array beside the CDF
+    drawn = inverse_cdf_draws(cdf, total, n_trials, seed, max_workers)
+    readings = np.empty((n_trials, len(grids)))
+    for r in reversed(range(len(grids))):
+        readings[:, r] = grids[r].xs()[drawn % grids[r].n]
+        drawn //= grids[r].n
+    return TrialSet(seed, readings, drawn, float(exact_success), exact_means)

@@ -51,6 +51,27 @@ def random_chain(rng, dim, n_steps, zero_h=False, eigenvalues=None, total_time=1
     )
 
 
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def random_spin_chain(rng, n_steps):
+    """dim 2, spin n.sigma along a random axis at each step, diagonalised by
+    Observable.from_matrix: the eigenvalues are +-1 only to within an ulp or
+    two, as a user's spin observables would be."""
+    steps = []
+    for k in range(n_steps):
+        n = rng.normal(size=3)
+        spin = sum(c * s for c, s in zip(n / np.linalg.norm(n), PAULI))
+        steps.append(MeasurementStep((k + 1) / (n_steps + 1), Observable.from_matrix(spin)))
+    return MeasurementChain(
+        random_state_vector(rng, 2), tuple(steps), Propagator(random_hermitian(rng, 2)), random_state_vector(rng, 2), 1.0
+    )
+
+
 def gaussian_overlap_mean(support, amps, width):
     """Closed-form mean reading for a Gaussian profile.
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import count_grouped_amplitudes
-from qpathnet import ConfigError, PathFunctional, export_config, parse_config
+from qpathnet import ConfigError, MeterSpec, PathFunctional, PointerProfile, export_config, parse_config
 from qpathnet import cli
 from qpathnet.cli import main, report, run
 from qpathnet.config import RunSettings
@@ -123,6 +123,18 @@ class TestRoundTrip:
             assert built.time == original.time
             assert np.array_equal(built.observable.eigenvalues, original.observable.eigenvalues)
             assert np.array_equal(built.observable.eigenvectors, original.observable.eigenvectors)
+
+    def test_tabulated_profile_and_run_settings_survive(self):
+        preset = build_difference_meter()
+        xs = np.linspace(-1.0, 1.0, 41)
+        values = np.cos(np.pi * xs / 2.0)
+        values /= math.sqrt(np.trapezoid(values**2, xs))
+        meters = [MeterSpec(preset.meters[0].functional, PointerProfile.tabulated(xs, values, 0.3))]
+        settings = RunSettings(mode="sweep", seed=4, trials=7, widths=(1.0, 2.0), grid_step=0.01, grid_pad=7.5)
+        doc = json.loads(json.dumps(export_config(preset.name, preset.chain, meters, settings)))
+        config = parse_config(doc)
+        assert config.meters[0].profile == meters[0].profile
+        assert config.run == settings
 
     def test_run_results_identical_through_export(self, tmp_path):
         preset = build_projector_postselected()

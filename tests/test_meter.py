@@ -9,6 +9,7 @@ from helpers import (
     gaussian_overlap_mean,
     gaussian_overlap_norm,
     random_chain,
+    random_spin_chain,
 )
 from qpathnet import (
     AmplitudeDistribution,
@@ -266,6 +267,16 @@ class TestJointDistribution:
         joint = joint_reading_distribution(preset.chain, [meter], [single.grid])
         assert np.array_equal(joint.density, single.density)
         assert joint.norm == pytest.approx(single.norm, abs=1e-14)
+
+    def test_single_meter_reduces_exactly_on_rounded_eigenvalues(self):
+        chain = random_spin_chain(np.random.default_rng(51), 12)
+        assert any(set(s.observable.eigenvalues.tolist()) != {-1.0, 1.0} for s in chain.steps)
+        meter = MeterSpec(PathFunctional.weighted_steps([1.0] * 12), PointerProfile.gaussian(0.5))
+        single = reading_distribution(chain, meter)
+        joint = joint_reading_distribution(chain, [meter])
+        assert joint.grids == (single.grid,)
+        assert np.array_equal(joint.density, single.density)
+        assert joint.norm == single.norm
 
     def test_against_brute_force(self):
         preset = build_three_box()

@@ -28,6 +28,7 @@ from qpathnet import (
     strong_mean,
     weak_value,
 )
+from qpathnet.paths import FUNCTIONAL_RULES
 
 IDENTITY_PROJECTOR = Observable.from_eigensystem([1.0, 0.0], np.eye(2, dtype=complex))
 SPIN = Observable.from_eigensystem([1.0, -1.0], np.eye(2, dtype=complex))
@@ -166,11 +167,6 @@ class TestAmplitudeDistribution:
         dist = amplitude_distribution(chain, PathFunctional.constant(3.5))
         assert dist.support.tolist() == [3.5]
         assert dist.total() == pytest.approx(chain.transition_amplitude(), abs=1e-12)
-
-    def test_negative_merge_tol(self):
-        chain = single_step_chain([1, 0], [0, 1])
-        with pytest.raises(ValueError, match="merge_tol"):
-            amplitude_distribution(chain, PathFunctional.step_eigenvalue(0), merge_tol=-1.0)
 
 
 class TestPathBundles:
@@ -329,6 +325,32 @@ class TestFunctionalRules:
         chain = build_three_box().chain
         with pytest.raises(ValueError, match="paths"):
             PathFunctional.from_table([1.0, 2.0]).values(chain)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_value_on_one_path_is_its_entry_of_values(self, seed):
+        rng = np.random.default_rng(seed)
+        dim, n_steps = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        chain = random_chain(rng, dim, n_steps)
+        paths = enumerate_paths(chain)
+        functionals = [
+            PathFunctional.step_eigenvalue(int(rng.integers(n_steps))),
+            PathFunctional.weighted_steps(rng.normal(size=n_steps)),
+            PathFunctional.step_difference(int(rng.integers(n_steps)), int(rng.integers(n_steps))),
+            PathFunctional.path_indicator(paths[int(rng.integers(len(paths)))]),
+            PathFunctional.from_table(rng.normal(size=len(paths))),
+            PathFunctional.constant(float(rng.normal())),
+        ]
+        assert [f.rule for f in functionals] == list(FUNCTIONAL_RULES)
+        for f in functionals:
+            values = f.values(chain)
+            for idx, path in enumerate(paths):
+                assert f.value(chain, path) == values[idx]
+
+    def test_value_rejects_a_foreign_path(self):
+        chain = build_difference_meter().chain
+        for path in ((0,), (0, 2), (0, -1)):
+            with pytest.raises(ValueError, match="not valid"):
+                PathFunctional.step_difference().value(chain, path)
 
     def test_step_out_of_range(self):
         chain = build_three_box().chain

@@ -2,7 +2,8 @@
 
 For additive functionals A(f) is propagated over (eigenstate, accumulated
 value) rows without listing paths; the oracle is the dense grouping of every
-path's amplitude by its exact tuple of values (np.unique + np.add.at).
+path's amplitude by its exact tuple of values (np.unique + np.add.at), and,
+for values a few ulps apart, by its tuple of clustered values.
 """
 
 import json
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_chain, random_hermitian, random_state_vector, random_unitary
+from helpers import random_chain, random_hermitian, random_spin_chain, random_state_vector, random_unitary
 from qpathnet import (
     MeasurementChain,
     MeasurementStep,
     Observable,
+    PathBundle,
     PathCapError,
     PathFunctional,
     Propagator,
@@ -87,6 +89,91 @@ def test_dense_rules_group_like_np_unique():
     assert np.max(np.abs(amps - want_amps)) <= 1e-12
 
 
+def clustered_grouping(chain, functionals, tol=1e-9):
+    """Dense grouping after clustering each functional's values: walking the
+    distinct values upwards, a gap of at most tol continues a cluster, and
+    every value stands for the smallest member of its cluster."""
+    columns = []
+    for f in functionals:
+        values = f.values(chain).tolist()
+        smallest, previous = {}, None
+        for v in sorted(set(values)):
+            if previous is None or v - previous > tol:
+                first = v
+            smallest[v] = first
+            previous = v
+        columns.append([smallest[v] for v in values])
+    groups = {}
+    for p, amp in enumerate(path_amplitudes(chain)):
+        key = tuple(column[p] for column in columns)
+        groups[key] = groups.get(key, 0.0) + amp
+    keys = sorted(groups)
+    return np.array(keys, dtype=float), np.array([groups[k] for k in keys])
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 3),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_values_a_few_ulps_apart_group_as_one(seed, dim, n_steps, n_functionals, ulps):
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-2, 3, size=dim).astype(float)
+    spacing = np.spacing(np.maximum(np.abs(base), 1.0))
+
+    def perturbed():
+        return base + rng.integers(-ulps, ulps + 1, size=dim) * spacing
+
+    steps = tuple(
+        MeasurementStep((k + 1) / (n_steps + 1), Observable.from_eigensystem(perturbed(), random_unitary(rng, dim)))
+        for k in range(n_steps)
+    )
+    chain = MeasurementChain(
+        random_state_vector(rng, dim), steps, Propagator(random_hermitian(rng, dim)), random_state_vector(rng, dim), 1.0
+    )
+
+    def functional():
+        if rng.random() < 0.25:  # a table sends the whole tuple to dense grouping
+            values = rng.integers(-2, 3, size=chain.n_paths) + rng.integers(-ulps, ulps + 1, size=chain.n_paths) * 1e-15
+            return PathFunctional.from_table(values)
+        return additive_functional(rng, n_steps, integer=True)
+
+    functionals = [functional() for _ in range(n_functionals)]
+    keys, amps = grouped_amplitudes(chain, functionals)
+    want_keys, want_amps = clustered_grouping(chain, functionals)
+    assert keys.shape == want_keys.shape
+    assert keys.tobytes() == want_keys.tobytes()
+    assert np.max(np.abs(amps - want_amps)) <= 1e-12
+    assert abs(amps.sum() - chain.transition_amplitude()) <= 1e-10
+
+
+def test_rounded_spins_give_the_exact_value_pairs():
+    # two meters on a sum of 15 spins and on the first spin: 15 sums for each
+    # sign of the first spin, although the rounded eigenvalues give more
+    # distinct exact sums
+    chain = random_spin_chain(np.random.default_rng(51), 15)
+    functionals = [PathFunctional.weighted_steps([1.0] * 15), PathFunctional.step_eigenvalue(0)]
+    keys, amps = grouped_amplitudes(chain, functionals)
+    assert len(np.unique(functionals[0].values(chain))) > 16
+    assert len(keys) == 30
+    pairs = sorted((total, first) for first in (-1, 1) for total in range(first - 14, first + 15, 2))
+    assert np.allclose(keys, pairs, rtol=0, atol=1e-12)
+    assert abs(amps.sum() - chain.transition_amplitude()) <= 1e-10
+
+
+def test_a_cluster_sums_its_rows_in_value_order():
+    # 1000 values within 1000 ulps of 1 form one cluster; its amplitudes add
+    # in the order of the sorted values, one pass as a running sum
+    values = 1.0 + np.arange(1000) * np.spacing(1.0)
+    amps = np.random.default_rng(0).normal(size=(1000, 2)) @ [1.0, 1j]
+    dist = paths.group_by_value(values, amps)
+    assert dist.support.tolist() == [1.0]
+    assert dist.amplitudes.tobytes() == np.add.reduceat(amps, [0]).tobytes()
+
+
 class TestMergeStop:
     """Weights 1/2, 1/4, ..., 1/64 on the first six steps keep the partial
     sums distinct (and exact), so the table gives way; equal sums of later
@@ -124,7 +211,7 @@ class TestMergeStop:
         chain = long_chain(25)
         weights = self.FIRST + [1.0] * 19
         calls = self.count_merges(monkeypatch)
-        dist = amplitude_distribution(chain, PathFunctional.weighted_steps(weights), merge_tol=0.0)
+        dist = amplitude_distribution(chain, PathFunctional.weighted_steps(weights))
         assert len(calls) == 25 + 1
         assert dist.support.size == 64 * 20
         assert abs(dist.total() - chain.transition_amplitude()) <= 1e-10
@@ -158,6 +245,12 @@ class TestLongChain:
         dist = amplitude_distribution(chain, PathFunctional.weighted_steps([1.0] * 60))
         assert dist.support.tolist() == [float(v) for v in range(-60, 61, 2)]
         assert abs(dist.total() - chain.transition_amplitude()) <= 1e-10
+
+    def test_one_path_value_is_its_sixty_term_sum(self):
+        chain = long_chain()
+        path = tuple(int(i) for i in np.random.default_rng(2).integers(2, size=60))
+        want = float(sum(chain.steps[k].observable.eigenvalues[i] for k, i in enumerate(path)))
+        assert PathBundle.from_path(chain, path).value(PathFunctional.weighted_steps([1.0] * 60)) == (want, True)
 
     def test_path_listing_is_refused_before_allocating(self):
         chain = long_chain()
