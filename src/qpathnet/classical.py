@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .paths import enumerate_paths, path_amplitudes
-from .rng import inverse_cdf_draws
+from .rng import check_trials, inverse_cdf_draws
 
 WEIGHT_TOL = 1e-12
 
@@ -228,8 +228,7 @@ def classical_sample(
     Sampling is inverse CDF over the exact path distribution, which is the
     law of a ball walking the network at random.
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
+    check_trials(n_trials)
     cdf = np.cumsum([p.probability for p in paths])
     idx = inverse_cdf_draws(cdf, cdf[-1], n_trials, seed, max_workers)
     return np.bincount(idx, minlength=cdf.size)

@@ -15,7 +15,6 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +26,13 @@ from .config import (
     RunSettings,
     ScenarioConfig,
     export_config,
-    load_config,
     parse_config,
+    read_document,
 )
 from .meter import (
+    GRID_PAD_WIDTHS,
+    Grid,
     GridCapError,
-    default_grid,
     joint_reading_distribution,
     mean_reading,
     pointer_distribution,
@@ -49,7 +49,10 @@ def _fmt(x) -> str:
     return f"{float(x):.{DIGITS}g}"
 
 
-def _load(source: str) -> ScenarioConfig:
+def _load(source: str, args=None) -> ScenarioConfig:
+    """Parse the config file or preset once, with the run flags in args (if
+    given) written into its run section first, so flags and file fields pass
+    the same validation."""
     if source.startswith("preset:"):
         preset = build_preset(source.removeprefix("preset:"))
         doc = export_config(
@@ -58,29 +61,38 @@ def _load(source: str) -> ScenarioConfig:
             preset.meters,
             RunSettings(widths=preset.sweep_widths),
         )
-        return parse_config(doc)
-    return load_config(source)
+    else:
+        doc = read_document(source)
+    # sections that are not objects are left for parse_config to refuse
+    run_doc = doc.get("run", {}) if isinstance(doc, dict) else None
+    if args is not None and isinstance(run_doc, dict):
+        run_doc = _with_flags(run_doc, mode=args.mode, seed=args.seed, trials=args.trials)
+        if isinstance(run_doc.get("grid", {}), dict):
+            run_doc["grid"] = _with_flags(run_doc.get("grid", {}), step=args.grid_step, pad=args.grid_extent)
+        doc = {**doc, "run": run_doc}
+    return parse_config(doc)
 
 
-def _with_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    overrides = {
-        "mode": args.mode,
-        "seed": args.seed,
-        "trials": args.trials,
-        "grid_step": args.grid_step,
-        "grid_pad": args.grid_extent,
-    }
-    run = replace(config.run, **{k: v for k, v in overrides.items() if v is not None})
-    return replace(config, run=run)
+def _with_flags(section: dict, **flags) -> dict:
+    """A copy of a document section with every flag that was given set."""
+    return {**section, **{key: value for key, value in flags.items() if value is not None}}
+
+
+def _grid(config: ScenarioConfig, support, width: float) -> Grid:
+    """A meter's reading grid under run.grid, covering the A(f) support."""
+    pad = GRID_PAD_WIDTHS if config.run.grid_pad is None else config.run.grid_pad
+    return Grid.cover(support, width, pad=pad, step=config.run.grid_step)
 
 
 def _run_exact(config: ScenarioConfig, out: Path) -> dict:
     chain = config.chain
     meters = config.meters
     summary: dict = {"name": config.name, "mode": "exact", "dim": chain.dim, "meters": []}
+    grids = []
     for i, meter in enumerate(meters):
         amps = amplitude_distribution(chain, meter.functional)
-        grid = default_grid(amps, meter.profile, step=config.run.grid_step, pad=config.run.grid_pad)
+        grid = _grid(config, amps.support, meter.profile.width)
+        grids.append(grid)
         try:
             dist = pointer_distribution(amps, meter.profile, grid)
         except GridCapError as exc:
@@ -111,7 +123,7 @@ def _run_exact(config: ScenarioConfig, out: Path) -> dict:
         if key in head:
             summary[key] = head[key]
     if len(meters) >= 2:
-        joint = joint_reading_distribution(chain, list(meters))
+        joint = joint_reading_distribution(chain, list(meters), grids)
         summary["weak_marginals"] = [joint.marginal_mean(r) for r in range(len(meters))]
     return summary
 
@@ -142,9 +154,14 @@ def _run_sweep(config: ScenarioConfig, out: Path) -> dict:
 
 
 def _run_sample(config: ScenarioConfig, out: Path) -> dict:
-    trials = sample_trials(
-        config.chain, list(config.meters), config.run.trials, config.run.seed
-    )
+    chain, meters = config.chain, list(config.meters)
+    grids = [
+        _grid(config, amplitude_distribution(chain, m.functional).support, m.profile.width) for m in meters
+    ]
+    try:
+        trials = sample_trials(chain, meters, config.run.trials, config.run.seed, grids=grids)
+    except GridCapError as exc:
+        raise exc.for_meter(0) from None
     trials.write_csv(out / "trials.csv")
     s = trials.summary()
     return {
@@ -211,9 +228,7 @@ def _run_classical(config: ScenarioConfig, out: Path) -> dict:
 
 def run(source: str, out_dir, args=None) -> dict:
     """Execute one scenario and write its artifacts; returns the summary."""
-    config = _load(source)
-    if args is not None:
-        config = _with_overrides(config, args)
+    config = _load(source, args)
     mode = config.run.mode
     if mode != "classical" and config.chain is None:
         raise ConfigError(f"run.mode: mode {mode!r} needs a quantum system section")

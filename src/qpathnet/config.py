@@ -23,8 +23,9 @@ from .classical import (
     to_receptacle,
 )
 from .core import Observable, Propagator, StateVector
-from .meter import MeterSpec, PointerProfile
+from .meter import MIN_PAD_WIDTHS, MeterSpec, PointerProfile
 from .paths import FUNCTIONAL_RULES, MeasurementChain, MeasurementStep, PathFunctional
+from .rng import MAX_TRIALS
 
 
 class ConfigError(ValueError):
@@ -73,6 +74,13 @@ def _real(value, where: str, *, positive: bool = False) -> float:
     if positive:
         _require(value > 0, where, "must be positive")
     return float(value)
+
+
+def _integer(value, where: str, lo: int, hi: float = math.inf) -> int:
+    number = _real(value, where)
+    span = f"from {lo} to {hi}" if hi < math.inf else f"of at least {lo}"
+    _require(number == int(number) and lo <= number <= hi, where, f"must be an integer {span}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -275,11 +283,12 @@ def parse_config(doc: dict) -> ScenarioConfig:
         grid_step = _real(grid_step, "run.grid.step", positive=True)
     grid_pad = grid_doc.get("pad")
     if grid_pad is not None:
-        grid_pad = _real(grid_pad, "run.grid.pad", positive=True)
+        grid_pad = _real(grid_pad, "run.grid.pad")
+        _require(grid_pad >= MIN_PAD_WIDTHS, "run.grid.pad", f"must be at least {MIN_PAD_WIDTHS} profile widths")
     run = RunSettings(
         mode=mode,
-        seed=int(_real(run_doc.get("seed", 0), "run.seed")),
-        trials=int(_real(run_doc.get("trials", 10_000), "run.trials", positive=True)),
+        seed=_integer(run_doc.get("seed", 0), "run.seed", 0),
+        trials=_integer(run_doc.get("trials", 10_000), "run.trials", 1, MAX_TRIALS),
         widths=widths,
         grid_step=grid_step,
         grid_pad=grid_pad,
@@ -356,7 +365,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         _require(fname not in functionals, f"functionals[{i}].name", "duplicate functional name")
         # fail fast on rules inconsistent with the chain
         try:
-            functional.step_weights(chain)
+            functional.step_terms(chain)
         except ValueError as exc:
             _fail(f"functionals[{i}]", str(exc))
         functionals[fname] = functional
@@ -375,15 +384,19 @@ def parse_config(doc: dict) -> ScenarioConfig:
     return ScenarioConfig(name, chain, functionals, tuple(meters), run, classical)
 
 
-def load_config(path) -> ScenarioConfig:
+def read_document(path):
+    """The JSON scenario document at path, unvalidated."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
-    return parse_config(doc)
+
+
+def load_config(path) -> ScenarioConfig:
+    return parse_config(read_document(path))
 
 
 def _complex_pair(z: complex) -> list[float]:

@@ -32,6 +32,7 @@ from .paths import (
     AmplitudeDistribution,
     MeasurementChain,
     PathFunctional,
+    _edges,
     amplitude_distribution,
     grouped_amplitudes,
 )
@@ -234,20 +235,6 @@ class PointerDistribution:
                 writer.writerow([repr(float(x)), repr(float(d))])
 
 
-def default_grid(
-    dist: AmplitudeDistribution,
-    profile: PointerProfile,
-    step: float | None = None,
-    pad: float | None = None,
-) -> Grid:
-    return Grid.cover(
-        dist.support,
-        profile.width,
-        pad=GRID_PAD_WIDTHS if pad is None else pad,
-        step=step,
-    )
-
-
 _ONE_METER_WIDTH = "the meter's profile.width"
 
 
@@ -259,17 +246,24 @@ class GridCapError(ValueError):
         return GridCapError(str(self).replace(_ONE_METER_WIDTH, f"meters[{index}].profile.width"))
 
 
-def _check_grids(keys: np.ndarray, profiles, grids) -> None:
-    """Cell cap and per-axis coverage of the values, before any grid array exists."""
+def _check_cells(profiles, grids, copies: int = 1) -> None:
+    """Refuse copies x the grids' cells above MAX_GRID_CELLS, before any grid
+    array exists, naming the width of the longest axis."""
     cells = math.prod(g.n for g in grids)
-    if cells > MAX_GRID_CELLS:
+    if copies * cells > MAX_GRID_CELLS:
         r = max(range(len(grids)), key=lambda i: grids[i].n)
         width = f"meters[{r}].profile.width" if len(grids) > 1 else _ONE_METER_WIDTH
+        held = "" if copies == 1 else f", held {copies} times,"
         raise GridCapError(
-            f"reading grid of {cells} cells exceeds MAX_GRID_CELLS = {MAX_GRID_CELLS}: "
+            f"reading grid of {cells} cells{held} exceeds MAX_GRID_CELLS = {MAX_GRID_CELLS}: "
             f"widen {width} ({profiles[r].width}) or coarsen "
-            f"run.grid_step ({grids[r].step})"
+            f"run.grid.step ({grids[r].step})"
         )
+
+
+def _check_grids(keys: np.ndarray, profiles, grids) -> None:
+    """Cell cap and per-axis coverage of the values, before any grid array exists."""
+    _check_cells(profiles, grids)
     for r, (profile, grid) in enumerate(zip(profiles, grids)):
         lo = keys[:, r].min() - MIN_PAD_WIDTHS * profile.width
         hi = keys[:, r].max() + MIN_PAD_WIDTHS * profile.width
@@ -329,7 +323,7 @@ def pointer_distribution(
 ) -> PointerDistribution:
     """Reading density |sum_m A_m G(xi - f_m)|^2 of one pointer over A(f)."""
     if grid is None:
-        grid = default_grid(dist, profile)
+        grid = Grid.cover(dist.support, profile.width)
     amp = final_pointer_state(dist, profile, grid)
     density = amp.real**2 + amp.imag**2
     return PointerDistribution(grid, density, float(_integrate(density, [grid.weights()])))
@@ -398,13 +392,9 @@ def conditional_state(chain: MeasurementChain, meter: MeterSpec, xi0: float):
     """
     if chain.n_steps != 1:
         raise ValueError("conditional_state is defined for chains with exactly one step")
-    step = chain.steps[0]
-    values = meter.functional.values(chain)
-    entering = step.observable.eigenvectors.conj().T @ (
-        chain.propagator.unitary(step.time) @ chain.pre_state.amplitudes
-    )
-    weights = meter.profile.samples(xi0 - values)
-    amps = step.observable.eigenvectors @ (weights * entering)
+    (entering,), _ = _edges(chain)
+    weights = meter.profile.samples(xi0 - meter.functional.values(chain))
+    amps = chain.steps[0].observable.eigenvectors @ (weights * entering[:, 0])
     return StateVector(amps)
 
 

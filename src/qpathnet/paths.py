@@ -7,16 +7,16 @@ carrying a complex amplitude; grouping amplitudes by the value of a path
 functional yields the discrete amplitude distribution from which every
 pointer statistic in this package is derived.
 
-A functional that adds one term per step (an eigenvalue times a weight) is
-grouped without listing paths: the amplitudes are propagated step by step
-over the nodes (eigenstate at step k, value accumulated so far) of the
-chain's stochastic network, merging nodes that coincide exactly.  Only the
-functionals given as a table over paths need the dense path list.  Either
-way, values closer than MERGE_TOL are then joined into one.
+Every functional adds one term per step and maps the sum to its value at
+the end (PathFunctional.step_terms).  Grouping therefore never lists paths:
+the amplitudes are walked step by step over the nodes (eigenstate at step k,
+terms accumulated so far) of the chain's stochastic network, merging nodes
+that coincide exactly.  Values closer than MERGE_TOL are then joined into one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +29,13 @@ from .core import (
     orthonormal_completion,
 )
 
-# Cap on listed virtual paths, and on the rows of one transfer-table step.
+# Cap on listed virtual paths, and on the rows of one step of the walk.
 MAX_PATHS = 10**6
 
-# The transfer table gives way to dense grouping after a step whose merge
-# joins none of at least this many rows.  Sums of rounded +-1 eigenvalues
+# The walk stops merging after a step whose merge joins none of at least this
+# many rows, on a chain within MAX_PATHS.  Sums of rounded +-1 eigenvalues
 # join at every step of 32 rows or more (600 random 15-step spin chains);
-# sums with random real weights never join.
+# sums with random real weights, and table indices, never join.
 TABLE_JOIN_ROWS = 64
 
 # Below this total transition amplitude, relative amplitudes are meaningless.
@@ -64,7 +64,7 @@ class ForbiddenTransitionError(ValueError):
 
 
 class PathCapError(ValueError):
-    """A path list or transfer table above MAX_PATHS, refused before it exists."""
+    """A path list or a step of the walk above MAX_PATHS, refused before it exists."""
 
 
 def check_path_count(chain: "MeasurementChain", purpose: str) -> None:
@@ -218,21 +218,42 @@ class PathFunctional:
             raise ValueError("functional values must be finite")
         return cls("constant", value=float(value))
 
-    def step_weights(self, chain: MeasurementChain) -> tuple[np.ndarray, float] | None:
-        """(w, c) with F[path] = c + sum_k w[k] * (eigenvalue at step k) for the
-        additive rules (step_eigenvalue, weighted_steps, step_difference,
-        constant), None for table and path_indicator.
+    def step_terms(self, chain: MeasurementChain) -> tuple[list, float, Callable | None]:
+        """(terms, offset, final) with F[path] = final(offset + sum_k terms[k][i_k]).
+
+        terms[k] is a vector over the eigenstates of step k, or None where the
+        step adds nothing; final maps the accumulated sums to values (None is
+        the identity).  The additive rules (step_eigenvalue, weighted_steps,
+        step_difference, constant) add w[k] * eigenvalues at each step of
+        nonzero weight to a constant offset.  path_indicator adds the one-hot
+        of the chosen index at each step and tests that all K matched.  table
+        adds i * dim**(K-1-k), which sums to the path's enumeration index, and
+        looks that index up.
 
         Raises ValueError when the rule's parameters do not fit the chain, so
         this is also the check that a functional can be evaluated on it.
         """
-        k = chain.n_steps
+        k, dim = chain.n_steps, chain.dim
 
         def check_step(step: int) -> None:
             if not 0 <= step < k:
                 raise ValueError(f"step {step} out of range for a chain with {k} steps")
 
-        weights = np.zeros(k)
+        if self.rule == "path_indicator":
+            path = self.params["path"]
+            if len(path) != k or any(not 0 <= i < dim for i in path):
+                raise ValueError(f"path {path} is not valid for this chain")
+            return [np.eye(dim, dtype=np.intp)[i] for i in path], 0, lambda acc: (acc == k).astype(float)
+        if self.rule == "table":
+            if len(self.params["values"]) != chain.n_paths:
+                raise ValueError(
+                    f"table has {len(self.params['values'])} entries, chain has {chain.n_paths} paths"
+                )
+            table = np.asarray(self.params["values"], dtype=float)
+            if not np.all(np.isfinite(table)):
+                raise ValueError("functional values must be finite")
+            return [np.arange(dim) * dim ** (k - 1 - step) for step in range(k)], 0, lambda acc: table[acc]
+        weights, offset = np.zeros(k), 0.0
         if self.rule == "step_eigenvalue":
             check_step(self.params["step"])
             weights[self.params["step"]] = 1.0
@@ -246,61 +267,38 @@ class PathFunctional:
                 check_step(step)
             weights[later] += 1.0
             weights[earlier] -= 1.0
-        elif self.rule == "path_indicator":
-            path = self.params["path"]
-            if len(path) != k or any(not 0 <= i < chain.dim for i in path):
-                raise ValueError(f"path {path} is not valid for this chain")
-            return None
-        elif self.rule == "table":
-            if len(self.params["values"]) != chain.n_paths:
-                raise ValueError(
-                    f"table has {len(self.params['values'])} entries, chain has {chain.n_paths} paths"
-                )
-            if not np.all(np.isfinite(self.params["values"])):
-                raise ValueError("functional values must be finite")
-            return None
         else:  # the last of FUNCTIONAL_RULES, "constant"; __init__ rejects any other
-            return weights, self.params["value"]
-        return weights, 0.0
+            offset = self.params["value"]
+        terms = [w * s.observable.eigenvalues if w else None for w, s in zip(weights, chain.steps)]
+        return terms, offset, None
 
     def values(self, chain: MeasurementChain) -> np.ndarray:
         """Values on all chain paths, in enumeration order.
 
-        Additive rules accumulate c + w[0] e_0 + w[1] e_1 + ... in step order,
-        skipping zero weights, the same arithmetic as the transfer table of
-        grouped_amplitudes, so both give bit-identical values.
+        Terms accumulate offset + terms[0] + terms[1] + ... in step order, the
+        same arithmetic as the walk of grouped_amplitudes, so both give
+        bit-identical values.
         """
-        rule = self.step_weights(chain)
+        terms, offset, final = self.step_terms(chain)
         check_path_count(chain, "PathFunctional.values")
-        n, k, dim = chain.n_paths, chain.n_steps, chain.dim
-        if self.rule == "path_indicator":
-            table = np.zeros(n)
-            table[int(np.ravel_multi_index(self.params["path"], (dim,) * k))] = 1.0
-            return table
-        if self.rule == "table":
-            return np.asarray(self.params["values"], dtype=float)
-        weights, offset = rule
-        total = np.full(n, offset)
-        for step in np.flatnonzero(weights):
-            shape = [1] * k
-            shape[step] = dim
-            eigs = chain.steps[step].observable.eigenvalues.reshape(shape)
-            total += weights[step] * np.broadcast_to(eigs, (dim,) * k).reshape(-1)
-        return total
+        shape = (chain.dim,) * chain.n_steps
+        total = np.full(chain.n_paths, offset)
+        for step, term in enumerate(terms):
+            if term is not None:
+                # trailing unit axes put the term on axis `step` of the path grid
+                total += np.broadcast_to(term.reshape((-1,) + (1,) * (chain.n_steps - 1 - step)), shape).reshape(-1)
+        return total if final is None else final(total)
 
     def value(self, chain: MeasurementChain, path: VirtualPath) -> float:
-        """Value on one path, bit-identical to its entry of values().  The
-        additive rules sum its K terms; the others read their table."""
+        """Value on one path, bit-identical to its entry of values()."""
         path = tuple(int(i) for i in path)
         if len(path) != chain.n_steps or any(not 0 <= i < chain.dim for i in path):
             raise ValueError(f"path {path} is not valid for this chain")
-        rule = self.step_weights(chain)
-        if rule is None:
-            return float(self.values(chain)[np.ravel_multi_index(path, (chain.dim,) * chain.n_steps)])
-        weights, total = rule
-        for step in np.flatnonzero(weights):
-            total += weights[step] * chain.steps[step].observable.eigenvalues[path[step]]
-        return float(total)
+        terms, total, final = self.step_terms(chain)
+        for term, i in zip(terms, path):
+            if term is not None:
+                total += term[i]
+        return float(total if final is None else final(np.asarray(total)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,35 +389,38 @@ def enumerate_paths(chain: MeasurementChain) -> list[VirtualPath]:
     return [tuple(int(i) for i in row) for row in grid]
 
 
+def _edges(chain: MeasurementChain) -> tuple[list, np.ndarray]:
+    """Hop matrices of the chain's stochastic network and its closing row.
+
+    hops[k][j, i] = <j_k| U(t_k - t_{k-1}) |i_{k-1}> is the amplitude from
+    eigenstate i of step k-1 to eigenstate j of step k, where step -1 is the
+    prepared state alone (one column) at time 0; closing[i] = <post| U(T -
+    t_K) |i_K> (one entry for a chain with no steps).
+    """
+    u = chain.propagator.unitary
+    into, prev_time = chain.pre_state.amplitudes[:, None], 0.0
+    hops = []
+    for step in chain.steps:
+        vecs = step.observable.eigenvectors
+        hops.append(vecs.conj().T @ (u(step.time - prev_time) @ into))
+        into, prev_time = vecs, step.time
+    closing = chain.post_state.amplitudes.conj() @ (u(chain.total_time - prev_time) @ into)
+    return hops, closing
+
+
 def path_amplitudes(chain: MeasurementChain) -> np.ndarray:
     """Amplitudes of all paths in enumeration order.
 
     The amplitude of a path is the product of transition factors
     <post|U|i_K> ... <i_2|U|i_1> <i_1|U|pre> along its eigenstate sequence.
     """
-    if chain.n_steps == 0:
-        return np.array([chain.transition_amplitude()])
     check_path_count(chain, "path_amplitudes")
-
-    u = chain.propagator.unitary
-    steps = chain.steps
-    tensor = steps[0].observable.eigenvectors.conj().T @ (
-        u(steps[0].time) @ chain.pre_state.amplitudes
-    )
-    for prev, nxt in zip(steps, steps[1:]):
-        hop = nxt.observable.eigenvectors.conj().T @ (
-            u(nxt.time - prev.time) @ prev.observable.eigenvectors
-        )
+    hops, closing = _edges(chain)
+    tensor = np.ones(1, dtype=complex)
+    for hop in hops:
         # tensor[..., i_prev] * hop[i_next, i_prev] -> new trailing axis i_next
         tensor = tensor[..., None] * hop.T
-    last = steps[-1]
-    closing = (
-        chain.post_state.amplitudes.conj()
-        @ u(chain.total_time - last.time)
-        @ last.observable.eigenvectors
-    )
-    tensor = tensor * closing
-    return tensor.reshape(-1)
+    return (tensor * closing).reshape(-1)
 
 
 def path_amplitude(chain: MeasurementChain, path: VirtualPath) -> complex:
@@ -429,31 +430,12 @@ def path_amplitude(chain: MeasurementChain, path: VirtualPath) -> complex:
         raise ValueError(f"path length {len(path)} does not match {chain.n_steps} steps")
     if any(not 0 <= i < chain.dim for i in path):
         raise ValueError(f"path indices must lie in [0, {chain.dim})")
-    u = chain.propagator.unitary
-    steps = chain.steps
-    if not steps:
-        return chain.transition_amplitude()
-    amp = complex(
-        np.vdot(
-            steps[0].observable.eigenvectors[:, path[0]],
-            u(steps[0].time) @ chain.pre_state.amplitudes,
-        )
-    )
-    for k in range(1, len(steps)):
-        amp *= complex(
-            np.vdot(
-                steps[k].observable.eigenvectors[:, path[k]],
-                u(steps[k].time - steps[k - 1].time)
-                @ steps[k - 1].observable.eigenvectors[:, path[k - 1]],
-            )
-        )
-    amp *= complex(
-        np.vdot(
-            chain.post_state.amplitudes,
-            u(chain.total_time - steps[-1].time) @ steps[-1].observable.eigenvectors[:, path[-1]],
-        )
-    )
-    return amp
+    hops, closing = _edges(chain)
+    amp, prev = 1.0 + 0.0j, 0
+    for hop, i in zip(hops, path):
+        amp *= hop[i, prev]
+        prev = i
+    return complex(amp * closing[prev])
 
 
 def _cluster(values: np.ndarray) -> np.ndarray:
@@ -500,68 +482,55 @@ def group_by_value(values: np.ndarray, amplitudes: np.ndarray) -> AmplitudeDistr
     return AmplitudeDistribution(support, amps)
 
 
-def _transfer_table(chain: MeasurementChain, rules: list) -> tuple[list, np.ndarray] | None:
-    """Grouped amplitudes of additive functionals, given as their step_weights,
-    propagated step by step over rows (eigenstate index, accumulated values)
-    with exactly equal rows merged after each step.
-
-    The table pays only while partial sums coincide: once a step's merge
-    joins none of TABLE_JOIN_ROWS or more rows (random real weights keep
-    every sum distinct) and the chain's paths fit MAX_PATHS, returns None,
-    as dense grouping is then cheaper than expanding the table to every
-    path."""
-    u = chain.propagator.unitary
-    dim = chain.dim
-    state = np.zeros(1, dtype=np.intp)
-    accs = [np.array([offset]) for _, offset in rules]
-    amps = np.array([1.0 + 0.0j])
-    # hop[j, i]: amplitude from eigenstate i of the previous step (the
-    # prepared state before step 0) to eigenstate j of this one
-    into, prev_time = chain.pre_state.amplitudes[:, None], 0.0
-    for k, step in enumerate(chain.steps):
-        if state.size * dim > MAX_PATHS:
-            raise PathCapError(
-                f"the transfer table of A(f) needs {state.size} x {dim} rows at step {k}, "
-                f"above the cap MAX_PATHS = {MAX_PATHS}: the functional's weights give too "
-                "many distinct partial sums; use commensurate weights or shorten steps"
-            )
-        vecs = step.observable.eigenvectors
-        hop = vecs.conj().T @ (u(step.time - prev_time) @ into)
-        amps = (amps[:, None] * hop.T[state]).reshape(-1)
-        eigs = step.observable.eigenvalues
-        accs = [
-            (acc[:, None] + w[k] * eigs).reshape(-1) if w[k] else np.repeat(acc, dim)
-            for acc, (w, _) in zip(accs, rules)
-        ]
-        (state, *accs), merged = _merge_rows([np.tile(np.arange(dim), state.size), *accs], amps)
-        if merged.size == amps.size >= TABLE_JOIN_ROWS and chain.n_paths <= MAX_PATHS:
-            return None
-        amps = merged
-        into, prev_time = vecs, step.time
-    closing = chain.post_state.amplitudes.conj() @ (u(chain.total_time - prev_time) @ into)
-    return _merge_rows(accs, amps * closing[state])
-
-
 def grouped_amplitudes(chain: MeasurementChain, functionals) -> tuple[np.ndarray, np.ndarray]:
     """Path amplitudes summed over paths sharing one tuple of values.
 
     Returns keys of shape (groups, R), one column per functional, sorted
     lexicographically, and the summed amplitude of each group.  Values of a
     column closer than MERGE_TOL, chained along the sorted values, count as
-    one value, the smallest of them.  When every functional adds one term
-    per step (step_weights is not None) the groups come from the transfer
-    table and no path is listed, unless the table finds the partial sums
-    distinct on a chain within MAX_PATHS; otherwise every path's amplitude
-    and values are listed, under the MAX_PATHS cap.
+    one value, the smallest of them.
+
+    No path is listed: the amplitudes walk the chain's edges over rows
+    (eigenstate, accumulated step_terms of each functional), and rows that
+    agree exactly are merged after each step.  Once a step's merge joins
+    none of TABLE_JOIN_ROWS or more rows on a chain within MAX_PATHS, the
+    walk stops merging and carries on as a plain product, one trailing axis
+    per step.  Each functional's final is applied at the end.  A step
+    whose rows x dim would exceed MAX_PATHS is refused before it is built.
     """
     functionals = list(functionals)
     if not functionals:
         raise ValueError("need at least one functional")
-    rules = [f.step_weights(chain) for f in functionals]
-    table = _transfer_table(chain, rules) if all(r is not None for r in rules) else None
-    if table is None:
-        table = _merge_rows([f.values(chain) for f in functionals], path_amplitudes(chain))
-    cols, amps = _merge_clusters(*table)
+    rules = [f.step_terms(chain) for f in functionals]
+    hops, closing = _edges(chain)
+    dim = chain.dim
+    accs = [np.array([offset]) for _, offset, _ in rules]
+    amps = np.ones(1, dtype=complex)
+    # state[r] is the eigenstate of row r; once merging stops it is None and
+    # every further step adds a trailing axis, like the path tensor
+    state = np.zeros(1, dtype=np.intp)
+    for k, hop in enumerate(hops):
+        if amps.size * dim > MAX_PATHS:
+            raise PathCapError(
+                f"the walk of A(f) needs {amps.size} x {dim} rows at step {k}, "
+                f"above the cap MAX_PATHS = {MAX_PATHS}: the functionals give too "
+                "many distinct partial sums; use commensurate weights or shorten steps"
+            )
+        amps = amps[..., None] * (hop.T if state is None else hop.T[state])
+        accs = [
+            np.repeat(acc[..., None], dim, axis=-1) if terms[k] is None else acc[..., None] + terms[k]
+            for acc, (terms, _, _) in zip(accs, rules)
+        ]
+        if state is not None:
+            cols = [np.tile(np.arange(dim), state.size), *(acc.reshape(-1) for acc in accs)]
+            (merged_state, *merged_accs), merged = _merge_rows(cols, amps.reshape(-1))
+            if merged.size == amps.size >= TABLE_JOIN_ROWS and chain.n_paths <= MAX_PATHS:
+                state = None
+            else:
+                state, accs, amps = merged_state, merged_accs, merged
+    amps = (amps * (closing if state is None else closing[state])).reshape(-1)
+    values = [acc.reshape(-1) if final is None else final(acc.reshape(-1)) for acc, (_, _, final) in zip(accs, rules)]
+    cols, amps = _merge_clusters(*_merge_rows(values, amps))
     return np.stack(cols, axis=1), amps
 
 

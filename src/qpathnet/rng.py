@@ -20,6 +20,10 @@ THREADS_ENV = "QPATHNET_THREADS"
 # trials per worker chunk; chunking never changes results, only scheduling
 CHUNK = 1 << 14
 
+# Cap on the trials of one sampling run: 10^7 trials hold 80 MB per reading
+# axis and 80 MB of drawn indices, ten times the 10^6 the benchmark draws.
+MAX_TRIALS = 10**7
+
 # Philox produces four 64-bit words per counter tick; advance() moves whole
 # ticks, so stream positions are aligned down to a multiple of four draws.
 _DRAWS_PER_TICK = 4
@@ -50,6 +54,12 @@ def worker_count(max_workers: int | None = None) -> int:
         except ValueError:
             pass
     return max(1, min(requested, os.cpu_count() or 1))
+
+
+def check_trials(n_trials: int) -> None:
+    """Refuse a trial count outside [1, MAX_TRIALS] before anything trial-sized exists."""
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"n_trials = {n_trials}: need at least one trial and at most MAX_TRIALS = {MAX_TRIALS}")
 
 
 def inverse_cdf_draws(

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meter import Grid, MeterSpec, joint_reading_distribution
-from .paths import MeasurementChain
-from .rng import inverse_cdf_draws
+from .meter import Grid, MeterSpec, _check_cells, joint_reading_distribution
+from .paths import MeasurementChain, grouped_amplitudes
+from .rng import check_trials, inverse_cdf_draws
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,14 @@ def sample_trials(
     meter converges to its exact mean reading; the summary reports standard
     errors for the comparison.
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
+    check_trials(n_trials)
     branches = chain.branches()
+    if grids is None:
+        keys, _ = grouped_amplitudes(branches[0], [m.functional for m in meters])
+        grids = [Grid.cover(keys[:, r], m.profile.width) for r, m in enumerate(meters)]
+    # one density per branch is held at once
+    _check_cells([m.profile for m in meters], grids, copies=len(branches))
     first = joint_reading_distribution(branches[0], meters, grids)
-    grids = list(first.grids)
     shape = first.density.shape
 
     # cell mass = density * separable trapezoid weights, one row per branch;

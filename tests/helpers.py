@@ -1,11 +1,13 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles deliberately avoid the package's own code paths: the matrix
-exponential check goes through scipy, mean readings through the Gaussian
-overlap closed form, and joint densities through plain nested loops.
+exponential check and single path amplitudes go through scipy, mean
+readings through the Gaussian overlap closed form, and joint densities
+through plain nested loops.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 from qpathnet import (
     MeasurementChain,
@@ -70,6 +72,18 @@ def random_spin_chain(rng, n_steps):
     return MeasurementChain(
         random_state_vector(rng, 2), tuple(steps), Propagator(random_hermitian(rng, 2)), random_state_vector(rng, 2), 1.0
     )
+
+
+def path_amplitude_oracle(chain, path):
+    """<post|U(T - t_K)|i_K> ... <i_2|U(t_2 - t_1)|i_1> <i_1|U(t_1)|pre> of one
+    path, each U(t) = expm(-i H t) by scipy, multiplied overlap by overlap."""
+    h = chain.propagator.hamiltonian
+    state, time, amp = chain.pre_state.amplitudes, 0.0, 1.0 + 0.0j
+    for step, i in zip(chain.steps, path):
+        vec = step.observable.eigenvectors[:, i]
+        amp *= np.vdot(vec, expm(-1j * h * (step.time - time)) @ state)
+        state, time = vec, step.time
+    return complex(amp * np.vdot(chain.post_state.amplitudes, expm(-1j * h * (chain.total_time - time)) @ state))
 
 
 def gaussian_overlap_mean(support, amps, width):

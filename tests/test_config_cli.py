@@ -9,6 +9,7 @@ from qpathnet import ConfigError, MeterSpec, PathFunctional, PointerProfile, exp
 from qpathnet import cli
 from qpathnet.cli import main, report, run
 from qpathnet.config import RunSettings
+from qpathnet.rng import MAX_TRIALS
 from qpathnet.scenarios import build_difference_meter, build_projector_postselected
 
 
@@ -394,6 +395,53 @@ class TestCliEntryPoint:
         assert main(["run", "preset:three-box", str(tmp_path), "--mode", "sweep"]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["means"][-1] == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--grid-step", "0"], "run.grid.step"),
+            (["--grid-step", "-1"], "run.grid.step"),
+            (["--grid-extent", "-2"], "run.grid.pad"),
+            (["--grid-extent", "1"], "run.grid.pad"),
+            (["--trials", "0"], "run.trials"),
+            (["--trials", str(MAX_TRIALS + 1)], "run.trials"),
+            (["--seed", "-1"], "run.seed"),
+        ],
+    )
+    def test_flags_are_validated_like_the_file(self, tmp_path, capsys, flags, field):
+        assert main(["run", "preset:projector", str(tmp_path / "out"), "--mode", "sample", *flags]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "run_doc, field",
+        [({"grid": {"pad": 1}}, "run.grid.pad"), ({"trials": MAX_TRIALS + 1}, "run.trials"), ({"trials": 2.5}, "run.trials")],
+    )
+    def test_run_fields_are_refused_at_parse_time(self, tmp_path, capsys, run_doc, field):
+        doc = sample_config("sample")
+        doc["run"].update(run_doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_grid_step_reaches_every_grid_of_the_run(self, tmp_path, monkeypatch):
+        joints = []
+        joint = cli.joint_reading_distribution
+
+        def spy(chain, meters, grids=None):
+            joints.append(joint(chain, meters, grids))
+            return joints[-1]
+
+        monkeypatch.setattr(cli, "joint_reading_distribution", spy)
+        for mode in ("exact", "sample"):
+            flags = ["--mode", mode, "--grid-step", "50", "--trials", "200"]
+            assert main(["run", "preset:three-box", str(tmp_path / mode), *flags]) == 0
+        xs = np.loadtxt(tmp_path / "exact" / "distribution_m0.csv", delimiter=",", skiprows=1)[:, 0]
+        assert np.all(np.diff(xs) == 50.0)
+        assert [g.step for g in joints[0].grids] == [50.0, 50.0]
+        readings = np.loadtxt(tmp_path / "sample" / "trials.csv", delimiter=",", skiprows=1)[:, 1:3]
+        assert np.all(readings % 50.0 == 0.0)
 
     def test_overrides(self, tmp_path):
         assert main(["run", "preset:projector", str(tmp_path), "--mode", "sample", "--trials", "500", "--seed", "9"]) == 0

@@ -179,7 +179,7 @@ def _peak_bytes(fn):
     """Raise from fn expected; return the peak traced allocation meanwhile."""
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"MAX_GRID_CELLS.*profile\.width.*run\.grid_step"):
+        with pytest.raises(ValueError, match=r"MAX_GRID_CELLS.*profile\.width.*run\.grid\.step"):
             fn()
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -204,6 +204,14 @@ class TestGridCap:
         chain = self._chain()
         assert _peak_bytes(lambda: joint_reading_distribution(chain, meters)) < 1 << 20
         assert _peak_bytes(lambda: sample_trials(chain, meters, 10, seed=1)) < 1 << 20
+
+    def test_sampling_buffer_fails_before_allocating(self):
+        # one density of ~2e7 cells fits the cap, the three branches' do not
+        chain = random_chain(np.random.default_rng(5), 3, 1, eigenvalues=[-1.0, 0.0, 1.0])
+        meter = MeterSpec(PathFunctional.step_eigenvalue(0), PointerProfile.gaussian(2e-5))
+        cells = Grid.cover([-1.0, 1.0], 2e-5).n
+        assert cells <= MAX_GRID_CELLS < 3 * cells
+        assert _peak_bytes(lambda: sample_trials(chain, [meter], 10, seed=1)) < 1 << 20
 
     def test_error_names_the_widest_axis(self):
         meters = [

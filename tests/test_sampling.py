@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from qpathnet import (
     PointerProfile,
     build_minus_hundred,
     build_projector_postselected,
+    classical_paths,
+    classical_sample,
     joint_reading_distribution,
     mean_reading,
     sample_trials,
+    uniform_two_layer_network,
 )
-from qpathnet.rng import THREADS_ENV, uniform_block, worker_count
+from qpathnet.rng import MAX_TRIALS, THREADS_ENV, uniform_block, worker_count
 
 
 class TestUniformBlocks:
@@ -134,6 +138,22 @@ class TestSampleTrials:
         preset = build_projector_postselected()
         with pytest.raises(ValueError, match="at least one trial"):
             sample_trials(preset.chain, list(preset.meters), 0, seed=0)
+
+    def test_trial_cap_refuses_before_allocating(self):
+        preset = build_projector_postselected()
+        paths = classical_paths(uniform_two_layer_network())
+        runs = (
+            lambda: sample_trials(preset.chain, list(preset.meters), MAX_TRIALS + 1, seed=0),
+            lambda: classical_sample(paths, MAX_TRIALS + 1, seed=0),
+        )
+        for run in runs:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="MAX_TRIALS"):
+                    run()
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            finally:
+                tracemalloc.stop()
 
     def test_exact_reference_uses_success_branch(self):
         preset = build_projector_postselected()

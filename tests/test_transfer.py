@@ -1,9 +1,9 @@
-"""The transfer table of grouped_amplitudes against the dense path grouping.
+"""The walk of grouped_amplitudes against the dense path grouping.
 
-For additive functionals A(f) is propagated over (eigenstate, accumulated
-value) rows without listing paths; the oracle is the dense grouping of every
-path's amplitude by its exact tuple of values (np.unique + np.add.at), and,
-for values a few ulps apart, by its tuple of clustered values.
+For every functional rule A(f) is propagated over (eigenstate, accumulated
+step terms) rows without listing paths; the oracle is the dense grouping of
+every path's amplitude by its exact tuple of values (np.unique + np.add.at),
+and, for values a few ulps apart, by its tuple of clustered values.
 """
 
 import json
@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_chain, random_hermitian, random_spin_chain, random_state_vector, random_unitary
+from helpers import (
+    path_amplitude_oracle,
+    random_chain,
+    random_hermitian,
+    random_spin_chain,
+    random_state_vector,
+    random_unitary,
+)
 from qpathnet import (
     MeasurementChain,
     MeasurementStep,
@@ -26,6 +33,7 @@ from qpathnet import (
     amplitude_distribution,
     chain_comparator,
     grouped_amplitudes,
+    path_amplitude,
     path_amplitudes,
 )
 from qpathnet import paths
@@ -55,6 +63,17 @@ def additive_functional(rng, n_steps, integer):
     return PathFunctional.step_difference(int(rng.integers(n_steps)), int(rng.integers(n_steps)))
 
 
+def any_functional(rng, chain, integer):
+    """A functional of any of the six rules, each drawn with probability 1/6."""
+    kind = rng.integers(6)
+    if kind == 0:
+        return PathFunctional.path_indicator(rng.integers(chain.dim, size=chain.n_steps))
+    if kind == 1:
+        size = chain.n_paths
+        return PathFunctional.from_table(rng.integers(-2, 3, size=size) if integer else rng.normal(size=size))
+    return additive_functional(rng, chain.n_steps, integer)
+
+
 @given(
     st.integers(0, 10_000),
     st.integers(2, 3),
@@ -67,7 +86,7 @@ def test_transfer_table_equals_dense_grouping(seed, dim, n_steps, n_functionals,
     rng = np.random.default_rng(seed)
     eigenvalues = [float(v) for v in rng.integers(-2, 3, size=dim)] if integer else None
     chain = random_chain(rng, dim, n_steps, eigenvalues=eigenvalues)
-    functionals = [additive_functional(rng, n_steps, integer) for _ in range(n_functionals)]
+    functionals = [any_functional(rng, chain, integer) for _ in range(n_functionals)]
     keys, amps = grouped_amplitudes(chain, functionals)
     want_keys, want_amps = dense_grouping(chain, functionals)
     assert keys.shape == want_keys.shape
@@ -136,7 +155,7 @@ def test_values_a_few_ulps_apart_group_as_one(seed, dim, n_steps, n_functionals,
     )
 
     def functional():
-        if rng.random() < 0.25:  # a table sends the whole tuple to dense grouping
+        if rng.random() < 0.25:  # a table's values, a few ulps off integers
             values = rng.integers(-2, 3, size=chain.n_paths) + rng.integers(-ulps, ulps + 1, size=chain.n_paths) * 1e-15
             return PathFunctional.from_table(values)
         return additive_functional(rng, n_steps, integer=True)
@@ -176,8 +195,8 @@ def test_a_cluster_sums_its_rows_in_value_order():
 
 class TestMergeStop:
     """Weights 1/2, 1/4, ..., 1/64 on the first six steps keep the partial
-    sums distinct (and exact), so the table gives way; equal sums of later
-    unit weights must still group, and beyond MAX_PATHS the table must keep
+    sums distinct (and exact), so the walk stops merging; equal sums of later
+    unit weights must still group, and beyond MAX_PATHS the walk must keep
     merging."""
 
     FIRST = [0.5**j for j in range(1, 7)]
@@ -200,7 +219,7 @@ class TestMergeStop:
         functionals = [PathFunctional.weighted_steps(weights), PathFunctional.step_eigenvalue(9)]
         calls = self.count_merges(monkeypatch)
         keys, amps = grouped_amplitudes(chain, functionals)
-        # steps 0 to 5, the last joining none of its 64 rows, then dense
+        # steps 0 to 5, the last joining none of its 64 rows, then one merge of the 1024 paths
         assert calls == [2, 4, 8, 16, 32, 64, 1024]
         want_keys, want_amps = dense_grouping(chain, functionals)
         assert len(np.unique(keys[:, 0])) == 64 * 5
@@ -246,6 +265,16 @@ class TestLongChain:
         assert dist.support.tolist() == [float(v) for v in range(-60, 61, 2)]
         assert abs(dist.total() - chain.transition_amplitude()) <= 1e-10
 
+    def test_path_indicator_walks_sixty_steps(self):
+        # 2^60 paths, but the indicator's walk holds at most 2 x 61 rows
+        chain = long_chain()
+        path = tuple(int(i) for i in np.random.default_rng(3).integers(2, size=60))
+        dist = amplitude_distribution(chain, PathFunctional.path_indicator(path))
+        assert dist.support.tolist() == [0.0, 1.0]
+        for want in (path_amplitude(chain, path), path_amplitude_oracle(chain, path)):
+            assert abs(dist.amplitudes[1] - want) <= 1e-12 * abs(want)
+        assert abs(dist.total() - chain.transition_amplitude()) <= 1e-10
+
     def test_one_path_value_is_its_sixty_term_sum(self):
         chain = long_chain()
         path = tuple(int(i) for i in np.random.default_rng(2).integers(2, size=60))
@@ -260,7 +289,7 @@ class TestLongChain:
             assert peak_bytes(lambda: operation(chain), PathCapError) < 1 << 20
 
     def test_real_weights_hit_the_table_cap_before_the_step_is_built(self):
-        # random real weights keep all 2^k partial sums distinct; the table
+        # random real weights keep all 2^k partial sums distinct; the walk
         # holds 2^19 rows when step 19 would need 2^20 > MAX_PATHS.  Building
         # that step would hold at least 56 B per new row (amplitude, hop
         # factor, state, value, sort order) beside 40 B per old row.
@@ -272,7 +301,7 @@ class TestLongChain:
         assert peak_bytes(lambda: amplitude_distribution(chain, functional), PathCapError) < refused_step_bytes
 
 
-def long_chain_config(mode):
+def long_chain_config(mode, functional=None):
     chain = long_chain()
     steps = [
         {
@@ -292,7 +321,9 @@ def long_chain_config(mode):
         "pre_state": [[1.0, 0.0], [0.0, 0.0]],
         "post_state": [[0.6, 0.0], [0.8, 0.0]],
         "steps": steps,
-        "functionals": [{"name": "total", "rule": "weighted_steps", "weights": [1.0] * 60}],
+        "functionals": [
+            dict(functional or {"rule": "weighted_steps", "weights": [1.0] * 60}, name="total")
+        ],
         "meters": [{"functional": "total", "profile": {"shape": "gaussian", "width": 1.0}}],
         "run": {"mode": mode},
     }
@@ -306,6 +337,14 @@ class TestCli:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert len(summary["meters"][0]["strong_bins"]) == 61
         assert [f for f, _ in summary["meters"][0]["strong_bins"]] == list(range(-60, 61, 2))
+
+    def test_exact_mode_runs_a_sixty_step_path_indicator(self, tmp_path):
+        indicator = {"rule": "path_indicator", "path": [0, 1] * 30}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(long_chain_config("exact", indicator)))
+        assert main(["run", str(path), str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [f for f, _ in summary["meters"][0]["strong_bins"]] == [0.0, 1.0]
 
     def test_classical_mode_names_the_steps(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
