@@ -38,7 +38,7 @@ from .meter import (
     pointer_distribution,
     weak_limit_report,
 )
-from .paths import ForbiddenTransitionError, amplitude_distribution
+from .paths import ForbiddenTransitionError, amplitude_distribution, grouped_amplitudes
 from .sampling import sample_trials
 from .scenarios import build_preset
 
@@ -155,9 +155,8 @@ def _run_sweep(config: ScenarioConfig, out: Path) -> dict:
 
 def _run_sample(config: ScenarioConfig, out: Path) -> dict:
     chain, meters = config.chain, list(config.meters)
-    grids = [
-        _grid(config, amplitude_distribution(chain, m.functional).support, m.profile.width) for m in meters
-    ]
+    keys, _ = grouped_amplitudes(chain, [m.functional for m in meters])
+    grids = [_grid(config, keys[:, r], m.profile.width) for r, m in enumerate(meters)]
     try:
         trials = sample_trials(chain, meters, config.run.trials, config.run.seed, grids=grids)
     except GridCapError as exc:

@@ -27,6 +27,9 @@ from .meter import MIN_PAD_WIDTHS, MeterSpec, PointerProfile
 from .paths import FUNCTIONAL_RULES, MeasurementChain, MeasurementStep, PathFunctional
 from .rng import MAX_TRIALS
 
+# Fewest grid steps per profile width that run.grid.step must give every meter.
+MIN_POINTS_PER_WIDTH = 20
+
 
 class ConfigError(ValueError):
     """Malformed scenario document; the message names the offending field."""
@@ -380,6 +383,13 @@ def parse_config(doc: dict) -> ScenarioConfig:
         meters.append(MeterSpec(functionals[fname], profile))
     if mode != "classical":
         _require(bool(meters), "meters", "needs at least one meter")
+    for i, meter in enumerate(meters):
+        _require(
+            run.grid_step is None or run.grid_step <= meter.profile.width / MIN_POINTS_PER_WIDTH,
+            "run.grid.step",
+            f"{run.grid_step} cannot resolve meters[{i}].profile.width ({meter.profile.width}): "
+            f"must be at most width / {MIN_POINTS_PER_WIDTH}",
+        )
 
     return ScenarioConfig(name, chain, functionals, tuple(meters), run, classical)
 

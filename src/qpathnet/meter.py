@@ -32,6 +32,7 @@ from .paths import (
     AmplitudeDistribution,
     MeasurementChain,
     PathFunctional,
+    _branch_amplitudes,
     _edges,
     amplitude_distribution,
     grouped_amplitudes,
@@ -247,8 +248,10 @@ class GridCapError(ValueError):
 
 
 def _check_cells(profiles, grids, copies: int = 1) -> None:
-    """Refuse copies x the grids' cells above MAX_GRID_CELLS, before any grid
-    array exists, naming the width of the longest axis."""
+    """Refuse grids other than one per profile, and copies x their cells above
+    MAX_GRID_CELLS naming the longest axis's width, before any grid array exists."""
+    if len(grids) != len(profiles):
+        raise ValueError("need one grid per meter")
     cells = math.prod(g.n for g in grids)
     if copies * cells > MAX_GRID_CELLS:
         r = max(range(len(grids)), key=lambda i: grids[i].n)
@@ -283,14 +286,14 @@ def _contract(weights: np.ndarray, first: np.ndarray, rest: list) -> np.ndarray:
     return np.einsum(f"ag,{','.join('g' + c for c in axes)}->a{axes}", lead, *rest)
 
 
-def _pointer_kernel(amps: np.ndarray, keys: np.ndarray, profiles, grids, dtype) -> np.ndarray:
+def _pointer_kernel(amps: np.ndarray, keys: np.ndarray, profiles, grids, dtype, out=None) -> np.ndarray:
     """M(xi) = sum_g A_g prod_r G_r(xi_r - keys[g, r]) on the grids, as complex
-    M for a complex dtype or as |M|^2 for a float dtype, in blocks of axis 0."""
+    M for a complex dtype or as |M|^2 for a float dtype, in blocks of axis 0 of out."""
     _check_grids(keys, profiles, grids)
     keep = amps != 0
     amps, keys = amps[keep], keys[keep]
     rest = [p.samples(g.xs() - keys[:, r, None]) for r, (p, g) in enumerate(zip(profiles, grids)) if r]
-    out = np.empty(tuple(g.n for g in grids), dtype=dtype)
+    out = np.empty(tuple(g.n for g in grids), dtype=dtype) if out is None else out
     rows = max(1, KERNEL_BLOCK_CELLS // max(math.prod(out.shape[1:]), amps.size))
     xs = grids[0].xs()
     for lo in range(0, xs.size, rows):
@@ -349,10 +352,9 @@ def total_reading_distribution(
     For a normalized profile this density integrates to one regardless of
     the profile width.
     """
-    first, *rest = chain.branches()
-    head = reading_distribution(first, meter, grid)
-    grid = head.grid
-    total = sum((reading_distribution(b, meter, grid).density for b in rest), head.density)
+    keys, amps = _branch_amplitudes(chain, [meter.functional], chain.branches())
+    grid = Grid.cover(keys[:, 0], meter.profile.width) if grid is None else grid
+    total = sum(_pointer_kernel(amps[:, b], keys, [meter.profile], [grid], float) for b in range(amps.shape[1]))
     return PointerDistribution(grid, total, float(_integrate(total, [grid.weights()])))
 
 
@@ -459,8 +461,6 @@ def joint_reading_distribution(
     keys, amps = grouped_amplitudes(chain, [m.functional for m in meters])
     if grids is None:
         grids = [Grid.cover(keys[:, r], m.profile.width) for r, m in enumerate(meters)]
-    if len(grids) != len(meters):
-        raise ValueError("need one grid per meter")
     density = _pointer_kernel(amps, keys, [m.profile for m in meters], grids, float)
     return JointDistribution(tuple(grids), density, float(_integrate(density, [g.weights() for g in grids])))
 

@@ -389,13 +389,13 @@ def enumerate_paths(chain: MeasurementChain) -> list[VirtualPath]:
     return [tuple(int(i) for i in row) for row in grid]
 
 
-def _edges(chain: MeasurementChain) -> tuple[list, np.ndarray]:
-    """Hop matrices of the chain's stochastic network and its closing row.
+def _edges(chain: MeasurementChain, branches=None) -> tuple[list, np.ndarray]:
+    """Hop matrices of the chain's stochastic network and its closing rows.
 
     hops[k][j, i] = <j_k| U(t_k - t_{k-1}) |i_{k-1}> is the amplitude from
     eigenstate i of step k-1 to eigenstate j of step k, where step -1 is the
-    prepared state alone (one column) at time 0; closing[i] = <post| U(T -
-    t_K) |i_K> (one entry for a chain with no steps).
+    prepared state alone (one column) at time 0; closing[b, i] =
+    <post_b| U(T - t_K) |i_K> for each chain b of branches (default: chain).
     """
     u = chain.propagator.unitary
     into, prev_time = chain.pre_state.amplitudes[:, None], 0.0
@@ -404,7 +404,8 @@ def _edges(chain: MeasurementChain) -> tuple[list, np.ndarray]:
         vecs = step.observable.eigenvectors
         hops.append(vecs.conj().T @ (u(step.time - prev_time) @ into))
         into, prev_time = vecs, step.time
-    closing = chain.post_state.amplitudes.conj() @ (u(chain.total_time - prev_time) @ into)
+    into = u(chain.total_time - prev_time) @ into
+    closing = np.array([b.post_state.amplitudes.conj() @ into for b in branches or (chain,)])
     return hops, closing
 
 
@@ -420,7 +421,7 @@ def path_amplitudes(chain: MeasurementChain) -> np.ndarray:
     for hop in hops:
         # tensor[..., i_prev] * hop[i_next, i_prev] -> new trailing axis i_next
         tensor = tensor[..., None] * hop.T
-    return (tensor * closing).reshape(-1)
+    return (tensor * closing[0]).reshape(-1)
 
 
 def path_amplitude(chain: MeasurementChain, path: VirtualPath) -> complex:
@@ -435,7 +436,7 @@ def path_amplitude(chain: MeasurementChain, path: VirtualPath) -> complex:
     for hop, i in zip(hops, path):
         amp *= hop[i, prev]
         prev = i
-    return complex(amp * closing[prev])
+    return complex(amp * closing[0, prev])
 
 
 def _cluster(values: np.ndarray) -> np.ndarray:
@@ -457,7 +458,7 @@ def _merge_rows(cols: list, amps: np.ndarray, kind: str | None = None) -> tuple[
     order within a group only changes the order of its sum)"""
     order = np.argsort(cols[0], kind=kind) if len(cols) == 1 else np.lexsort(cols[::-1])
     cols = [c[order] for c in cols]
-    new = np.zeros(amps.size, dtype=bool)
+    new = np.zeros(len(amps), dtype=bool)
     new[0] = True
     for c in cols:
         new[1:] |= c[1:] != c[:-1]
@@ -498,11 +499,18 @@ def grouped_amplitudes(chain: MeasurementChain, functionals) -> tuple[np.ndarray
     per step.  Each functional's final is applied at the end.  A step
     whose rows x dim would exceed MAX_PATHS is refused before it is built.
     """
+    keys, amps = _branch_amplitudes(chain, functionals, (chain,))
+    return keys, amps[:, 0]
+
+
+def _branch_amplitudes(chain: MeasurementChain, functionals, branches) -> tuple[np.ndarray, np.ndarray]:
+    """The walk of grouped_amplitudes closed onto every chain of branches:
+    shared keys, and amps[:, b] bit for bit grouped_amplitudes(branches[b])."""
     functionals = list(functionals)
     if not functionals:
         raise ValueError("need at least one functional")
     rules = [f.step_terms(chain) for f in functionals]
-    hops, closing = _edges(chain)
+    hops, closing = _edges(chain, branches)
     dim = chain.dim
     accs = [np.array([offset]) for _, offset, _ in rules]
     amps = np.ones(1, dtype=complex)
@@ -528,7 +536,7 @@ def grouped_amplitudes(chain: MeasurementChain, functionals) -> tuple[np.ndarray
                 state = None
             else:
                 state, accs, amps = merged_state, merged_accs, merged
-    amps = (amps * (closing if state is None else closing[state])).reshape(-1)
+    amps = (amps[..., None] * (closing.T if state is None else closing.T[state])).reshape(-1, len(branches))
     values = [acc.reshape(-1) if final is None else final(acc.reshape(-1)) for acc, (_, _, final) in zip(accs, rules)]
     cols, amps = _merge_clusters(*_merge_rows(values, amps))
     return np.stack(cols, axis=1), amps

@@ -14,13 +14,14 @@ worker count or chunking.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .meter import Grid, MeterSpec, _check_cells, joint_reading_distribution
-from .paths import MeasurementChain, grouped_amplitudes
+from .meter import Grid, JointDistribution, MeterSpec, _check_cells, _integrate, _pointer_kernel
+from .paths import MeasurementChain, _branch_amplitudes
 from .rng import check_trials, inverse_cdf_draws
 
 
@@ -135,36 +136,27 @@ def sample_trials(
     errors for the comparison.
     """
     check_trials(n_trials)
-    branches = chain.branches()
+    keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
+    profiles = [m.profile for m in meters]
     if grids is None:
-        keys, _ = grouped_amplitudes(branches[0], [m.functional for m in meters])
-        grids = [Grid.cover(keys[:, r], m.profile.width) for r, m in enumerate(meters)]
-    # one density per branch is held at once
-    _check_cells([m.profile for m in meters], grids, copies=len(branches))
-    first = joint_reading_distribution(branches[0], meters, grids)
-    shape = first.density.shape
+        grids = [Grid.cover(keys[:, r], p.width) for r, p in enumerate(profiles)]
+    # one density per branch, written by the kernel into its row of the buffer
+    _check_cells(profiles, grids, copies=amps.shape[1])
+    masses = np.empty((amps.shape[1], *(g.n for g in grids)))
+    for b, density in enumerate(masses):
+        _pointer_kernel(amps[:, b], keys, profiles, grids, float, out=density)
+    first = JointDistribution(tuple(grids), masses[0], float(_integrate(masses[0], [g.weights() for g in grids])))
+    exact_means = tuple(first.marginal_mean(r) if first.norm > 0 else math.nan for r in range(len(meters)))
 
-    # cell mass = density * separable trapezoid weights, one row per branch;
-    # the CDF then overwrites the masses in place
-    masses = np.empty((len(branches), first.density.size))
-    row_weights = grids[0].weights().reshape((-1,) + (1,) * (len(grids) - 1))
-    inner_weights = np.ones(())
-    for g in grids[1:]:
-        inner_weights = np.multiply.outer(inner_weights, g.weights())
-    for b, branch in enumerate(branches):
-        density = first.density if b == 0 else joint_reading_distribution(branch, meters, grids).density
-        cell = masses[b].reshape(shape)
-        np.multiply(density, row_weights, out=cell)
-        cell *= inner_weights
+    # cell mass = density * separable trapezoid weights; then the CDF, all in place
+    masses *= grids[0].weights().reshape((-1,) + (1,) * (len(grids) - 1))
+    masses *= functools.reduce(np.multiply.outer, [g.weights() for g in grids[1:]], np.ones(()))
     masses = masses.reshape(-1)
     total = masses.sum()
     if total <= 0.0:
         raise ValueError("total probability of all branches is zero; nothing to sample")
     cdf = np.cumsum(masses, out=masses)
     exact_success = first.norm / total
-    exact_means = tuple(
-        first.marginal_mean(r) if first.norm > 0 else math.nan for r in range(len(meters))
-    )
 
     # a drawn index is (branch, i_0, ..., i_R-1) in row-major order; peeling
     # the axes off from the last, in place, leaves the branch and holds no

@@ -11,6 +11,8 @@ constants labelled by tolerance class:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,18 +23,15 @@ from .meter import (
     MeterSpec,
     PointerProfile,
     joint_reading_distribution,
-    strong_limit_probabilities,
     weak_limit_report,
 )
 from .paths import (
+    AmplitudeDistribution,
     ForbiddenTransitionError,
     MeasurementChain,
     MeasurementStep,
     PathFunctional,
     amplitude_distribution,
-    relative_amplitudes,
-    strong_mean,
-    weak_value,
 )
 from .sampling import sample_trials
 
@@ -159,18 +158,31 @@ def build_difference_meter(
     chain = _chain(psi, [(t1, a_obs), (t2, b_obs)], phi)
     functional = PathFunctional.step_difference(later=1, earlier=0)
     meters = (MeterSpec(functional, PointerProfile.rectangular(strong_width)),)
-    dist = amplitude_distribution(chain, functional)
+    # path amplitudes <phi|b_j><b_j|a_i><a_i|psi> by hand, summed over paths
+    # sharing the difference b_j - a_i (rounded: diagonalised eigenvalues
+    # carry a few ulps)
+    pre, post = chain.pre_state.amplitudes, chain.post_state.amplitudes
+    a_vecs, b_vecs = a_obs.eigenvectors, b_obs.eigenvectors
+    amps: dict[float, complex] = {}
+    for i, j in itertools.product(range(chain.dim), repeat=2):
+        f = round(float(b_obs.eigenvalues[j] - a_obs.eigenvalues[i]), 9)
+        amp = np.vdot(post, b_vecs[:, j]) * np.vdot(b_vecs[:, j], a_vecs[:, i]) * np.vdot(a_vecs[:, i], pre)
+        amps[f] = amps.get(f, 0j) + complex(amp)
+    total = sum(amps.values())
+    p = {f: abs(a) ** 2 for f, a in amps.items()}
     expected: dict[str, Expected] = {}
-    expected["strong_mean"] = Expected(dist.strong_mean(), "analytic")
-    wv = dist.weak_value()
-    expected["weak_value_re"] = Expected(wv.real, "analytic")
-    expected["weak_value_im"] = Expected(wv.imag, "analytic")
-    expected["sweep_limit"] = Expected(wv.real, "sweep")
-    # same number from the relative-amplitude route: 2 Re(alpha(+2) - alpha(-2))
-    rel = dist.relative()
-    expected["weak_from_relative"] = Expected(
-        2.0 * (rel.get(2.0, 0j).real - rel.get(-2.0, 0j).real), "analytic"
-    )
+    expected["strong_mean"] = Expected(sum(f * w for f, w in p.items()) / sum(p.values()), "analytic")
+    if abs(total) > 1e-14:
+        wv = sum(f * a for f, a in amps.items()) / total
+        expected["weak_value_re"] = Expected(wv.real, "analytic")
+        expected["weak_value_im"] = Expected(wv.imag, "analytic")
+        expected["sweep_limit"] = Expected(wv.real, "sweep")
+        # same number from the relative-amplitude route: 2 Re(alpha(+2) - alpha(-2))
+        expected["weak_from_relative"] = Expected(
+            2.0 * ((amps.get(2.0, 0j) - amps.get(-2.0, 0j)) / total).real, "analytic"
+        )
+    else:
+        expected["forbidden_transition"] = Expected(1.0, "analytic")
     return ScenarioPreset(
         "difference",
         chain,
@@ -285,41 +297,37 @@ class VerificationReport:
         return out
 
 
-def _compute_check(preset: ScenarioPreset, name: str, mc_trials: int, seed: int) -> float:
+def _compute_check(preset: ScenarioPreset, name: str, mc_trials: int, seed: int, dist, joint) -> float:
+    """One expected constant recomputed; dist(functional) and joint() are the
+    call's A(f) of a functional and joint density of the preset's meters."""
     chain = preset.chain
     functional = preset.meters[0].functional
     if name == "forbidden_transition":
         try:
-            weak_value(chain, functional)
+            dist(functional).weak_value()
         except ForbiddenTransitionError:
             return 1.0
         return 0.0
     if name == "strong_mean":
-        return strong_mean(chain, functional)
-    if name == "weak_value_re":
-        return weak_value(chain, functional).real
+        return dist(functional).strong_mean()
+    if name in ("weak_value_re", "weak_from_relative"):
+        return dist(functional).weak_value().real
     if name == "weak_value_im":
-        return weak_value(chain, functional).imag
-    if name == "weak_from_relative":
-        return weak_value(chain, functional).real
+        return dist(functional).weak_value().imag
     if name.startswith("strong_bin_"):
         target = float(name.removeprefix("strong_bin_"))
-        probs = strong_limit_probabilities(chain, functional)
+        probs = dist(functional).strong_probabilities()
         return min(probs.items(), key=lambda kv: abs(kv[0] - target))[1]
     if name.startswith("relative_amplitude_"):
         index = int(name.removeprefix("relative_amplitude_"))
-        rel = relative_amplitudes(chain, PathFunctional.step_eigenvalue(0))
+        rel = dist(PathFunctional.step_eigenvalue(0)).relative()
         return sorted(rel.items())[index][1].real
     if name.startswith("weak_marginal_"):
-        axis = int(name.removeprefix("weak_marginal_"))
-        joint = joint_reading_distribution(chain, list(preset.meters))
-        return joint.marginal_mean(axis)
+        return joint().marginal_mean(int(name.removeprefix("weak_marginal_")))
     if name == "strong_first_indicator_at_1":
-        probs = strong_limit_probabilities(chain, PathFunctional.path_indicator((0,)))
-        return probs.get(1.0, 0.0)
+        return dist(PathFunctional.path_indicator((0,))).strong_probabilities().get(1.0, 0.0)
     if name == "strong_third_indicator_at_1":
-        probs = strong_limit_probabilities(chain, PathFunctional.path_indicator((2,)))
-        return probs.get(1.0, 0.0)
+        return dist(PathFunctional.path_indicator((2,))).strong_probabilities().get(1.0, 0.0)
     if name == "sweep_limit":
         report = weak_limit_report(chain, functional, preset.sweep_widths)
         return report.means[-1]
@@ -339,9 +347,20 @@ def verify_preset(
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
+    # each functional's A(f), keyed by its rule and parameters, and the
+    # joint density are built at most once per call
+    dists: dict = {}
+
+    def dist(functional: PathFunctional) -> AmplitudeDistribution:
+        key = (functional.rule, tuple(sorted(functional.params.items())))
+        if key not in dists:
+            dists[key] = amplitude_distribution(preset.chain, functional)
+        return dists[key]
+
+    joint = functools.cache(lambda: joint_reading_distribution(preset.chain, list(preset.meters)))
     checks = []
     for name, exp in preset.expected.items():
-        computed = _compute_check(preset, name, mc_trials, seed)
+        computed = _compute_check(preset, name, mc_trials, seed, dist, joint)
         if exp.kind == "sweep":
             delta = abs(computed - exp.value) / max(abs(exp.value), 1e-30)
             bound = tol["sweep"]

@@ -126,18 +126,21 @@ def brute_force_joint_density(amps, value_table, profiles, axes):
 
 
 def count_grouped_amplitudes(monkeypatch):
-    """Count A(f) builds, i.e. grouped_amplitudes calls made through the paths
-    and meter modules; the returned one-element list holds the running count."""
-    import qpathnet.meter
+    """Count A(f) walks, i.e. calls of paths._branch_amplitudes, which every
+    grouping runs; it is patched in every qpathnet module that binds it, and
+    the returned one-element list holds the running count."""
+    import sys
+
     import qpathnet.paths
 
-    original = qpathnet.paths.grouped_amplitudes
+    original = qpathnet.paths._branch_amplitudes
     calls = [0]
 
-    def counted(chain, functionals):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return original(chain, functionals)
+        return original(*args, **kwargs)
 
-    for module in (qpathnet.paths, qpathnet.meter):
-        monkeypatch.setattr(module, "grouped_amplitudes", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qpathnet" and vars(module).get("_branch_amplitudes") is original:
+            monkeypatch.setattr(module, "_branch_amplitudes", counted)
     return calls

@@ -391,6 +391,23 @@ class TestCliEntryPoint:
         assert main(["run", str(path), str(tmp_path / "out")]) == 0
         assert calls == [1]
 
+    def test_sample_run_groups_once_for_its_grids(self, tmp_path, monkeypatch):
+        # one A(f) of both meters places the grids, one walk feeds the sampler
+        calls = count_grouped_amplitudes(monkeypatch)
+        assert main(["run", "preset:three-box", str(tmp_path), "--mode", "sample", "--trials", "200"]) == 0
+        assert calls == [2]
+
+    @pytest.mark.parametrize("step", ["3", "0.0251"])
+    def test_grid_step_that_cannot_resolve_a_meter_is_refused(self, tmp_path, capsys, step):
+        # projector: rectangular width 0.5, so steps above 0.5 / 20 are refused
+        assert main(["run", "preset:projector", str(tmp_path / "out"), "--grid-step", step]) == 2
+        err = capsys.readouterr().err
+        assert "run.grid.step" in err and "meters[0].profile.width" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_step_of_width_over_twenty_is_legal(self, tmp_path):
+        assert main(["run", "preset:projector", str(tmp_path), "--grid-step", "0.025"]) == 0
+
     def test_three_box_sweep(self, tmp_path):
         assert main(["run", "preset:three-box", str(tmp_path), "--mode", "sweep"]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())

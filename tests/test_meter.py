@@ -137,6 +137,15 @@ class TestReadingDistribution:
         assert np.allclose(total.density, expected, atol=1e-12)
         assert total.norm == pytest.approx(1.0, abs=1e-6)
 
+    def test_total_walks_the_chain_once(self, monkeypatch):
+        chain = random_chain(np.random.default_rng(6), 3, 2)
+        meter = MeterSpec(PathFunctional.step_eigenvalue(1), PointerProfile.gaussian(1.0))
+        calls = count_grouped_amplitudes(monkeypatch)
+        total = total_reading_distribution(chain, meter)
+        assert calls == [1]
+        parts = [reading_distribution(b, meter, total.grid).density for b in chain.branches()]
+        assert total.density.tobytes() == sum(parts[1:], parts[0]).tobytes()
+
     def test_probability_conservation_over_branches(self):
         rng = np.random.default_rng(4)
         for _ in range(5):

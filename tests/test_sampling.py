@@ -1,16 +1,20 @@
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import count_grouped_amplitudes, random_chain
 from qpathnet import (
+    Grid,
     MeterSpec,
     PathFunctional,
     PointerProfile,
     build_minus_hundred,
     build_projector_postselected,
+    build_three_box,
     classical_paths,
     classical_sample,
     joint_reading_distribution,
@@ -160,3 +164,37 @@ class TestSampleTrials:
         trials = sample_trials(preset.chain, list(preset.meters), 100, seed=4)
         joint = joint_reading_distribution(preset.chain.branches()[0], list(preset.meters))
         assert trials.exact_means[0] == pytest.approx(mean_reading(joint.marginal(0)), abs=1e-12)
+
+
+class TestOneWalk:
+    """sample_trials walks the chain once, closed onto every branch, and the
+    kernel writes each branch density into its row of the mass buffer."""
+
+    def test_one_grouping_and_no_chain_level_density(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("sample_trials built a density through joint_reading_distribution")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qpathnet" and hasattr(module, "joint_reading_distribution"):
+                monkeypatch.setattr(module, "joint_reading_distribution", refused)
+        calls = count_grouped_amplitudes(monkeypatch)
+        preset = build_three_box()
+        trials = sample_trials(preset.chain, list(preset.meters), 100, seed=4)
+        assert calls == [1]
+        assert set(np.unique(trials.branches)) <= {0, 1, 2}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_holds_one_density_per_branch(self, dim):
+        chain = random_chain(np.random.default_rng(dim), dim, 2, eigenvalues=np.linspace(-1.0, 1.0, dim))
+        meters = [MeterSpec(PathFunctional.step_eigenvalue(k), PointerProfile.gaussian(1.0)) for k in (0, 1)]
+        grids = [Grid(-6.5, 0.01, 1301)] * 2
+        density_bytes = 1301**2 * 8
+        tracemalloc.start()
+        try:
+            sample_trials(chain, meters, 100, seed=1, grids=grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # dim branches; rebuilding each branch's density beside the buffer
+        # peaked at 4.1 densities (dim 2) and 6.1 (dim 3)
+        assert peak < (dim + 0.5) * density_bytes

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from helpers import count_grouped_amplitudes
 from qpathnet import (
     MeasurementChain,
     MeasurementStep,
@@ -12,6 +14,7 @@ from qpathnet import (
     PointerProfile,
     Propagator,
     StateVector,
+    amplitude_distribution,
     build_difference_meter,
     build_minus_hundred,
     build_preset,
@@ -188,3 +191,52 @@ class TestMonteCarloVerification:
         p = strong_limit_probabilities(preset.chain, preset.meters[0].functional)[1.0]
         sigma = math.sqrt(p * (1 - p) / success.sum())
         assert abs(near_one.mean() - p) <= 3 * sigma
+
+
+class TestVerificationBuildsOnce:
+    """verify_preset builds each functional's A(f) and the joint density at
+    most once; the other groupings are the sweep's and the sampler's own."""
+
+    @pytest.mark.parametrize(
+        "name, groupings",
+        [("projector", 3), ("minus-hundred", 3), ("difference", 2), ("three-box", 5)],
+    )
+    def test_groupings_per_call(self, monkeypatch, name, groupings):
+        preset = build_preset(name)
+        joints = []
+        for module_name, module in list(sys.modules.items()):
+            original = getattr(module, "joint_reading_distribution", None)
+            if module_name.split(".")[0] == "qpathnet" and original is not None:
+                def counted(*args, original=original, **kwargs):
+                    joints.append(args)
+                    return original(*args, **kwargs)
+
+                monkeypatch.setattr(module, "joint_reading_distribution", counted)
+        calls = count_grouped_amplitudes(monkeypatch)
+        report = verify_preset(preset, mc_trials=2000)
+        assert report.passed, "\n".join(report.lines())
+        assert calls[0] <= groupings
+        assert len(joints) == (1 if name == "three-box" else 0)
+
+    def test_difference_builder_states_its_numbers_by_hand(self, monkeypatch):
+        calls = count_grouped_amplitudes(monkeypatch)
+        preset = build_difference_meter()
+        assert calls == [0]
+        dist = amplitude_distribution(preset.chain, preset.meters[0].functional)
+        rel = dist.relative()
+        library = {
+            "strong_mean": dist.strong_mean(),
+            "weak_value_re": dist.weak_value().real,
+            "weak_value_im": dist.weak_value().imag,
+            "sweep_limit": dist.weak_value().real,
+            "weak_from_relative": 2.0 * (rel[2.0] - rel[-2.0]).real,
+        }
+        assert set(preset.expected) == set(library)
+        for key, value in library.items():
+            assert preset.expected[key].value == pytest.approx(value, abs=1e-12)
+
+    def test_forbidden_difference_is_stated_not_raised(self):
+        # spin up, kicked by sigma_x, selected as spin down: the paths cancel
+        preset = build_difference_meter(psi=(1.0, 0.0), phi=(0.0, 1.0))
+        assert "forbidden_transition" in preset.expected and "weak_value_re" not in preset.expected
+        assert verify_preset(preset, mc_trials=2000).passed

@@ -353,3 +353,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert "MAX_PATHS" in err and "shorten steps" in err
         assert not (tmp_path / "out").exists()
+
+
+def assert_columns_are_branch_walks(chain, functionals):
+    """One walk closed onto every final state gives, column by column, the
+    bits of grouped_amplitudes on each branch chain."""
+    branches = chain.branches()
+    keys, amps = paths._branch_amplitudes(chain, functionals, branches)
+    assert amps.shape == (len(keys), len(branches))
+    for b, branch in enumerate(branches):
+        want_keys, want_amps = grouped_amplitudes(branch, functionals)
+        assert keys.tobytes() == want_keys.tobytes()
+        assert amps[:, b].tobytes() == want_amps.tobytes()
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 3),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_each_branch_column_is_its_own_walk(seed, dim, n_steps, n_functionals, integer):
+    rng = np.random.default_rng(seed)
+    eigenvalues = [float(v) for v in rng.integers(-2, 3, size=dim)] if integer else None
+    chain = random_chain(rng, dim, n_steps, eigenvalues=eigenvalues)
+    assert_columns_are_branch_walks(chain, [any_functional(rng, chain, integer) for _ in range(n_functionals)])
+
+
+def test_branch_columns_where_the_walk_stops_merging_and_clusters(monkeypatch):
+    # random weights never join, so merging stops at 64 rows; the rounded
+    # spin sums of the first column then cluster at the end
+    rng = np.random.default_rng(51)
+    chain = random_spin_chain(rng, 15)
+    functionals = [PathFunctional.weighted_steps([1.0] * 15), PathFunctional.weighted_steps(rng.normal(size=15))]
+    rows = []
+    merge = paths._merge_rows
+
+    def counted(cols, amps, *args, **kwargs):
+        rows.append(len(amps))
+        return merge(cols, amps, *args, **kwargs)
+
+    monkeypatch.setattr(paths, "_merge_rows", counted)
+    paths._branch_amplitudes(chain, functionals, chain.branches())
+    # steps 0 to 5, the last joining none of its 64 rows; then all 2^15
+    # paths once exactly and once after clustering
+    assert rows == [2, 4, 8, 16, 32, 64, 2**15, 2**15]
+    assert_columns_are_branch_walks(chain, functionals)
+    assert_columns_are_branch_walks(chain, functionals[:1])
