@@ -12,7 +12,6 @@ from qpathnet import (
     Grid,
     MeterSpec,
     PathFunctional,
-    PointerDistribution,
     PointerProfile,
     build_three_box,
     joint_reading_distribution,
@@ -49,7 +48,7 @@ def main():
     ]
     mixed = joint_reading_distribution(chain, meters, grids)
     kept = mixed.restricted(0, 0.75, 1.25)
-    mean2 = mean_reading(PointerDistribution(kept.grids[0], kept.density, kept.norm))
+    mean2 = mean_reading(kept)
     print()
     print("first meter accurate, conditioned on it reading ~1:")
     print(f"  second meter's conditional mean    : {mean2:+.6f}  (was +1 when both were wide)")

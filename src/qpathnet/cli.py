@@ -33,12 +33,12 @@ from .meter import (
     GRID_PAD_WIDTHS,
     Grid,
     GridCapError,
-    joint_reading_distribution,
+    _distribution,
     mean_reading,
     pointer_distribution,
     weak_limit_report,
 )
-from .paths import ForbiddenTransitionError, amplitude_distribution, grouped_amplitudes
+from .paths import ForbiddenTransitionError, group_by_value, grouped_amplitudes
 from .sampling import sample_trials
 from .scenarios import build_preset
 
@@ -88,9 +88,11 @@ def _run_exact(config: ScenarioConfig, out: Path) -> dict:
     chain = config.chain
     meters = config.meters
     summary: dict = {"name": config.name, "mode": "exact", "dim": chain.dim, "meters": []}
+    # one walk of all meters: each meter's A(f) and the joint density read its keys
+    keys, grouped = grouped_amplitudes(chain, [m.functional for m in meters])
     grids = []
     for i, meter in enumerate(meters):
-        amps = amplitude_distribution(chain, meter.functional)
+        amps = group_by_value(keys[:, i], grouped)
         grid = _grid(config, amps.support, meter.profile.width)
         grids.append(grid)
         try:
@@ -123,7 +125,7 @@ def _run_exact(config: ScenarioConfig, out: Path) -> dict:
         if key in head:
             summary[key] = head[key]
     if len(meters) >= 2:
-        joint = joint_reading_distribution(chain, list(meters), grids)
+        joint = _distribution(keys, grouped, [m.profile for m in meters], grids)
         summary["weak_marginals"] = [joint.marginal_mean(r) for r in range(len(meters))]
     return summary
 

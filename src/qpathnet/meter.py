@@ -13,17 +13,18 @@ the amplitude-weighted mean.
 
 Numerics: one kernel serves 1 or R meters: it takes the path amplitudes
 grouped by their tuple of values (paths.grouped_amplitudes) and
-contracts per-axis profile samples, block by block, into one float64 density.  Moments use composite trapezoid quadrature; the
-rectangular profile reports the half-jump value at its edges, which makes
-trapezoid sums over edge-aligned grids exact for piecewise-constant densities.
+contracts per-axis profile samples, block by block, into one float64
+density, held with its grids in one PointerDistribution for 1 or R axes.
+Moments use composite trapezoid quadrature; the rectangular profile reports
+the half-jump value at its edges, which makes trapezoid sums over
+edge-aligned grids exact for piecewise-constant densities.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -198,42 +199,66 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class PointerDistribution:
-    """Unnormalized reading density on a grid; norm is its total integral."""
+    """Unnormalized reading density of R >= 1 pointers, one grid per axis;
+    norm is its total trapezoid integral."""
 
-    grid: Grid
+    grids: tuple[Grid, ...]
     density: np.ndarray
-    norm: float
+    norm: float = field(init=False)
 
     def __post_init__(self):
+        grids = tuple(self.grids)
         d = np.asarray(self.density, dtype=float)
-        if d.shape != (self.grid.n,):
-            raise ValueError("density shape must match the grid")
+        if d.shape != tuple(g.n for g in grids):
+            raise ValueError("density shape must match the grids")
+        object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "density", d)
+        object.__setattr__(self, "norm", float(_integrate(d, [g.weights() for g in grids])))
 
-    def mean(self) -> float:
-        return mean_reading(self)
+    @property
+    def n_axes(self) -> int:
+        return len(self.grids)
 
-    def to_json(self) -> str:
-        payload = {
-            "grid": {"min": self.grid.start, "max": self.grid.stop, "step": self.grid.step},
-            "density": self.density.tolist(),
-            "norm": self.norm,
-        }
-        return json.dumps(payload)
+    def _only_grid(self, use: str) -> Grid:
+        """The grid of a one-axis distribution; more axes are refused."""
+        if self.n_axes != 1:
+            raise ValueError(f"{use} needs one axis, not {self.n_axes}: take marginal(axis) first")
+        return self.grids[0]
 
-    @classmethod
-    def from_json(cls, text: str) -> "PointerDistribution":
-        payload = json.loads(text)
-        g = payload["grid"]
-        n = int(round((g["max"] - g["min"]) / g["step"])) + 1
-        return cls(Grid(g["min"], g["step"], n), np.asarray(payload["density"]), payload["norm"])
+    def marginal(self, axis: int) -> "PointerDistribution":
+        """Integrate out every other axis."""
+        weights = [None if r == axis else g.weights() for r, g in enumerate(self.grids)]
+        return PointerDistribution((self.grids[axis],), _integrate(self.density, weights))
+
+    def marginal_mean(self, axis: int = 0) -> float:
+        return mean_reading(self.marginal(axis))
+
+    def restricted(self, axis: int, lo: float, hi: float) -> "PointerDistribution":
+        """Integrate the given axis over [lo, hi], dropping it.
+
+        The result is the joint density of the remaining pointers for runs
+        whose axis reading fell inside the window.
+        """
+        if self.n_axes < 2:
+            raise ValueError("cannot restrict the only axis")
+        w = self.grids[axis].weights(lo, hi)
+        if not w.any():
+            raise ValueError("restriction window contains no grid points")
+        density = _integrate(self.density, [w if r == axis else None for r in range(self.n_axes)])
+        return PointerDistribution(tuple(g for r, g in enumerate(self.grids) if r != axis), density)
 
     def write_csv(self, path) -> None:
+        xs = self._only_grid("write_csv").xs()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["xi", "density"])
-            for x, d in zip(self.grid.xs(), self.density):
+            for x, d in zip(xs, self.density):
                 writer.writerow([repr(float(x)), repr(float(d))])
+
+
+# the same class under its R-meter name, which callers such as
+# perfbench/tracer.py still patch attributes through
+JointDistribution = PointerDistribution
 
 
 _ONE_METER_WIDTH = "the meter's profile.width"
@@ -314,6 +339,24 @@ def _integrate(density: np.ndarray, weights) -> np.ndarray:
     return density
 
 
+def _place_grids(keys: np.ndarray, profiles, grids=None) -> tuple[Grid, ...]:
+    """The given grids, with each missing one (None, or all when grids is None)
+    placed by Grid.cover over its column of keys."""
+    grids = [None] * len(profiles) if grids is None else grids
+    return tuple(Grid.cover(keys[:, r], profiles[r].width) if g is None else g for r, g in enumerate(grids))
+
+
+def _distribution(keys: np.ndarray, amps: np.ndarray, profiles, grids=None) -> PointerDistribution:
+    """Reading density sum_b |sum_g amps[g, b] prod_r G_r(xi_r - keys[g, r])|^2
+    over every amplitude column b (a 1-d amps is one column), on the grids."""
+    grids = _place_grids(keys, profiles, grids)
+    columns = amps.reshape(len(keys), -1).T
+    density = _pointer_kernel(columns[0], keys, profiles, grids, float)
+    for column in columns[1:]:
+        density += _pointer_kernel(column, keys, profiles, grids, float)
+    return PointerDistribution(grids, density)
+
+
 def final_pointer_state(
     dist: AmplitudeDistribution, profile: PointerProfile, grid: Grid
 ) -> np.ndarray:
@@ -325,11 +368,7 @@ def pointer_distribution(
     dist: AmplitudeDistribution, profile: PointerProfile, grid: Grid | None = None
 ) -> PointerDistribution:
     """Reading density |sum_m A_m G(xi - f_m)|^2 of one pointer over A(f)."""
-    if grid is None:
-        grid = Grid.cover(dist.support, profile.width)
-    amp = final_pointer_state(dist, profile, grid)
-    density = amp.real**2 + amp.imag**2
-    return PointerDistribution(grid, density, float(_integrate(density, [grid.weights()])))
+    return _distribution(dist.support[:, None], dist.amplitudes, [profile], [grid])
 
 
 def reading_distribution(
@@ -353,17 +392,15 @@ def total_reading_distribution(
     the profile width.
     """
     keys, amps = _branch_amplitudes(chain, [meter.functional], chain.branches())
-    grid = Grid.cover(keys[:, 0], meter.profile.width) if grid is None else grid
-    total = sum(_pointer_kernel(amps[:, b], keys, [meter.profile], [grid], float) for b in range(amps.shape[1]))
-    return PointerDistribution(grid, total, float(_integrate(total, [grid.weights()])))
+    return _distribution(keys, amps, [meter.profile], [grid])
 
 
 def mean_reading(p: PointerDistribution) -> float:
     """First moment of the density, integral xi P / integral P."""
+    grid = p._only_grid("mean_reading")
     if p.norm <= 0.0:
         raise ValueError("distribution has zero total mass; the mean reading is undefined")
-    w = p.grid.weights()
-    return float((p.grid.xs() * p.density) @ w / p.norm)
+    return float((grid.xs() * p.density) @ grid.weights() / p.norm)
 
 
 def window_masses(p: PointerDistribution, support) -> dict[float, float]:
@@ -376,10 +413,11 @@ def window_masses(p: PointerDistribution, support) -> dict[float, float]:
     the window edges land on grid nodes, which the default grid arranges
     for supports commensurate with the step.
     """
+    grid = p._only_grid("window_masses")
     support = np.sort(np.asarray(support, dtype=float))
     bounds = np.concatenate([[-math.inf], (support[:-1] + support[1:]) / 2.0, [math.inf]])
     return {
-        float(f): float(p.density @ p.grid.weights(bounds[m], bounds[m + 1]))
+        float(f): float(p.density @ grid.weights(bounds[m], bounds[m + 1]))
         for m, f in enumerate(support)
     }
 
@@ -400,56 +438,11 @@ def conditional_state(chain: MeasurementChain, meter: MeterSpec, xi0: float):
     return StateVector(amps)
 
 
-@dataclass(frozen=True, eq=False)
-class JointDistribution:
-    """Reading density of several pointers coupled to one chain."""
-
-    grids: tuple[Grid, ...]
-    density: np.ndarray
-    norm: float
-
-    def __post_init__(self):
-        d = np.asarray(self.density, dtype=float)
-        if d.shape != tuple(g.n for g in self.grids):
-            raise ValueError("density shape must match the grids")
-        object.__setattr__(self, "density", d)
-        object.__setattr__(self, "grids", tuple(self.grids))
-
-    @property
-    def n_axes(self) -> int:
-        return len(self.grids)
-
-    def marginal(self, axis: int) -> PointerDistribution:
-        """Integrate out every other axis."""
-        weights = [None if r == axis else g.weights() for r, g in enumerate(self.grids)]
-        density = _integrate(self.density, weights)
-        norm = float(_integrate(density, [self.grids[axis].weights()]))
-        return PointerDistribution(self.grids[axis], density, norm)
-
-    def marginal_mean(self, axis: int) -> float:
-        return mean_reading(self.marginal(axis))
-
-    def restricted(self, axis: int, lo: float, hi: float) -> "JointDistribution":
-        """Integrate the given axis over [lo, hi], dropping it.
-
-        The result is the joint density of the remaining pointers for runs
-        whose axis reading fell inside the window.
-        """
-        if self.n_axes < 2:
-            raise ValueError("cannot restrict the only axis")
-        w = self.grids[axis].weights(lo, hi)
-        if not w.any():
-            raise ValueError("restriction window contains no grid points")
-        density = _integrate(self.density, [w if r == axis else None for r in range(self.n_axes)])
-        grids = tuple(gr for i, gr in enumerate(self.grids) if i != axis)
-        return JointDistribution(grids, density, float(_integrate(density, [gr.weights() for gr in grids])))
-
-
 def joint_reading_distribution(
     chain: MeasurementChain,
     meters: list[MeterSpec],
     grids: list[Grid] | None = None,
-) -> JointDistribution:
+) -> PointerDistribution:
     """Joint density of several pointer readings,
 
         P(xi_1, ..., xi_R) = | sum_paths A[path] prod_r G_r(xi_r - F_r[path]) |^2.
@@ -459,10 +452,7 @@ def joint_reading_distribution(
     if not meters:
         raise ValueError("need at least one meter")
     keys, amps = grouped_amplitudes(chain, [m.functional for m in meters])
-    if grids is None:
-        grids = [Grid.cover(keys[:, r], m.profile.width) for r, m in enumerate(meters)]
-    density = _pointer_kernel(amps, keys, [m.profile for m in meters], grids, float)
-    return JointDistribution(tuple(grids), density, float(_integrate(density, [g.weights() for g in grids])))
+    return _distribution(keys, amps, [m.profile for m in meters], grids)
 
 
 def strong_limit_bins(chain: MeasurementChain, functional: PathFunctional) -> dict[float, float]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meter import Grid, JointDistribution, MeterSpec, _check_cells, _integrate, _pointer_kernel
+from .meter import Grid, MeterSpec, PointerDistribution, _check_cells, _place_grids, _pointer_kernel
 from .paths import MeasurementChain, _branch_amplitudes
 from .rng import check_trials, inverse_cdf_draws
 
@@ -138,14 +138,13 @@ def sample_trials(
     check_trials(n_trials)
     keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
     profiles = [m.profile for m in meters]
-    if grids is None:
-        grids = [Grid.cover(keys[:, r], p.width) for r, p in enumerate(profiles)]
+    grids = _place_grids(keys, profiles, grids)
     # one density per branch, written by the kernel into its row of the buffer
     _check_cells(profiles, grids, copies=amps.shape[1])
     masses = np.empty((amps.shape[1], *(g.n for g in grids)))
     for b, density in enumerate(masses):
         _pointer_kernel(amps[:, b], keys, profiles, grids, float, out=density)
-    first = JointDistribution(tuple(grids), masses[0], float(_integrate(masses[0], [g.weights() for g in grids])))
+    first = PointerDistribution(grids, masses[0])
     exact_means = tuple(first.marginal_mean(r) if first.norm > 0 else math.nan for r in range(len(meters)))
 
     # cell mass = density * separable trapezoid weights; then the CDF, all in place

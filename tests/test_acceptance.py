@@ -298,7 +298,7 @@ def test_criterion_9_gaussian_quadrature_oracle():
         norm = float(density @ grid.weights())
         if norm < 1e-3 * float(np.sum(np.abs(amps) ** 2)):
             continue  # nearly forbidden: the mean is ill-conditioned by design
-        grid_mean = mean_reading(PointerDistribution(grid, density, norm))
+        grid_mean = mean_reading(PointerDistribution((grid,), density))
         worst = max(worst, abs(grid_mean - gaussian_overlap_mean(support, amps, width)))
         count += 1
     _report(

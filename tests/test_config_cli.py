@@ -391,6 +391,14 @@ class TestCliEntryPoint:
         assert main(["run", str(path), str(tmp_path / "out")]) == 0
         assert calls == [1]
 
+    def test_exact_run_walks_the_chain_once_for_all_meters(self, tmp_path, monkeypatch):
+        # each meter's A(f) and the joint density's keys come from one walk
+        calls = count_grouped_amplitudes(monkeypatch)
+        assert main(["run", "preset:three-box", str(tmp_path), "--mode", "exact"]) == 0
+        assert calls == [1]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["weak_marginals"] == pytest.approx([1.0, 1.0], abs=1e-3)
+
     def test_sample_run_groups_once_for_its_grids(self, tmp_path, monkeypatch):
         # one A(f) of both meters places the grids, one walk feeds the sampler
         calls = count_grouped_amplitudes(monkeypatch)
@@ -444,13 +452,13 @@ class TestCliEntryPoint:
 
     def test_grid_step_reaches_every_grid_of_the_run(self, tmp_path, monkeypatch):
         joints = []
-        joint = cli.joint_reading_distribution
+        joint = cli._distribution
 
-        def spy(chain, meters, grids=None):
-            joints.append(joint(chain, meters, grids))
+        def spy(keys, amps, profiles, grids=None):
+            joints.append(joint(keys, amps, profiles, grids))
             return joints[-1]
 
-        monkeypatch.setattr(cli, "joint_reading_distribution", spy)
+        monkeypatch.setattr(cli, "_distribution", spy)
         for mode in ("exact", "sample"):
             flags = ["--mode", mode, "--grid-step", "50", "--trials", "200"]
             assert main(["run", "preset:three-box", str(tmp_path / mode), *flags]) == 0

@@ -66,7 +66,7 @@ def instances():
         "paths.PathBundle": PathBundle.from_path(chain, (0, 1)),
         "meter.PointerProfile": PointerProfile.tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]),
         "meter.MeterSpec": meter,
-        "meter.Grid": reading_distribution(chain, meter).grid,
+        "meter.Grid": reading_distribution(chain, meter).grids[0],
         "meter.PointerDistribution": reading_distribution(chain, meter),
         "meter.JointDistribution": joint_reading_distribution(three_box.chain, list(three_box.meters)),
         "meter.WeakLimitReport": weak_limit_report(chain, meter.functional, (1.0, 10.0)),

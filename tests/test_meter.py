@@ -14,6 +14,7 @@ from helpers import (
 from qpathnet import (
     AmplitudeDistribution,
     Grid,
+    JointDistribution,
     MeterSpec,
     PathFunctional,
     PointerDistribution,
@@ -131,7 +132,7 @@ class TestReadingDistribution:
         meter = MeterSpec(PathFunctional.step_eigenvalue(0), PointerProfile.gaussian(0.8))
         total = total_reading_distribution(chain, meter)
         c = chain.steps[0].observable.eigenvectors.conj().T @ chain.pre_state.amplitudes
-        xs = total.grid.xs()
+        xs = total.grids[0].xs()
         g = meter.profile.samples
         expected = abs(c[0]) ** 2 * g(xs - 1.0) ** 2 + abs(c[1]) ** 2 * g(xs) ** 2
         assert np.allclose(total.density, expected, atol=1e-12)
@@ -143,7 +144,7 @@ class TestReadingDistribution:
         calls = count_grouped_amplitudes(monkeypatch)
         total = total_reading_distribution(chain, meter)
         assert calls == [1]
-        parts = [reading_distribution(b, meter, total.grid).density for b in chain.branches()]
+        parts = [reading_distribution(b, meter, total.grids[0]).density for b in chain.branches()]
         assert total.density.tobytes() == sum(parts[1:], parts[0]).tobytes()
 
     def test_probability_conservation_over_branches(self):
@@ -168,15 +169,15 @@ class TestReadingDistribution:
         free = abs(chain.transition_amplitude()) ** 2
         assert dist.norm == pytest.approx(free, rel=1e-3)
         # density collapses onto the squared profile shape
-        g2 = meter.profile.samples(dist.grid.xs()) ** 2
-        assert np.allclose(dist.density / dist.norm, g2 / quad(dist.grid, g2), atol=1e-8)
+        g2 = meter.profile.samples(dist.grids[0].xs()) ** 2
+        assert np.allclose(dist.density / dist.norm, g2 / quad(dist.grids[0], g2), atol=1e-8)
 
 
 class TestMeanReading:
     def test_symmetric_density(self):
         grid = Grid(-5.0, 0.01, 2001)
         density = np.exp(-((grid.xs() - 3.0) ** 2))
-        p = PointerDistribution(grid, density, quad(grid, density))
+        p = PointerDistribution((grid,), density)
         assert mean_reading(p) == pytest.approx(3.0, abs=1e-9)
 
     def test_strong_grid_matches_strong_mean(self):
@@ -196,7 +197,7 @@ class TestMeanReading:
     def test_zero_mass_rejected(self):
         grid = Grid(0.0, 0.1, 11)
         with pytest.raises(ValueError, match="zero total mass"):
-            mean_reading(PointerDistribution(grid, np.zeros(11), 0.0))
+            mean_reading(PointerDistribution((grid,), np.zeros(11)))
 
 
 class TestGaussianOracle:
@@ -213,7 +214,7 @@ class TestGaussianOracle:
             profile = PointerProfile.gaussian(width)
             grid = Grid.cover(support, width)
             density = np.abs(final_pointer_state(dist, profile, grid)) ** 2
-            p = PointerDistribution(grid, density, quad(grid, density))
+            p = PointerDistribution((grid,), density)
             assert p.norm == pytest.approx(
                 gaussian_overlap_norm(support, amps, width), abs=1e-6
             )
@@ -260,8 +261,8 @@ class TestConditionalState:
         chain = random_chain(rng, 2, 1, eigenvalues=[1.0, 0.0])
         meter = MeterSpec(PathFunctional.step_eigenvalue(0), PointerProfile.gaussian(0.8))
         dist = reading_distribution(chain, meter)
-        i = dist.grid.n // 3
-        xi0 = float(dist.grid.xs()[i])
+        i = dist.grids[0].n // 3
+        xi0 = float(dist.grids[0].xs()[i])
         state = conditional_state(chain, meter, xi0)
         carried = evolve(state, chain.propagator, chain.total_time - chain.steps[0].time)
         amp = chain.post_state.inner(carried)
@@ -269,11 +270,21 @@ class TestConditionalState:
 
 
 class TestJointDistribution:
+    def test_one_type_with_a_derived_norm(self):
+        assert JointDistribution is PointerDistribution
+        grids = (Grid(0.0, 0.5, 5), Grid(-1.0, 0.25, 9))
+        density = np.arange(45.0).reshape(5, 9)
+        joint = PointerDistribution(grids, density)
+        assert joint.norm == pytest.approx(grids[0].weights() @ density @ grids[1].weights(), rel=1e-15)
+        assert joint.marginal(1).norm == pytest.approx(joint.norm, rel=1e-15)
+        with pytest.raises(TypeError):
+            PointerDistribution(grids, density, 1.0)
+
     def test_single_meter_reduces_exactly(self):
         preset = build_projector_postselected()
         meter = preset.meters[0]
         single = reading_distribution(preset.chain, meter)
-        joint = joint_reading_distribution(preset.chain, [meter], [single.grid])
+        joint = joint_reading_distribution(preset.chain, [meter], [single.grids[0]])
         assert np.array_equal(joint.density, single.density)
         assert joint.norm == pytest.approx(single.norm, abs=1e-14)
 
@@ -283,7 +294,7 @@ class TestJointDistribution:
         meter = MeterSpec(PathFunctional.weighted_steps([1.0] * 12), PointerProfile.gaussian(0.5))
         single = reading_distribution(chain, meter)
         joint = joint_reading_distribution(chain, [meter])
-        assert joint.grids == (single.grid,)
+        assert joint.grids == (single.grids[0],)
         assert np.array_equal(joint.density, single.density)
         assert joint.norm == single.norm
 
@@ -325,9 +336,7 @@ class TestJointDistribution:
         ]
         joint = joint_reading_distribution(chain, meters, grids)
         conditioned = joint.restricted(0, 0.75, 1.25)
-        mean2 = mean_reading(
-            PointerDistribution(conditioned.grids[0], conditioned.density, conditioned.norm)
-        )
+        mean2 = mean_reading(conditioned)
         assert mean2 == pytest.approx(0.0, abs=1e-6)
         weak = joint_reading_distribution(chain, list(preset.meters)).marginal_mean(1)
         assert abs(mean2 - weak) > 0.9
@@ -408,13 +417,15 @@ class TestWeakLimitReport:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        preset = build_projector_postselected()
-        dist = reading_distribution(preset.chain, preset.meters[0])
-        back = PointerDistribution.from_json(dist.to_json())
-        assert np.allclose(back.density, dist.density)
-        assert back.norm == dist.norm
-        assert back.grid.n == dist.grid.n
+    def test_two_axes_ask_for_a_marginal(self, tmp_path):
+        preset = build_three_box()
+        joint = joint_reading_distribution(preset.chain, list(preset.meters))
+        with pytest.raises(ValueError, match=r"marginal\(axis\)"):
+            mean_reading(joint)
+        with pytest.raises(ValueError, match=r"marginal\(axis\)"):
+            joint.write_csv(tmp_path / "joint.csv")
+        assert not (tmp_path / "joint.csv").exists()
+        assert mean_reading(joint.marginal(1)) == joint.marginal_mean(1)
 
     def test_csv_columns(self, tmp_path):
         preset = build_projector_postselected()
@@ -424,5 +435,5 @@ class TestSerialization:
         header, first = path.read_text().splitlines()[:2]
         assert header == "xi,density"
         xi, density = first.split(",")
-        assert float(xi) == pytest.approx(dist.grid.start)
+        assert float(xi) == pytest.approx(dist.grids[0].start)
         assert float(density) == pytest.approx(dist.density[0])
