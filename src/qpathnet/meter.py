@@ -225,8 +225,15 @@ class PointerDistribution:
             raise ValueError(f"{use} needs one axis, not {self.n_axes}: take marginal(axis) first")
         return self.grids[0]
 
+    def _axis(self, axis: int) -> int:
+        """axis in [0, n_axes), counting a negative one from the end."""
+        if not -self.n_axes <= axis < self.n_axes:
+            raise ValueError(f"axis {axis} is out of range for n_axes = {self.n_axes}")
+        return axis % self.n_axes
+
     def marginal(self, axis: int) -> "PointerDistribution":
         """Integrate out every other axis."""
+        axis = self._axis(axis)
         weights = [None if r == axis else g.weights() for r, g in enumerate(self.grids)]
         return PointerDistribution((self.grids[axis],), _integrate(self.density, weights))
 
@@ -241,6 +248,7 @@ class PointerDistribution:
         """
         if self.n_axes < 2:
             raise ValueError("cannot restrict the only axis")
+        axis = self._axis(axis)
         w = self.grids[axis].weights(lo, hi)
         if not w.any():
             raise ValueError("restriction window contains no grid points")

@@ -1,6 +1,6 @@
 """Counter-based uniform streams with stable per-trial positions, and the
-seeded inverse-CDF draws that Monte-Carlo sampling and the classical
-comparator share.
+chunked thread-pool runner and seeded inverse-CDF draw that Monte-Carlo
+sampling and the classical comparator share.
 
 Trial i always consumes the same positions of one Philox stream keyed by the
 seed, so results are bit-identical no matter how the trial range is chunked
@@ -9,7 +9,6 @@ across workers.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -62,28 +61,37 @@ def check_trials(n_trials: int) -> None:
         raise ValueError(f"n_trials = {n_trials}: need at least one trial and at most MAX_TRIALS = {MAX_TRIALS}")
 
 
+def map_chunks(n_trials: int, draw_chunk, max_workers: int | None = None) -> list:
+    """draw_chunk(lo, hi) for each chunk [lo, hi) of CHUNK trials covering
+    0..n_trials-1, on up to worker_count(max_workers) threads; the results
+    in chunk order."""
+    bounds = [(lo, min(lo + CHUNK, n_trials)) for lo in range(0, n_trials, CHUNK)]
+    workers = min(worker_count(max_workers), len(bounds))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda b: draw_chunk(*b), bounds))
+    return [draw_chunk(lo, hi) for lo, hi in bounds]
+
+
+def cdf_index(cdf: np.ndarray, total: float, u: np.ndarray) -> np.ndarray:
+    """For each uniform, the first entry of cdf above total * u (the last
+    entry if none is)."""
+    # sorted keys keep the bisections in cache; the input order is restored
+    order = np.argsort(u)
+    idx = np.empty(u.size, dtype=np.intp)
+    idx[order] = np.searchsorted(cdf, u[order] * total, side="right")
+    return np.minimum(idx, cdf.size - 1)
+
+
 def inverse_cdf_draws(
     cdf: np.ndarray, total: float, n_trials: int, seed: int, max_workers: int | None = None
 ) -> np.ndarray:
     """Indices into cdf drawn for trials 0..n_trials-1: trial i takes the
     first entry above total times the stream's uniform at position i.
 
-    Chunks of CHUNK trials run on up to worker_count(max_workers) threads;
-    the indices do not depend on the split.
+    The chunks run through map_chunks; the indices do not depend on the split.
     """
-
-    def run_chunk(chunk_index: int) -> np.ndarray:
-        lo = chunk_index * CHUNK
-        u = uniform_block(seed, lo, min(CHUNK, n_trials - lo))
-        # sorted keys keep the bisections in cache; trial order is restored
-        order = np.argsort(u)
-        idx = np.empty(u.size, dtype=np.intp)
-        idx[order] = np.searchsorted(cdf, u[order] * total, side="right")
-        return np.minimum(idx, cdf.size - 1)
-
-    n_chunks = math.ceil(n_trials / CHUNK)
-    workers = min(worker_count(max_workers), n_chunks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.concatenate(list(pool.map(run_chunk, range(n_chunks))))
-    return np.concatenate([run_chunk(c) for c in range(n_chunks)])
+    chunks = map_chunks(
+        n_trials, lambda lo, hi: cdf_index(cdf, total, uniform_block(seed, lo, hi - lo)), max_workers
+    )
+    return np.concatenate(chunks)

@@ -1,28 +1,46 @@
 """Monte-Carlo sampling of measurement records.
 
 Outcomes of a run are a reading per meter plus the result of the final
-selection.  Their exact joint distribution is known on the grid, so trials
-are drawn by inverse CDF over the discrete (branch, grid cell) masses: the
-pointer is read first, and the selection branch is drawn jointly from the
-unnormalized branch densities.
+selection.  Their exact joint law on the grid nodes is known, and trials
+draw it by the chain rule, in reading order: first the selection branch and
+the reading of meter 0 together, from the B x n_0 table of their masses;
+then each later reading given the earlier ones, by inverting its
+conditional CDF.  That CDF is a sum of per-axis pair tables weighted by the
+trial's running amplitudes, so no array spans the product grid: memory is
+O(B n_0 + sum_r P_r n_r) plus one chunk of trials (P_r pairs of row classes
+on axis r).  The exact success probability and mean readings come from the
+same tables.
 
-Reproducibility: trial i consumes fixed positions of a Philox stream keyed
-by the seed (see rng.uniform_block), so records are bit-identical for any
-worker count or chunking.
+Reproducibility: trial i reads the uniform at Philox stream position
+R i + r for axis r (see rng.uniform_block), and every per-trial step is
+elementwise, so records are bit-identical for any worker count or chunking.
 """
-
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .meter import Grid, MeterSpec, PointerDistribution, _check_cells, _place_grids, _pointer_kernel
+from .meter import (
+    KERNEL_BLOCK_CELLS,
+    MAX_GRID_CELLS,
+    Grid,
+    GridCapError,
+    MeterSpec,
+    _check_cells,
+    _check_grids,
+    _place_grids,
+)
 from .paths import MeasurementChain, _branch_amplitudes
-from .rng import check_trials, inverse_cdf_draws
+from .rng import CHUNK, cdf_index, check_trials, map_chunks, uniform_block
+
+# Trials drawn at once within a chunk hold about this many per-trial values
+# (trials x (groups + pairs)); a law of few groups draws a whole chunk at once.
+SLICE_VALUES = 1 << 18
+
+_NOTHING_TO_SAMPLE = "total probability of all branches is zero; nothing to sample"
 
 
 @dataclass(frozen=True)
@@ -82,8 +100,8 @@ class TrialSet:
 
     def records(self) -> list[TrialRecord]:
         return [
-            TrialRecord(i, tuple(self.readings[i]), int(self.branches[i]))
-            for i in range(self.n_trials)
+            TrialRecord(i, tuple(readings), branch)
+            for i, (readings, branch) in enumerate(zip(self.readings.tolist(), self.branches.tolist()))
         ]
 
     def __iter__(self):
@@ -115,10 +133,11 @@ class TrialSet:
             writer.writerow(
                 ["trial_id"] + [f"reading_{r}" for r in range(self.n_meters)] + ["branch"]
             )
-            for i in range(self.n_trials):
-                writer.writerow(
-                    [i] + [repr(float(v)) for v in self.readings[i]] + [int(self.branches[i])]
-                )
+            # csv writes each Python float as its repr
+            writer.writerows(
+                [i, *readings, branch]
+                for i, (readings, branch) in enumerate(zip(self.readings.tolist(), self.branches.tolist()))
+            )
 
 
 def sample_trials(
@@ -139,30 +158,206 @@ def sample_trials(
     keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
     profiles = [m.profile for m in meters]
     grids = _place_grids(keys, profiles, grids)
-    # one density per branch, written by the kernel into its row of the buffer
     _check_cells(profiles, grids, copies=amps.shape[1])
-    masses = np.empty((amps.shape[1], *(g.n for g in grids)))
-    for b, density in enumerate(masses):
-        _pointer_kernel(amps[:, b], keys, profiles, grids, float, out=density)
-    first = PointerDistribution(grids, masses[0])
-    exact_means = tuple(first.marginal_mean(r) if first.norm > 0 else math.nan for r in range(len(meters)))
+    _check_grids(keys, profiles, grids)
+    law = _ChainLaw(keys, amps, profiles, grids)
 
-    # cell mass = density * separable trapezoid weights; then the CDF, all in place
-    masses *= grids[0].weights().reshape((-1,) + (1,) * (len(grids) - 1))
-    masses *= functools.reduce(np.multiply.outer, [g.weights() for g in grids[1:]], np.ones(()))
-    masses = masses.reshape(-1)
-    total = masses.sum()
-    if total <= 0.0:
-        raise ValueError("total probability of all branches is zero; nothing to sample")
-    cdf = np.cumsum(masses, out=masses)
-    exact_success = first.norm / total
+    n_axes = len(grids)
+    readings = np.empty((n_trials, n_axes))
+    branches = np.empty(n_trials, dtype=np.intp)
 
-    # a drawn index is (branch, i_0, ..., i_R-1) in row-major order; peeling
-    # the axes off from the last, in place, leaves the branch and holds no
-    # second trial-sized index array beside the CDF
-    drawn = inverse_cdf_draws(cdf, total, n_trials, seed, max_workers)
-    readings = np.empty((n_trials, len(grids)))
-    for r in reversed(range(len(grids))):
-        readings[:, r] = grids[r].xs()[drawn % grids[r].n]
-        drawn //= grids[r].n
-    return TrialSet(seed, readings, drawn, float(exact_success), exact_means)
+    def draw_chunk(lo: int, hi: int) -> None:
+        u = uniform_block(seed, n_axes * lo, n_axes * (hi - lo)).reshape(-1, n_axes)
+        for a in range(0, hi - lo, law.rows):
+            b = min(a + law.rows, hi - lo)
+            law.draw(u[a:b], readings[lo + a : lo + b], branches[lo + a : lo + b])
+
+    map_chunks(n_trials, draw_chunk, max_workers)
+    return TrialSet(seed, readings, branches, law.exact_success, law.exact_means)
+
+
+def _classes(index: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the rows that share their value indices on axes first..R-1:
+    each class's indices on those axes, and the class of each row."""
+    classes, of_row = np.unique(index[:, first:], axis=0, return_inverse=True)
+    return classes, of_row.reshape(-1)
+
+
+def _check_tables(values, levels, grids) -> None:
+    """Refuse per-axis tables (profile samples, and pair tables of the axes
+    after the first) above MAX_GRID_CELLS, before any of them exists."""
+    pairs = [0] + [len(c) * (len(c) + 1) // 2 for c, _ in levels[1:-1]]
+    cells = [(v.size + p) * g.n for v, p, g in zip(values, pairs, grids)]
+    if sum(cells) > MAX_GRID_CELLS:
+        r = int(np.argmax(cells))
+        raise GridCapError(
+            f"sampling tables of {sum(cells)} cells exceed MAX_GRID_CELLS = {MAX_GRID_CELLS}: "
+            f"meters[{r}] reads {values[r].size} distinct values in {pairs[r]} class pairs; "
+            f"coarsen run.grid.step ({grids[r].step})"
+        )
+
+
+def _gram(classes: np.ndarray, first: int, tables: list) -> np.ndarray:
+    """prod_s tables[s][v_s(k), v_s(k')] over class pairs (k, k') and the axes
+    s >= first whose table is given (None skips the axis)."""
+    q = np.ones((len(classes), len(classes)))
+    for s in range(first, first + classes.shape[1]):
+        if tables[s] is not None:
+            v = classes[:, s - first]
+            q *= tables[s][np.ix_(v, v)]
+    return q
+
+
+def _pair_form(re: np.ndarray, im: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_{k,k'} Re(M_k conj M_k') q[k, k'] over axis -2 of M = re + i im."""
+    return (re * (q @ re) + im * (q @ im)).sum(axis=-2)
+
+
+def _bisect(tables: np.ndarray, n: int, coefs: list, u: np.ndarray) -> np.ndarray:
+    """For each trial t, the first node i < n with F_t(i) > u[t] F_t(n-1) (the
+    last node if none is), where F_t(i) = sum_p coefs[p][t] tables[p, i] and
+    each table repeats its node n-1 up to a power-of-two length.
+
+    Branchless: ceil(log2 n) steps, every one elementwise over the trials."""
+    total = coefs[0] * tables[0, n - 1]
+    for p in range(1, len(coefs)):
+        total += coefs[p] * tables[p, n - 1]
+    target = total * u
+    pos, at, move = (np.zeros(u.size, dtype=np.intp) for _ in range(3))
+    below = np.empty(u.size, dtype=bool)
+    step = tables.shape[1] >> 1
+    while step:
+        np.add(pos, step - 1, out=at)
+        f = tables[0].take(at)
+        f *= coefs[0]
+        for p in range(1, len(coefs)):
+            term = tables[p].take(at)
+            term *= coefs[p]
+            f += term
+        np.less_equal(f, target, out=below)
+        np.multiply(below, step, out=move)
+        pos += move
+        step >>= 1
+    return np.minimum(pos, n - 1, out=pos)
+
+
+def _class_sum(values: np.ndarray, rows) -> np.ndarray:
+    """Sum of the given rows of values, added in row order."""
+    total = values[rows[0]]
+    for g in rows[1:]:
+        total = total + values[g]
+    return total
+
+
+class _ChainLaw:
+    """The (branch, readings) law on the grid nodes, factored in reading order
+    into per-axis tables; no array spans two reading axes.
+
+    With profile samples S_r[v, i] = G_r(xi_i - values_r[v]) and trapezoid
+    weights w_r, the overlaps O_r = (S_r w_r) S_r^T integrate an axis out of
+    any pair of rows.  Axis 0 is drawn jointly with the branch from the
+    B x n_0 table P(b, i_0); each later axis r from its conditional CDF,
+    F(i) = sum over pairs k <= k' of classes (rows sharing their values on
+    axes r..R-1) of Re(u_k conj u_k') T_r[k, k', i], where u sums the rows'
+    A^b_g prod_{s<r} S_s[g, i_s] per class and the pair table T_r is the
+    cumulative sum of w_r S_r[k] S_r[k'] times m prod_{s>r} O_s[k, k']
+    (m = 1 on the diagonal, 2 off it).
+    """
+
+    def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids):
+        keep = np.any(amps != 0, axis=1)
+        if not keep.any():
+            raise ValueError(_NOTHING_TO_SAMPLE)
+        keys, amps = keys[keep], amps[keep]
+        n_axes = len(grids)
+        self.xs = [g.xs() for g in grids]
+        weights = [g.weights() for g in grids]
+        values, index = zip(*(np.unique(keys[:, r], return_inverse=True) for r in range(n_axes)))
+        index = np.stack([i.reshape(-1) for i in index], axis=1)
+        # levels[r]: the classes on axes r..R-1 (levels[R] is one class)
+        levels = [_classes(index, r) for r in range(n_axes + 1)]
+        if n_axes > 1:
+            _check_tables(values, levels, grids)
+        # one meter needs no samples table: its axis-0 table is built in blocks
+        self.samples = [p.samples(x - v[:, None]) for p, x, v in zip(profiles, self.xs, values)] if n_axes > 1 else []
+        overlap = [None] + [(s * w) @ s.T for s, w in zip(self.samples[1:], weights[1:])]
+        xi_overlap = [None] + [(s * (w * x)) @ s.T for s, w, x in zip(self.samples[1:], weights[1:], self.xs[1:])]
+
+        # axis 0: P(b, i_0) = w_0 sum_{k,k'} Re(M_bk conj M_bk') prod_{r>=1} O_r[k, k'],
+        # where M_bk sums A^b_g S_0[g] over the rows g of class k on axes 1..R-1;
+        # the same blocks give branch 0's first moment on every later axis,
+        # with O_r replaced by (S_r w_r xi) S_r^T
+        first, of_row = levels[1]
+        coef = np.zeros((amps.shape[1], len(first), values[0].size), dtype=complex)
+        np.add.at(coef, (slice(None), of_row, index[:, 0]), amps.T)
+        forms = [_gram(first, 1, overlap)] + [
+            _gram(first, 1, [xi_overlap[s] if s == r else overlap[s] for s in range(n_axes)]) for r in range(1, n_axes)
+        ]
+        n0 = grids[0].n
+        table = np.empty((amps.shape[1], n0))
+        moments = np.zeros(n_axes)
+        rows = max(1, KERNEL_BLOCK_CELLS // max(values[0].size, coef.shape[0] * coef.shape[1]))
+        for lo in range(0, n0, rows):
+            block = slice(lo, lo + rows)
+            if self.samples:
+                s0 = self.samples[0][:, block]
+            else:
+                s0 = profiles[0].samples(self.xs[0][block] - values[0][:, None])
+            re, im = coef.real @ s0, coef.imag @ s0
+            table[:, block] = _pair_form(re, im, forms[0]) * weights[0][block]
+            for r in range(1, n_axes):
+                moments[r] += _pair_form(re[0], im[0], forms[r]) @ weights[0][block]
+        norm = table[0].sum()
+        moments[0] = table[0] @ self.xs[0]
+        self.exact_means = tuple(float(m / norm) if norm > 0 else math.nan for m in moments)
+        self.total = table.sum()
+        if self.total <= 0.0:
+            raise ValueError(_NOTHING_TO_SAMPLE)
+        self.exact_success = float(norm / self.total)
+        self.first_masses = table
+        self.cdf = np.cumsum(table.reshape(-1))
+
+        # later axes: the rows of each class, and the pair tables T_r padded
+        # to a power-of-two length by repeating their last node
+        self.axes = []
+        for r in range(1, n_axes):
+            classes, of_row = levels[r]
+            q = _gram(classes, r, [overlap[s] if s > r else None for s in range(n_axes)])
+            pairs = list(zip(*np.triu_indices(len(classes))))
+            n = grids[r].n
+            pair_tables = np.empty((len(pairs), 1 << (n - 1).bit_length()))
+            v = classes[:, 0]
+            for p, (k, k2) in enumerate(pairs):
+                np.cumsum(weights[r] * self.samples[r][v[k]] * self.samples[r][v[k2]], out=pair_tables[p, :n])
+                pair_tables[p, :n] *= q[k, k2] * (1.0 if k == k2 else 2.0)
+                pair_tables[p, n:] = pair_tables[p, n - 1]
+            members = [np.flatnonzero(of_row == k) for k in range(len(classes))]
+            self.axes.append((members, pairs, pair_tables))
+        # flat tables read with np.take: amplitude (g, b) at g B + b, and the
+        # sample of row g at node i of axis s at index_s(g) n_s + i
+        self.amps_re, self.amps_im = amps.real.ravel(), amps.imag.ravel()
+        self.amp_at = (np.arange(len(keys)) * amps.shape[1])[:, None]
+        self.sample_at = [(index[:, s] * g.n)[:, None] for s, g in enumerate(grids)]
+        widest = max([len(keys)] + [len(pairs) for _, pairs, _ in self.axes])
+        self.rows = max(1, min(CHUNK, SLICE_VALUES // widest))
+
+    def draw(self, u: np.ndarray, readings: np.ndarray, branches: np.ndarray) -> None:
+        """Fill readings and branches for the trials whose uniforms are the
+        rows of u, column r for axis r; every step is elementwise per trial."""
+        branch, i = np.divmod(cdf_index(self.cdf, self.total, u[:, 0]), self.xs[0].size)
+        branches[:] = branch
+        readings[:, 0] = self.xs[0][i]
+        if not self.axes:
+            return
+        # c_g = A^b_g prod_{s<r} S_s[g, i_s], real and imaginary parts by row
+        at = self.amp_at + branch
+        re, im = self.amps_re.take(at), self.amps_im.take(at)
+        for r, (members, pairs, pair_tables) in enumerate(self.axes, start=1):
+            factor = self.samples[r - 1].take(self.sample_at[r - 1] + i)
+            re *= factor
+            im *= factor
+            u_re = [_class_sum(re, rows) for rows in members]
+            u_im = [_class_sum(im, rows) for rows in members]
+            coefs = [u_re[k] * u_re[k2] + u_im[k] * u_im[k2] for k, k2 in pairs]
+            i = _bisect(pair_tables, self.xs[r].size, coefs, u[:, r])
+            readings[:, r] = self.xs[r][i]

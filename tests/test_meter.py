@@ -427,6 +427,22 @@ class TestSerialization:
         assert not (tmp_path / "joint.csv").exists()
         assert mean_reading(joint.marginal(1)) == joint.marginal_mean(1)
 
+    def test_negative_axes_count_from_the_end(self):
+        preset = build_three_box()
+        joint = joint_reading_distribution(preset.chain, list(preset.meters))
+        last, lo, hi = joint.marginal(-1), -100.0, 100.0
+        assert last.grids == joint.marginal(1).grids
+        assert np.array_equal(last.density, joint.marginal(1).density)
+        assert joint.marginal_mean(-2) == joint.marginal_mean(0)
+        window = joint.restricted(-1, lo, hi)
+        assert window.grids == joint.restricted(1, lo, hi).grids
+        assert np.array_equal(window.density, joint.restricted(1, lo, hi).density)
+        for bad in (2, -3):
+            with pytest.raises(ValueError, match=rf"axis {bad} is out of range for n_axes = 2"):
+                joint.marginal(bad)
+            with pytest.raises(ValueError, match=rf"axis {bad} is out of range for n_axes = 2"):
+                joint.restricted(bad, lo, hi)
+
     def test_csv_columns(self, tmp_path):
         preset = build_projector_postselected()
         dist = reading_distribution(preset.chain, preset.meters[0])

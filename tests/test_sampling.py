@@ -1,3 +1,5 @@
+import csv
+import itertools
 import math
 import os
 import sys
@@ -5,8 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import count_grouped_amplitudes, random_chain
+from helpers import brute_force_joint_density, count_grouped_amplitudes, path_amplitude_oracle, random_chain
 from qpathnet import (
     Grid,
     MeterSpec,
@@ -22,7 +26,9 @@ from qpathnet import (
     sample_trials,
     uniform_two_layer_network,
 )
-from qpathnet.rng import MAX_TRIALS, THREADS_ENV, uniform_block, worker_count
+from qpathnet.paths import _branch_amplitudes
+from qpathnet.rng import CHUNK, MAX_TRIALS, THREADS_ENV, uniform_block, worker_count
+from qpathnet.sampling import _ChainLaw
 
 
 class TestUniformBlocks:
@@ -138,6 +144,22 @@ class TestSampleTrials:
         assert lines[0] == "trial_id,reading_0,branch"
         assert len(lines) == 51
 
+    def test_csv_bytes_match_row_by_row_formatting(self, tmp_path):
+        preset = build_three_box()
+        trials = sample_trials(preset.chain, list(preset.meters), 3000, seed=6)
+        rows = tmp_path / "rows.csv"
+        with open(rows, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["trial_id", "reading_0", "reading_1", "branch"])
+            for i in range(trials.n_trials):
+                writer.writerow([i] + [repr(float(v)) for v in trials.readings[i]] + [int(trials.branches[i])])
+        out = tmp_path / "trials.csv"
+        trials.write_csv(out)
+        assert out.read_bytes() == rows.read_bytes()
+        records = trials.records()
+        assert [r.readings for r in records] == [tuple(map(float, row)) for row in trials.readings]
+        assert [r.branch for r in records] == [int(b) for b in trials.branches]
+
     def test_rejects_empty_run(self):
         preset = build_projector_postselected()
         with pytest.raises(ValueError, match="at least one trial"):
@@ -167,8 +189,8 @@ class TestSampleTrials:
 
 
 class TestOneWalk:
-    """sample_trials walks the chain once, closed onto every branch, and the
-    kernel writes each branch density into its row of the mass buffer."""
+    """sample_trials walks the chain once, closed onto every branch, and
+    draws from per-axis tables without building any density."""
 
     def test_one_grouping_and_no_chain_level_density(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -198,3 +220,145 @@ class TestOneWalk:
         # dim branches; rebuilding each branch's density beside the buffer
         # peaked at 4.1 densities (dim 2) and 6.1 (dim 3)
         assert peak < (dim + 0.5) * density_bytes
+
+
+    def test_holds_no_product_grid(self):
+        chain = random_chain(np.random.default_rng(2), 2, 2, eigenvalues=[-1.0, 1.0])
+        meters = [MeterSpec(PathFunctional.step_eigenvalue(k), PointerProfile.gaussian(1.0)) for k in (0, 1)]
+        grids = [Grid(-6.5, 0.01, 1301)] * 2
+        density_bytes = 1301**2 * 8
+        tracemalloc.start()
+        try:
+            sample_trials(chain, meters, 100, seed=1, grids=grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * density_bytes
+
+    def test_table_cap_refuses_before_allocating(self):
+        # 128 distinct values on meter 1 give 8256 pair tables of 10^4 nodes,
+        # above MAX_GRID_CELLS, while 2 branches x 3 x 10^4 cells are not
+        chain = random_chain(np.random.default_rng(8), 2, 7, eigenvalues=[0.0, 1.0])
+        values = np.random.default_rng(9).permutation(128) / 127.0
+        meters = [
+            MeterSpec(PathFunctional.constant(0.0), PointerProfile.gaussian(1.0)),
+            MeterSpec(PathFunctional.from_table(values), PointerProfile.gaussian(1.0)),
+        ]
+        grids = [Grid(-5.0, 5.0, 3), Grid(-5.0, 11.0 / 9999, 10_000)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"sampling tables of \d+ cells exceed MAX_GRID_CELLS.*run\.grid\.step"):
+                sample_trials(chain, meters, 10, seed=1, grids=grids)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+
+def _weights(n, step):
+    w = np.full(n, step)
+    w[0] = w[-1] = step / 2.0
+    return w
+
+
+def _law_case(n_meters, n_points):
+    """A dim-2, three-step chain with a Gaussian meter on each of the first
+    n_meters steps (eigenvalues 0 and 1), on n_points-node grids."""
+    chain = random_chain(np.random.default_rng(40 + n_meters), 2, 3, eigenvalues=[0.0, 1.0])
+    meters = [MeterSpec(PathFunctional.step_eigenvalue(k), PointerProfile.gaussian(0.3)) for k in range(n_meters)]
+    grids = [Grid(-1.6, 4.2 / (n_points - 1), n_points)] * n_meters
+    return chain, meters, grids
+
+
+def _oracle_masses(chain, meters, grids):
+    """Cell masses of every (branch, i_0, ..., i_R-1): the loop-built joint
+    density of each branch times the trapezoid weights of its cell."""
+    paths = list(itertools.product(range(chain.dim), repeat=chain.n_steps))
+    values = [[chain.steps[k].observable.eigenvalues[path[k]] for path in paths] for k in range(len(meters))]
+    axes = [g.xs() for g in grids]
+    weights = [_weights(g.n, g.step) for g in grids]
+    masses = []
+    for branch in chain.branches():
+        amps = [path_amplitude_oracle(branch, path) for path in paths]
+        density = brute_force_joint_density(amps, values, [m.profile for m in meters], axes)
+        for r, w in enumerate(weights):
+            density = density * w.reshape([-1 if s == r else 1 for s in range(len(grids))])
+        masses.append(density)
+    return np.array(masses)
+
+
+def _cell_counts(trials, grids):
+    """Trials per (branch, node index per axis) cell, in row-major order."""
+    cell = trials.branches
+    for r, g in enumerate(grids):
+        cell = cell * g.n + np.rint((trials.readings[:, r] - g.start) / g.step).astype(int)
+    return np.bincount(cell, minlength=(trials.branches.max() + 1) * math.prod(g.n for g in grids))
+
+
+class TestChainRuleLaw:
+    """The per-axis tables reproduce the joint (branch, readings) masses of
+    the loop-built oracle density."""
+
+    @pytest.mark.parametrize("n_meters, n_points", [(1, 40), (2, 25), (3, 9)])
+    def test_first_axis_table_is_the_marginal(self, n_meters, n_points):
+        chain, meters, grids = _law_case(n_meters, n_points)
+        keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
+        law = _ChainLaw(keys, amps, [m.profile for m in meters], grids)
+        oracle = _oracle_masses(chain, meters, grids)
+        expected = oracle.sum(axis=tuple(range(2, oracle.ndim)))
+        assert np.allclose(law.first_masses, expected, rtol=1e-12, atol=1e-12 * expected.max())
+
+    @pytest.mark.parametrize("n_meters, n_points, n_trials", [(2, 40, 400_000), (3, 12, 400_000)])
+    def test_cell_frequencies_chi_square(self, n_meters, n_points, n_trials):
+        chain, meters, grids = _law_case(n_meters, n_points)
+        masses = _oracle_masses(chain, meters, grids).reshape(-1)
+        trials = sample_trials(chain, meters, n_trials, seed=23 + n_meters, grids=grids)
+        counts = _cell_counts(trials, grids)
+        expected = n_trials * masses / masses.sum()
+        # cells expecting fewer than 5 trials are pooled into one
+        big = expected >= 5.0
+        observed = np.append(counts[big], counts[~big].sum())
+        expected = np.append(expected[big], expected[~big].sum())
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        dof = observed.size - 1
+        assert chi2 <= dof + 6.0 * math.sqrt(2.0 * dof)
+
+    @given(st.integers(0, 10_000), st.integers(2, 3), st.integers(1, 3), st.sampled_from([0.3, 1.0, 4.0]))
+    @settings(max_examples=25, deadline=None)
+    def test_exact_numbers_match_the_joint_density(self, seed, dim, n_meters, width):
+        chain = random_chain(np.random.default_rng(seed), dim, 3, eigenvalues=np.linspace(-1.0, 1.0, dim))
+        meters = [MeterSpec(PathFunctional.step_eigenvalue(k), PointerProfile.gaussian(width)) for k in range(n_meters)]
+        grids = [Grid.cover([-1.0, 1.0], width, points_per_width=4)] * n_meters
+        trials = sample_trials(chain, meters, 10, seed=seed, grids=grids)
+        joints = [joint_reading_distribution(b, meters, grids) for b in chain.branches()]
+        first = joints[0]
+        assert trials.exact_success_probability == pytest.approx(
+            first.norm / sum(j.norm for j in joints), rel=1e-12, abs=1e-12
+        )
+        for r in range(n_meters):
+            assert trials.exact_means[r] == pytest.approx(first.marginal_mean(r), rel=1e-12, abs=1e-12)
+
+
+class TestChunkInvariance:
+    def _case(self, n_meters):
+        chain = random_chain(np.random.default_rng(7 + n_meters), 2, n_meters, eigenvalues=[0.0, 1.0])
+        meters = [MeterSpec(PathFunctional.step_eigenvalue(k), PointerProfile.gaussian(0.5)) for k in range(n_meters)]
+        grids = [Grid.cover([0.0, 1.0], 0.5, step=0.05)] * n_meters
+        return chain, meters, grids
+
+    @pytest.mark.parametrize("n_meters", [2, 3])
+    def test_prefix_of_a_longer_run(self, n_meters):
+        chain, meters, grids = self._case(n_meters)
+        k = CHUNK + 1234
+        long = sample_trials(chain, meters, 3 * CHUNK + 5, seed=13, grids=grids)
+        short = sample_trials(chain, meters, k, seed=13, grids=grids)
+        assert np.array_equal(long.readings[:k], short.readings)
+        assert np.array_equal(long.branches[:k], short.branches)
+
+    @pytest.mark.parametrize("n_meters", [2, 3])
+    def test_worker_count_is_invisible(self, n_meters):
+        chain, meters, grids = self._case(n_meters)
+        n = 3 * CHUNK + 17
+        one = sample_trials(chain, meters, n, seed=5, grids=grids, max_workers=1)
+        many = sample_trials(chain, meters, n, seed=5, grids=grids, max_workers=4)
+        assert np.array_equal(one.readings, many.readings)
+        assert np.array_equal(one.branches, many.branches)
