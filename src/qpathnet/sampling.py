@@ -11,13 +11,21 @@ O(B n_0 + sum_r P_r n_r) plus one chunk of trials (P_r pairs of row classes
 on axis r).  The exact success probability and mean readings come from the
 same tables.
 
-Reproducibility: trial i reads the uniform at Philox stream position
-R i + r for axis r (see rng.uniform_block), and every per-trial step is
-elementwise, so records are bit-identical for any worker count or chunking.
+A trial pays about P_r log2(n_r) table reads on each later axis, so where
+later axes read many distinct values, or the product grid is small next to
+the trial count, the trials are drawn instead by inverse CDF over the flat
+(branch, cell) masses of one density per branch on the product grid
+(_chain_rule_pays chooses, from the counts alone).
+
+Reproducibility: in the chain-rule draw trial i reads the uniform at Philox
+stream position R i + r for axis r, in the product-grid draw position i (see
+rng.uniform_block); every per-trial step is elementwise, so records are
+bit-identical for any worker count or chunking.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,20 +33,25 @@ import numpy as np
 
 from .meter import (
     KERNEL_BLOCK_CELLS,
-    MAX_GRID_CELLS,
     Grid,
-    GridCapError,
     MeterSpec,
+    PointerDistribution,
     _check_cells,
     _check_grids,
     _place_grids,
+    _pointer_kernel,
 )
 from .paths import MeasurementChain, _branch_amplitudes
-from .rng import CHUNK, cdf_index, check_trials, map_chunks, uniform_block
+from .rng import CHUNK, cdf_index, check_trials, inverse_cdf_draws, map_chunks, uniform_block
 
 # Trials drawn at once within a chunk hold about this many per-trial values
 # (trials x (groups + pairs)); a law of few groups draws a whole chunk at once.
 SLICE_VALUES = 1 << 18
+# Per-trial table reads of the chain-rule draw that take as long as one cell
+# of the product-grid draw (kernel, weighting, CDF): 2 meters, 500k trials on
+# 1301- and 2601-node axes took 3-7 ns a read and 26-37 ns a cell, the cell's
+# time nearly the same for 4 to 64 groups.
+READS_PER_CELL = 6
 
 _NOTHING_TO_SAMPLE = "total probability of all branches is zero; nothing to sample"
 
@@ -160,6 +173,8 @@ def sample_trials(
     grids = _place_grids(keys, profiles, grids)
     _check_cells(profiles, grids, copies=amps.shape[1])
     _check_grids(keys, profiles, grids)
+    if not _chain_rule_pays(keys, amps.shape[1], grids, n_trials):
+        return _grid_trials(keys, amps, profiles, grids, n_trials, seed, max_workers)
     law = _ChainLaw(keys, amps, profiles, grids)
 
     n_axes = len(grids)
@@ -183,18 +198,47 @@ def _classes(index: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
     return classes, of_row.reshape(-1)
 
 
-def _check_tables(values, levels, grids) -> None:
-    """Refuse per-axis tables (profile samples, and pair tables of the axes
-    after the first) above MAX_GRID_CELLS, before any of them exists."""
-    pairs = [0] + [len(c) * (len(c) + 1) // 2 for c, _ in levels[1:-1]]
-    cells = [(v.size + p) * g.n for v, p, g in zip(values, pairs, grids)]
-    if sum(cells) > MAX_GRID_CELLS:
-        r = int(np.argmax(cells))
-        raise GridCapError(
-            f"sampling tables of {sum(cells)} cells exceed MAX_GRID_CELLS = {MAX_GRID_CELLS}: "
-            f"meters[{r}] reads {values[r].size} distinct values in {pairs[r]} class pairs; "
-            f"coarsen run.grid.step ({grids[r].step})"
-        )
+def _chain_rule_pays(keys: np.ndarray, n_branches: int, grids, n_trials: int) -> bool:
+    """Whether the per-axis tables draw the trials for less memory and work
+    than one density per branch over the product grid.
+
+    A later axis r costs each trial about G + P_r ceil(log2 n_r) table reads
+    (G groups; P_r pairs of the classes of rows sharing their values on axes
+    r..R-1), where the product grid costs its B prod_r n_r cells once for all
+    trials; one meter has no later axis and always pays."""
+    pairs = [math.comb(len(np.unique(keys[:, r:], axis=0)) + 1, 2) for r in range(1, len(grids))]
+    tables = sum(p * g.n for p, g in zip(pairs, grids[1:]))
+    per_trial = sum(len(keys) + p * (g.n - 1).bit_length() for p, g in zip(pairs, grids[1:]))
+    cells = n_branches * math.prod(g.n for g in grids)
+    return tables <= cells and n_trials * per_trial <= READS_PER_CELL * cells
+
+
+def _grid_trials(keys, amps, profiles, grids, n_trials: int, seed: int, max_workers) -> TrialSet:
+    """Records drawn by inverse CDF over the flat (branch, cell) masses of one
+    density per branch on the product grid; trial i reads stream position i."""
+    masses = np.empty((amps.shape[1], *(g.n for g in grids)))
+    for b, density in enumerate(masses):
+        _pointer_kernel(amps[:, b], keys, profiles, grids, float, out=density)
+    first = PointerDistribution(grids, masses[0])
+    exact_means = tuple(first.marginal_mean(r) if first.norm > 0 else math.nan for r in range(len(grids)))
+
+    # cell mass = density * separable trapezoid weights; then the CDF, all in place
+    masses *= grids[0].weights().reshape((-1,) + (1,) * (len(grids) - 1))
+    masses *= functools.reduce(np.multiply.outer, [g.weights() for g in grids[1:]], np.ones(()))
+    masses = masses.reshape(-1)
+    total = masses.sum()
+    if total <= 0.0:
+        raise ValueError(_NOTHING_TO_SAMPLE)
+    cdf = np.cumsum(masses, out=masses)
+
+    # a drawn index is (branch, i_0, ..., i_R-1) in row-major order; peeling
+    # the axes off from the last, in place, leaves the branch
+    drawn = inverse_cdf_draws(cdf, total, n_trials, seed, max_workers)
+    readings = np.empty((n_trials, len(grids)))
+    for r in reversed(range(len(grids))):
+        readings[:, r] = grids[r].xs()[drawn % grids[r].n]
+        drawn //= grids[r].n
+    return TrialSet(seed, readings, drawn, float(first.norm / total), exact_means)
 
 
 def _gram(classes: np.ndarray, first: int, tables: list) -> np.ndarray:
@@ -276,9 +320,8 @@ class _ChainLaw:
         index = np.stack([i.reshape(-1) for i in index], axis=1)
         # levels[r]: the classes on axes r..R-1 (levels[R] is one class)
         levels = [_classes(index, r) for r in range(n_axes + 1)]
-        if n_axes > 1:
-            _check_tables(values, levels, grids)
-        # one meter needs no samples table: its axis-0 table is built in blocks
+        # the draw reads these from axis 1 on; one meter's axis-0 table is
+        # built from samples per block, so it holds none
         self.samples = [p.samples(x - v[:, None]) for p, x, v in zip(profiles, self.xs, values)] if n_axes > 1 else []
         overlap = [None] + [(s * w) @ s.T for s, w in zip(self.samples[1:], weights[1:])]
         xi_overlap = [None] + [(s * (w * x)) @ s.T for s, w, x in zip(self.samples[1:], weights[1:], self.xs[1:])]
@@ -299,10 +342,7 @@ class _ChainLaw:
         rows = max(1, KERNEL_BLOCK_CELLS // max(values[0].size, coef.shape[0] * coef.shape[1]))
         for lo in range(0, n0, rows):
             block = slice(lo, lo + rows)
-            if self.samples:
-                s0 = self.samples[0][:, block]
-            else:
-                s0 = profiles[0].samples(self.xs[0][block] - values[0][:, None])
+            s0 = profiles[0].samples(self.xs[0][block] - values[0][:, None])
             re, im = coef.real @ s0, coef.imag @ s0
             table[:, block] = _pair_form(re, im, forms[0]) * weights[0][block]
             for r in range(1, n_axes):
@@ -339,7 +379,7 @@ class _ChainLaw:
         self.amp_at = (np.arange(len(keys)) * amps.shape[1])[:, None]
         self.sample_at = [(index[:, s] * g.n)[:, None] for s, g in enumerate(grids)]
         widest = max([len(keys)] + [len(pairs) for _, pairs, _ in self.axes])
-        self.rows = max(1, min(CHUNK, SLICE_VALUES // widest))
+        self.rows = max(1, min(CHUNK, SLICE_VALUES // widest)) if self.axes else CHUNK
 
     def draw(self, u: np.ndarray, readings: np.ndarray, branches: np.ndarray) -> None:
         """Fill readings and branches for the trials whose uniforms are the

@@ -26,6 +26,7 @@ from qpathnet import (
     sample_trials,
     uniform_two_layer_network,
 )
+from qpathnet import sampling
 from qpathnet.paths import _branch_amplitudes
 from qpathnet.rng import CHUNK, MAX_TRIALS, THREADS_ENV, uniform_block, worker_count
 from qpathnet.sampling import _ChainLaw
@@ -235,9 +236,13 @@ class TestOneWalk:
             tracemalloc.stop()
         assert peak < 0.5 * density_bytes
 
-    def test_table_cap_refuses_before_allocating(self):
+    def test_many_classes_draw_from_the_product_grid(self, monkeypatch):
         # 128 distinct values on meter 1 give 8256 pair tables of 10^4 nodes,
-        # above MAX_GRID_CELLS, while 2 branches x 3 x 10^4 cells are not
+        # far above the 2 branches x 3 x 10^4 cells of the product grid
+        def refused(*args, **kwargs):
+            raise AssertionError("sample_trials built per-axis tables")
+
+        monkeypatch.setattr(sampling, "_ChainLaw", refused)
         chain = random_chain(np.random.default_rng(8), 2, 7, eigenvalues=[0.0, 1.0])
         values = np.random.default_rng(9).permutation(128) / 127.0
         meters = [
@@ -245,13 +250,39 @@ class TestOneWalk:
             MeterSpec(PathFunctional.from_table(values), PointerProfile.gaussian(1.0)),
         ]
         grids = [Grid(-5.0, 5.0, 3), Grid(-5.0, 11.0 / 9999, 10_000)]
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=r"sampling tables of \d+ cells exceed MAX_GRID_CELLS.*run\.grid\.step"):
-                sample_trials(chain, meters, 10, seed=1, grids=grids)
-            assert tracemalloc.get_traced_memory()[1] < 1 << 20
-        finally:
-            tracemalloc.stop()
+        trials = sample_trials(chain, meters, 1000, seed=1, grids=grids)
+        first = joint_reading_distribution(chain, meters, grids)
+        assert trials.exact_means[1] == pytest.approx(first.marginal_mean(1), rel=1e-12)
+
+
+class TestDrawChoice:
+    """The chain-rule draw is taken where its per-trial table reads cost less
+    than the product grid's cells, and never holds more than that grid."""
+
+    @staticmethod
+    def _keys(n_values):
+        # two branches' rows: meter 0 reads 0 or 1, meter 1 one of n_values
+        return np.array([[a, b / n_values] for a in (0.0, 1.0) for b in range(n_values)])
+
+    def test_few_values_on_later_axes_take_the_chain_rule(self):
+        assert sampling._chain_rule_pays(self._keys(2), 2, [Grid(-6.0, 0.005, 2601)] * 2, 500_000)
+        assert sampling._chain_rule_pays(self._keys(4), 2, [Grid(-6.0, 0.005, 2601)] * 2, 500_000)
+
+    def test_many_values_on_later_axes_take_the_product_grid(self):
+        assert not sampling._chain_rule_pays(self._keys(100), 2, [Grid(-6.0, 0.005, 2601)] * 2, 500_000)
+        # tables larger than the product grid, whatever the trial count
+        assert not sampling._chain_rule_pays(self._keys(100), 2, [Grid(-6.0, 0.5, 5), Grid(-6.0, 0.005, 2601)], 1)
+
+    def test_one_meter_always_takes_the_chain_rule(self):
+        keys = np.arange(5000.0)[:, None]
+        assert sampling._chain_rule_pays(keys, 3, [Grid(-6.0, 1.0, 5013)], MAX_TRIALS)
+
+
+@pytest.fixture(params=["chain", "grid"])
+def draw(request, monkeypatch):
+    """Forces sample_trials onto the chain-rule or the product-grid draw."""
+    monkeypatch.setattr(sampling, "_chain_rule_pays", lambda *args: request.param == "chain")
+    return request.param
 
 
 def _weights(n, step):
@@ -308,7 +339,7 @@ class TestChainRuleLaw:
         assert np.allclose(law.first_masses, expected, rtol=1e-12, atol=1e-12 * expected.max())
 
     @pytest.mark.parametrize("n_meters, n_points, n_trials", [(2, 40, 400_000), (3, 12, 400_000)])
-    def test_cell_frequencies_chi_square(self, n_meters, n_points, n_trials):
+    def test_cell_frequencies_chi_square(self, draw, n_meters, n_points, n_trials):
         chain, meters, grids = _law_case(n_meters, n_points)
         masses = _oracle_masses(chain, meters, grids).reshape(-1)
         trials = sample_trials(chain, meters, n_trials, seed=23 + n_meters, grids=grids)
@@ -346,7 +377,7 @@ class TestChunkInvariance:
         return chain, meters, grids
 
     @pytest.mark.parametrize("n_meters", [2, 3])
-    def test_prefix_of_a_longer_run(self, n_meters):
+    def test_prefix_of_a_longer_run(self, draw, n_meters):
         chain, meters, grids = self._case(n_meters)
         k = CHUNK + 1234
         long = sample_trials(chain, meters, 3 * CHUNK + 5, seed=13, grids=grids)
@@ -355,7 +386,7 @@ class TestChunkInvariance:
         assert np.array_equal(long.branches[:k], short.branches)
 
     @pytest.mark.parametrize("n_meters", [2, 3])
-    def test_worker_count_is_invisible(self, n_meters):
+    def test_worker_count_is_invisible(self, draw, n_meters):
         chain, meters, grids = self._case(n_meters)
         n = 3 * CHUNK + 17
         one = sample_trials(chain, meters, n, seed=5, grids=grids, max_workers=1)
