@@ -42,6 +42,8 @@ class ClassicalConnector:
             raise ValueError(f"connector {self.name!r}: weights must be non-negative")
         if np.any(np.abs(w.sum(axis=0) - 1.0) > WEIGHT_TOL):
             raise ValueError(f"connector {self.name!r}: each inlet column must sum to 1")
+        if not set(self.blocked) <= {0, 1}:
+            raise ValueError(f"connector {self.name!r}: blocked outlets must be 0 or 1")
         if len(self.blocked) > 1:
             raise ValueError(f"connector {self.name!r}: cannot block both outlets")
         w = np.array(w)

@@ -52,7 +52,7 @@ def _as_complex(value, where: str) -> complex:
     )
     re, im = value
     _require(
-        isinstance(re, (int, float)) and isinstance(im, (int, float)),
+        _is_number(re) and _is_number(im),
         where,
         "complex parts must be numbers",
     )
@@ -72,8 +72,13 @@ def _as_matrix(value, where: str) -> np.ndarray:
     return np.vstack(rows)
 
 
+def _is_number(value) -> bool:
+    """An int or float of JSON; true and false are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _real(value, where: str, *, positive: bool = False) -> float:
-    _require(isinstance(value, (int, float)) and math.isfinite(value), where, "expected a finite number")
+    _require(_is_number(value) and math.isfinite(value), where, "expected a finite number")
     if positive:
         _require(value > 0, where, "must be positive")
     return float(value)
@@ -148,7 +153,7 @@ def _parse_functional(doc, where: str) -> tuple[str, PathFunctional]:
     rule = doc.get("rule")
     _require(rule in FUNCTIONAL_RULES, f"{where}.rule", f"must be one of {sorted(FUNCTIONAL_RULES)}")
     if rule == "step_eigenvalue":
-        return name, PathFunctional.step_eigenvalue(int(_real(doc.get("step", None), f"{where}.step")))
+        return name, PathFunctional.step_eigenvalue(_integer(doc.get("step", None), f"{where}.step", 0))
     if rule == "weighted_steps":
         weights = doc.get("weights")
         _require(isinstance(weights, list) and weights, f"{where}.weights", "needs a list of weights")
@@ -156,13 +161,13 @@ def _parse_functional(doc, where: str) -> tuple[str, PathFunctional]:
             [_real(w, f"{where}.weights[{i}]") for i, w in enumerate(weights)]
         )
     if rule == "step_difference":
-        later = int(_real(doc.get("later", 1), f"{where}.later"))
-        earlier = int(_real(doc.get("earlier", 0), f"{where}.earlier"))
+        later = _integer(doc.get("later", 1), f"{where}.later", 0)
+        earlier = _integer(doc.get("earlier", 0), f"{where}.earlier", 0)
         return name, PathFunctional.step_difference(later, earlier)
     if rule == "path_indicator":
         path = doc.get("path")
         _require(isinstance(path, list) and path, f"{where}.path", "needs a list of step indices")
-        return name, PathFunctional.path_indicator([int(i) for i in path])
+        return name, PathFunctional.path_indicator([_integer(i, f"{where}.path[{k}]", 0) for k, i in enumerate(path)])
     if rule == "table":
         values = doc.get("values")
         _require(isinstance(values, list) and values, f"{where}.values", "needs one value per path")
@@ -218,7 +223,9 @@ def _parse_classical(doc, where: str) -> ClassicalSettings:
                 for r in (0, 1)
             ]
         )
-        blocked = frozenset(int(b) for b in body.get("blocked", []))
+        blocked = body.get("blocked", [])
+        _require(isinstance(blocked, list), f"{w}.blocked", "expected a list of outlets")
+        blocked = frozenset(_integer(b, f"{w}.blocked[{i}]", 0, 1) for i, b in enumerate(blocked))
         try:
             connectors[name] = ClassicalConnector(name, weights, blocked)
         except ValueError as exc:

@@ -15,9 +15,10 @@ Numerics: one kernel serves 1 or R meters: it takes the path amplitudes
 grouped by their tuple of values (paths.grouped_amplitudes) and
 contracts per-axis profile samples, block by block, into one float64
 density, held with its grids in one PointerDistribution for 1 or R axes.
-Moments use composite trapezoid quadrature; the rectangular profile reports
-the half-jump value at its edges, which makes trapezoid sums over
-edge-aligned grids exact for piecewise-constant densities.
+Moments not read off a held density come from one rule, _first_axis, with
+no array spanning two axes.  Quadrature is composite trapezoid; the
+rectangular profile reports the half-jump value at its edges, which makes
+trapezoid sums over edge-aligned grids exact for piecewise-constant densities.
 """
 
 from __future__ import annotations
@@ -280,26 +281,35 @@ class GridCapError(ValueError):
         return GridCapError(str(self).replace(_ONE_METER_WIDTH, f"meters[{index}].profile.width"))
 
 
-def _check_cells(profiles, grids, copies: int = 1) -> None:
-    """Refuse grids other than one per profile, and copies x their cells above
-    MAX_GRID_CELLS naming the longest axis's width, before any grid array exists."""
+def _check_cells(profiles, grids, copies: int = 1, axis_cells=None) -> None:
+    """Refuse grids other than one per profile, and cells above MAX_GRID_CELLS
+    naming the width of the axis that holds most, before any grid array
+    exists: copies x the product grid's cells or, given axis_cells (the cells
+    per-axis tables hold on each axis), their sum."""
     if len(grids) != len(profiles):
         raise ValueError("need one grid per meter")
-    cells = math.prod(g.n for g in grids)
-    if copies * cells > MAX_GRID_CELLS:
-        r = max(range(len(grids)), key=lambda i: grids[i].n)
-        width = f"meters[{r}].profile.width" if len(grids) > 1 else _ONE_METER_WIDTH
+    if axis_cells is None:
+        axis_cells = [g.n for g in grids]
+        cells = math.prod(axis_cells)
         held = "" if copies == 1 else f", held {copies} times,"
+        what, cells = f"reading grid of {cells} cells{held} exceeds", copies * cells
+    else:
+        cells = sum(axis_cells)
+        what = f"reading tables of {cells} cells exceed"
+    if cells > MAX_GRID_CELLS:
+        r = max(range(len(grids)), key=axis_cells.__getitem__)
+        width = f"meters[{r}].profile.width" if len(grids) > 1 else _ONE_METER_WIDTH
         raise GridCapError(
-            f"reading grid of {cells} cells{held} exceeds MAX_GRID_CELLS = {MAX_GRID_CELLS}: "
+            f"{what} MAX_GRID_CELLS = {MAX_GRID_CELLS}: "
             f"widen {width} ({profiles[r].width}) or coarsen "
             f"run.grid.step ({grids[r].step})"
         )
 
 
-def _check_grids(keys: np.ndarray, profiles, grids) -> None:
-    """Cell cap and per-axis coverage of the values, before any grid array exists."""
-    _check_cells(profiles, grids)
+def _check_grids(keys: np.ndarray, profiles, grids, axis_cells=None) -> None:
+    """Cell cap (of the product grid, or of axis_cells as in _check_cells) and
+    per-axis coverage of the values, before any grid array exists."""
+    _check_cells(profiles, grids, axis_cells=axis_cells)
     for r, (profile, grid) in enumerate(zip(profiles, grids)):
         lo = keys[:, r].min() - MIN_PAD_WIDTHS * profile.width
         hi = keys[:, r].max() + MIN_PAD_WIDTHS * profile.width
@@ -345,6 +355,83 @@ def _integrate(density: np.ndarray, weights) -> np.ndarray:
         if weights[axis] is not None:
             density = np.tensordot(density, weights[axis], axes=([axis], [0]))
     return density
+
+
+def _classes(index: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the rows that share their value indices on axes first..R-1,
+    in lexicographic order: each class's indices on those axes, and the class
+    of each row.  Each axis ranks the pairs (rank so far, index) in turn, which
+    costs a fraction of np.unique over rows; with no axes all rows are one class."""
+    rank, rows = np.zeros(len(index), dtype=np.intp), np.zeros(min(len(index), 1), dtype=np.intp)
+    for column in index[:, first:].T:
+        _, rows, rank = np.unique(rank * len(index) + column, return_index=True, return_inverse=True)
+    return index[rows, first:], rank
+
+
+def _gram(classes: np.ndarray, first: int, tables: list) -> np.ndarray:
+    """prod_s tables[s][v_s(k), v_s(k')] over class pairs (k, k') and the axes
+    s >= first whose table is given (None skips the axis)."""
+    q = np.ones((len(classes), len(classes)))
+    for s in range(first, first + classes.shape[1]):
+        if tables[s] is not None:
+            v = classes[:, s - first]
+            q *= tables[s][np.ix_(v, v)]
+    return q
+
+
+def _pair_form(re: np.ndarray, im: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_{k,k'} Re(M_k conj M_k') q[k, k'] over axis 0 of M = re + i im,
+    for every column of the rows M_k (the classes, of any trailing shape)."""
+    re, im = re.reshape(len(q), -1), im.reshape(len(q), -1)
+    return (re * np.dot(q, re) + im * np.dot(q, im)).sum(axis=0)
+
+
+def _axes(keys: np.ndarray, n_branches: int, profiles, grids):
+    """Each axis's distinct values and each row's index into them; on each later
+    axis r, S_r[v, i] = G_r(xi_i - values_r[v]) and the overlaps O_r = (S_r w_r) S_r^T
+    that integrate it out of a pair of rows (cap and coverage checked first)."""
+    values, index = zip(*(np.unique(keys[:, r], return_inverse=True) for r in range(len(grids))))
+    later = [v.size * g.n for v, g in zip(values[1:], grids[1:])]
+    _check_grids(keys, profiles, grids, [n_branches * grids[0].n, *later])
+    samples = [None] + [p.samples(g.xs() - v[:, None]) for p, g, v in zip(profiles[1:], grids[1:], values[1:])]
+    overlaps = [None] + [(s * g.weights()) @ s.T for s, g in zip(samples[1:], grids[1:])]
+    return values, np.stack([i.reshape(-1) for i in index], axis=1), samples, overlaps
+
+
+def _first_axis(keys: np.ndarray, amps: np.ndarray, profiles, grids=None, axes=None) -> tuple[np.ndarray, tuple]:
+    """masses[b, i] = w_0[i] sum_{k,k'} Re(M_bk conj M_bk') prod_{r>=1} O_r[k, k'],
+    the trapezoid mass of amplitude column b at node i of axis 0 with every
+    later axis integrated out, and column 0's mean reading on each axis (NaN at
+    zero mass).  M_bk sums amps[g, b] G_0(xi_i - keys[g, 0]) over the rows of
+    class k (sharing their values on axes 1..R-1), in blocks of axis 0; a mean
+    on axis r puts (S_r w_r xi) S_r^T for O_r.  axes, if given, is _axes."""
+    amps = amps.reshape(len(keys), -1)
+    grids = _place_grids(keys, profiles, grids)
+    values, index, samples, overlap = _axes(keys, amps.shape[1], profiles, grids) if axes is None else axes
+    n_axes = len(grids)
+    xi_overlap = [None] + [(s * (g.weights() * g.xs())) @ s.T for s, g in zip(samples[1:], grids[1:])]
+    # row k B + b of coef: column b of amps summed over class k, by value on axis 0
+    first, of_row = _classes(index, 1)
+    coef = np.zeros((len(first), amps.shape[1], values[0].size), dtype=complex)
+    np.add.at(coef, (of_row, slice(None), index[:, 0]), amps)
+    coef = coef.reshape(-1, values[0].size)
+    forms = [_gram(first, 1, overlap)] + [
+        _gram(first, 1, [xi_overlap[s] if s == r else overlap[s] for s in range(n_axes)]) for r in range(1, n_axes)
+    ]
+    xs, weights = grids[0].xs(), grids[0].weights()
+    masses = np.empty((amps.shape[1], xs.size))
+    moments = np.zeros(n_axes)
+    rows = max(1, KERNEL_BLOCK_CELLS // max(values[0].size, len(coef)))
+    for lo in range(0, xs.size, rows):
+        block = slice(lo, lo + rows)
+        s0 = profiles[0].samples(xs[block] - values[0][:, None])
+        re, im = coef.real @ s0, coef.imag @ s0
+        masses[:, block] = _pair_form(re, im, forms[0]).reshape(len(masses), -1) * weights[block]
+        for r in range(1, n_axes):
+            moments[r] += _pair_form(re[:: len(masses)], im[:: len(masses)], forms[r]) @ weights[block]
+    norm = masses[0].sum()
+    moments[0] = masses[0] @ xs
+    return masses, tuple(float(m / norm) if norm > 0 else math.nan for m in moments)
 
 
 def _place_grids(keys: np.ndarray, profiles, grids=None) -> tuple[Grid, ...]:
@@ -511,5 +598,6 @@ def weak_limit_report(chain: MeasurementChain, functional: PathFunctional, width
         raise ValueError("widths must be strictly increasing")
     dist = amplitude_distribution(chain, functional)
     weak = dist.weak_value()
-    means = tuple(mean_reading(pointer_distribution(dist, PointerProfile.gaussian(w))) for w in widths)
+    keys = dist.support[:, None]
+    means = tuple(_first_axis(keys, dist.amplitudes, [PointerProfile.gaussian(w)])[1][0] for w in widths)
     return WeakLimitReport(widths, means, weak)

@@ -3,13 +3,14 @@
 Outcomes of a run are a reading per meter plus the result of the final
 selection.  Their exact joint law on the grid nodes is known, and trials
 draw it by the chain rule, in reading order: first the selection branch and
-the reading of meter 0 together, from the B x n_0 table of their masses;
-then each later reading given the earlier ones, by inverting its
-conditional CDF.  That CDF is a sum of per-axis pair tables weighted by the
-trial's running amplitudes, so no array spans the product grid: memory is
-O(B n_0 + sum_r P_r n_r) plus one chunk of trials (P_r pairs of row classes
-on axis r).  The exact success probability and mean readings come from the
-same tables.
+the reading of meter 0 together, from the B x n_0 table of their masses
+(meter._first_axis, which also gives the exact success probability and
+mean readings, for either draw); then each later reading given the earlier
+ones, by inverting its conditional CDF.  That CDF is a sum of per-axis pair
+tables weighted by the trial's running amplitudes, so no array spans the
+product grid: memory is O(B n_0 + sum_r P_r n_r) plus one chunk of trials
+(P_r pairs of row classes on axis r), and the cap on grid cells counts
+these cells, not the product grid's.
 
 A trial pays about P_r log2(n_r) table reads on each later axis, so where
 later axes read many distinct values, or the product grid is small next to
@@ -32,12 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meter import (
-    KERNEL_BLOCK_CELLS,
     Grid,
     MeterSpec,
-    PointerDistribution,
+    _axes,
     _check_cells,
-    _check_grids,
+    _classes,
+    _first_axis,
+    _gram,
     _place_grids,
     _pointer_kernel,
 )
@@ -171,11 +173,16 @@ def sample_trials(
     keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
     profiles = [m.profile for m in meters]
     grids = _place_grids(keys, profiles, grids)
-    _check_cells(profiles, grids, copies=amps.shape[1])
-    _check_grids(keys, profiles, grids)
+    axes = _axes(keys, amps.shape[1], profiles, grids)
+    masses, exact_means = _first_axis(keys, amps, profiles, grids, axes)
+    total = masses.sum()
+    if total <= 0.0:
+        raise ValueError(_NOTHING_TO_SAMPLE)
+    exact_success = float(masses[0].sum() / total)
     if not _chain_rule_pays(keys, amps.shape[1], grids, n_trials):
-        return _grid_trials(keys, amps, profiles, grids, n_trials, seed, max_workers)
-    law = _ChainLaw(keys, amps, profiles, grids)
+        readings, branches = _grid_trials(keys, amps, profiles, grids, n_trials, seed, max_workers)
+        return TrialSet(seed, readings, branches, exact_success, exact_means)
+    law = _ChainLaw(keys, amps, profiles, grids, axes, masses)
 
     n_axes = len(grids)
     readings = np.empty((n_trials, n_axes))
@@ -188,14 +195,7 @@ def sample_trials(
             law.draw(u[a:b], readings[lo + a : lo + b], branches[lo + a : lo + b])
 
     map_chunks(n_trials, draw_chunk, max_workers)
-    return TrialSet(seed, readings, branches, law.exact_success, law.exact_means)
-
-
-def _classes(index: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of the rows that share their value indices on axes first..R-1:
-    each class's indices on those axes, and the class of each row."""
-    classes, of_row = np.unique(index[:, first:], axis=0, return_inverse=True)
-    return classes, of_row.reshape(-1)
+    return TrialSet(seed, readings, branches, exact_success, exact_means)
 
 
 def _chain_rule_pays(keys: np.ndarray, n_branches: int, grids, n_trials: int) -> bool:
@@ -213,22 +213,19 @@ def _chain_rule_pays(keys: np.ndarray, n_branches: int, grids, n_trials: int) ->
     return tables <= cells and n_trials * per_trial <= READS_PER_CELL * cells
 
 
-def _grid_trials(keys, amps, profiles, grids, n_trials: int, seed: int, max_workers) -> TrialSet:
-    """Records drawn by inverse CDF over the flat (branch, cell) masses of one
-    density per branch on the product grid; trial i reads stream position i."""
+def _grid_trials(keys, amps, profiles, grids, n_trials: int, seed: int, max_workers) -> tuple[np.ndarray, np.ndarray]:
+    """Readings and branches drawn by inverse CDF over the flat (branch, cell) masses
+    of one density per branch on the product grid; trial i reads stream position i."""
+    _check_cells(profiles, grids, copies=amps.shape[1])
     masses = np.empty((amps.shape[1], *(g.n for g in grids)))
     for b, density in enumerate(masses):
         _pointer_kernel(amps[:, b], keys, profiles, grids, float, out=density)
-    first = PointerDistribution(grids, masses[0])
-    exact_means = tuple(first.marginal_mean(r) if first.norm > 0 else math.nan for r in range(len(grids)))
 
     # cell mass = density * separable trapezoid weights; then the CDF, all in place
     masses *= grids[0].weights().reshape((-1,) + (1,) * (len(grids) - 1))
     masses *= functools.reduce(np.multiply.outer, [g.weights() for g in grids[1:]], np.ones(()))
     masses = masses.reshape(-1)
     total = masses.sum()
-    if total <= 0.0:
-        raise ValueError(_NOTHING_TO_SAMPLE)
     cdf = np.cumsum(masses, out=masses)
 
     # a drawn index is (branch, i_0, ..., i_R-1) in row-major order; peeling
@@ -238,23 +235,7 @@ def _grid_trials(keys, amps, profiles, grids, n_trials: int, seed: int, max_work
     for r in reversed(range(len(grids))):
         readings[:, r] = grids[r].xs()[drawn % grids[r].n]
         drawn //= grids[r].n
-    return TrialSet(seed, readings, drawn, float(first.norm / total), exact_means)
-
-
-def _gram(classes: np.ndarray, first: int, tables: list) -> np.ndarray:
-    """prod_s tables[s][v_s(k), v_s(k')] over class pairs (k, k') and the axes
-    s >= first whose table is given (None skips the axis)."""
-    q = np.ones((len(classes), len(classes)))
-    for s in range(first, first + classes.shape[1]):
-        if tables[s] is not None:
-            v = classes[:, s - first]
-            q *= tables[s][np.ix_(v, v)]
-    return q
-
-
-def _pair_form(re: np.ndarray, im: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_{k,k'} Re(M_k conj M_k') q[k, k'] over axis -2 of M = re + i im."""
-    return (re * (q @ re) + im * (q @ im)).sum(axis=-2)
+    return readings, drawn
 
 
 def _bisect(tables: np.ndarray, n: int, coefs: list, u: np.ndarray) -> np.ndarray:
@@ -297,78 +278,43 @@ class _ChainLaw:
     """The (branch, readings) law on the grid nodes, factored in reading order
     into per-axis tables; no array spans two reading axes.
 
-    With profile samples S_r[v, i] = G_r(xi_i - values_r[v]) and trapezoid
-    weights w_r, the overlaps O_r = (S_r w_r) S_r^T integrate an axis out of
-    any pair of rows.  Axis 0 is drawn jointly with the branch from the
-    B x n_0 table P(b, i_0); each later axis r from its conditional CDF,
+    Axis 0 is drawn jointly with the branch from the B x n_0 table of
+    meter._first_axis; each later axis r from its conditional CDF,
     F(i) = sum over pairs k <= k' of classes (rows sharing their values on
     axes r..R-1) of Re(u_k conj u_k') T_r[k, k', i], where u sums the rows'
     A^b_g prod_{s<r} S_s[g, i_s] per class and the pair table T_r is the
     cumulative sum of w_r S_r[k] S_r[k'] times m prod_{s>r} O_s[k, k']
-    (m = 1 on the diagonal, 2 off it).
+    (m = 1 on the diagonal, 2 off it), with the samples S_r and overlaps O_r
+    of meter._axes.
     """
 
-    def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids):
-        keep = np.any(amps != 0, axis=1)
-        if not keep.any():
-            raise ValueError(_NOTHING_TO_SAMPLE)
-        keys, amps = keys[keep], amps[keep]
+    def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids, axes, first_masses: np.ndarray):
         n_axes = len(grids)
+        values, index, samples, overlap = axes
+        levels = [_classes(index, r) for r in range(1, n_axes)]
+        # the tables drawn from, refused above the cap before any is built:
+        # the first masses with (if a later axis reads them) the samples of
+        # axis 0, and each later axis's pair tables
+        first = first_masses.size + (values[0].size * grids[0].n if levels else 0)
+        pairs = [math.comb(len(classes) + 1, 2) * g.n for (classes, _), g in zip(levels, grids[1:])]
+        _check_cells(profiles, grids, axis_cells=[first, *pairs])
         self.xs = [g.xs() for g in grids]
-        weights = [g.weights() for g in grids]
-        values, index = zip(*(np.unique(keys[:, r], return_inverse=True) for r in range(n_axes)))
-        index = np.stack([i.reshape(-1) for i in index], axis=1)
-        # levels[r]: the classes on axes r..R-1 (levels[R] is one class)
-        levels = [_classes(index, r) for r in range(n_axes + 1)]
-        # the draw reads these from axis 1 on; one meter's axis-0 table is
-        # built from samples per block, so it holds none
-        self.samples = [p.samples(x - v[:, None]) for p, x, v in zip(profiles, self.xs, values)] if n_axes > 1 else []
-        overlap = [None] + [(s * w) @ s.T for s, w in zip(self.samples[1:], weights[1:])]
-        xi_overlap = [None] + [(s * (w * x)) @ s.T for s, w, x in zip(self.samples[1:], weights[1:], self.xs[1:])]
-
-        # axis 0: P(b, i_0) = w_0 sum_{k,k'} Re(M_bk conj M_bk') prod_{r>=1} O_r[k, k'],
-        # where M_bk sums A^b_g S_0[g] over the rows g of class k on axes 1..R-1;
-        # the same blocks give branch 0's first moment on every later axis,
-        # with O_r replaced by (S_r w_r xi) S_r^T
-        first, of_row = levels[1]
-        coef = np.zeros((amps.shape[1], len(first), values[0].size), dtype=complex)
-        np.add.at(coef, (slice(None), of_row, index[:, 0]), amps.T)
-        forms = [_gram(first, 1, overlap)] + [
-            _gram(first, 1, [xi_overlap[s] if s == r else overlap[s] for s in range(n_axes)]) for r in range(1, n_axes)
-        ]
-        n0 = grids[0].n
-        table = np.empty((amps.shape[1], n0))
-        moments = np.zeros(n_axes)
-        rows = max(1, KERNEL_BLOCK_CELLS // max(values[0].size, coef.shape[0] * coef.shape[1]))
-        for lo in range(0, n0, rows):
-            block = slice(lo, lo + rows)
-            s0 = profiles[0].samples(self.xs[0][block] - values[0][:, None])
-            re, im = coef.real @ s0, coef.imag @ s0
-            table[:, block] = _pair_form(re, im, forms[0]) * weights[0][block]
-            for r in range(1, n_axes):
-                moments[r] += _pair_form(re[0], im[0], forms[r]) @ weights[0][block]
-        norm = table[0].sum()
-        moments[0] = table[0] @ self.xs[0]
-        self.exact_means = tuple(float(m / norm) if norm > 0 else math.nan for m in moments)
-        self.total = table.sum()
-        if self.total <= 0.0:
-            raise ValueError(_NOTHING_TO_SAMPLE)
-        self.exact_success = float(norm / self.total)
-        self.first_masses = table
-        self.cdf = np.cumsum(table.reshape(-1))
+        # the draw reads these from axis 0 to R-2 (one meter reads none)
+        self.samples = [profiles[0].samples(self.xs[0] - values[0][:, None]), *samples[1:]] if levels else []
+        self.total = first_masses.sum()
+        self.cdf = np.cumsum(first_masses.reshape(-1))
 
         # later axes: the rows of each class, and the pair tables T_r padded
         # to a power-of-two length by repeating their last node
         self.axes = []
-        for r in range(1, n_axes):
-            classes, of_row = levels[r]
+        for r, (classes, of_row) in enumerate(levels, start=1):
             q = _gram(classes, r, [overlap[s] if s > r else None for s in range(n_axes)])
             pairs = list(zip(*np.triu_indices(len(classes))))
-            n = grids[r].n
+            n, weights = grids[r].n, grids[r].weights()
             pair_tables = np.empty((len(pairs), 1 << (n - 1).bit_length()))
             v = classes[:, 0]
             for p, (k, k2) in enumerate(pairs):
-                np.cumsum(weights[r] * self.samples[r][v[k]] * self.samples[r][v[k2]], out=pair_tables[p, :n])
+                np.cumsum(weights * self.samples[r][v[k]] * self.samples[r][v[k2]], out=pair_tables[p, :n])
                 pair_tables[p, :n] *= q[k, k2] * (1.0 if k == k2 else 2.0)
                 pair_tables[p, n:] = pair_tables[p, n - 1]
             members = [np.flatnonzero(of_row == k) for k in range(len(classes))]

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from helpers import count_grouped_amplitudes
-from qpathnet import ConfigError, MeterSpec, PathFunctional, PointerProfile, export_config, parse_config
+from qpathnet import (
+    ClassicalConnector,
+    ConfigError,
+    MeterSpec,
+    PathFunctional,
+    PointerProfile,
+    export_config,
+    parse_config,
+)
 from qpathnet import cli
 from qpathnet.cli import main, report, run
 from qpathnet.config import RunSettings
@@ -267,6 +275,27 @@ class TestRunModes:
         with pytest.raises(ConfigError, match=r"classical\.values: needs one value per path \(2\)"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("outlet", [5, "x", 0.5, True])
+    def test_blocked_outlet_outside_zero_one_is_refused(self, tmp_path, capsys, outlet):
+        doc = {
+            "name": "blocked",
+            "run": {"mode": "classical"},
+            "classical": {
+                "connectors": {"in": {"weights": [[0.5, 0.5], [0.5, 0.5]], "blocked": [outlet]}},
+                "wiring": {"in.0": "left", "in.1": "right"},
+                "entry": "in.0",
+                "values": [1.0, -1.0],
+            },
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out")]) == 2
+        assert "classical.connectors.in.blocked[0]" in capsys.readouterr().err
+
+    def test_connector_refuses_an_outlet_outside_zero_one(self):
+        with pytest.raises(ValueError, match="blocked outlets must be 0 or 1"):
+            ClassicalConnector("x", np.full((2, 2), 0.5), blocked=frozenset({5}))
+
     def test_label_of_unknown_connector_rejected(self, tmp_path):
         doc = {
             "name": "bad",
@@ -422,6 +451,31 @@ class TestCliEntryPoint:
         assert summary["means"][-1] == pytest.approx(1.0, abs=1e-4)
 
     @pytest.mark.parametrize(
+        "functional, meter, run_doc, field",
+        [
+            ({"rule": "step_eigenvalue", "step": 0.7}, {}, {}, "functionals[0].step"),
+            ({"rule": "step_eigenvalue", "step": True}, {}, {}, "functionals[0].step"),
+            ({"rule": "path_indicator", "path": [0.6]}, {}, {}, "functionals[0].path[0]"),
+            ({"rule": "path_indicator", "path": ["a"]}, {}, {}, "functionals[0].path[0]"),
+            ({"rule": "step_difference", "later": 1.5}, {}, {}, "functionals[0].later"),
+            ({"rule": "step_difference", "earlier": -1}, {}, {}, "functionals[0].earlier"),
+            ({}, {}, {"seed": True}, "run.seed"),
+            ({}, {"width": True}, {}, "meters[0].profile.width"),
+        ],
+    )
+    def test_integers_are_integers_and_booleans_are_not_numbers(
+        self, tmp_path, capsys, functional, meter, run_doc, field
+    ):
+        doc = sample_config()
+        doc["functionals"][0].update(functional)
+        doc["meters"][0]["profile"].update(meter)
+        doc["run"].update(run_doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flags, field",
         [
             (["--grid-step", "0"], "run.grid.step"),
@@ -451,20 +505,20 @@ class TestCliEntryPoint:
         assert field in capsys.readouterr().err
 
     def test_grid_step_reaches_every_grid_of_the_run(self, tmp_path, monkeypatch):
-        joints = []
-        joint = cli._distribution
+        moment_grids = []
+        moments = cli._first_axis
 
         def spy(keys, amps, profiles, grids=None):
-            joints.append(joint(keys, amps, profiles, grids))
-            return joints[-1]
+            moment_grids.append(grids)
+            return moments(keys, amps, profiles, grids)
 
-        monkeypatch.setattr(cli, "_distribution", spy)
+        monkeypatch.setattr(cli, "_first_axis", spy)
         for mode in ("exact", "sample"):
             flags = ["--mode", mode, "--grid-step", "50", "--trials", "200"]
             assert main(["run", "preset:three-box", str(tmp_path / mode), *flags]) == 0
         xs = np.loadtxt(tmp_path / "exact" / "distribution_m0.csv", delimiter=",", skiprows=1)[:, 0]
         assert np.all(np.diff(xs) == 50.0)
-        assert [g.step for g in joints[0].grids] == [50.0, 50.0]
+        assert [g.step for g in moment_grids[0]] == [50.0, 50.0]
         readings = np.loadtxt(tmp_path / "sample" / "trials.csv", delimiter=",", skiprows=1)[:, 1:3]
         assert np.all(readings % 50.0 == 0.0)
 

@@ -203,7 +203,32 @@ class TestGridCap:
         ]
         chain = self._chain()
         assert _peak_bytes(lambda: joint_reading_distribution(chain, meters)) < 1 << 20
-        assert _peak_bytes(lambda: sample_trials(chain, meters, 10, seed=1)) < 1 << 20
+
+    def test_two_narrow_meters_sample_from_per_axis_tables(self):
+        # the chain-rule draw holds per-axis tables of ~4e5 nodes, not the
+        # 1.6e11-cell product grid
+        meters = [
+            MeterSpec(PathFunctional.step_eigenvalue(k), PointerProfile.gaussian(1e-3))
+            for k in (0, 1)
+        ]
+        tracemalloc.start()
+        try:
+            trials = sample_trials(self._chain(), meters, 10, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trials.n_trials == 10
+        assert peak < 64 << 20
+
+    def test_three_meters_sample_above_the_product_grid_cap(self):
+        # the product grid's 351^3 = 43243551 cells, held once per branch,
+        # are above the cap; the chain rule's tables hold a few thousand cells
+        chain = random_chain(np.random.default_rng(7), 2, 3, eigenvalues=[0.0, 1.0])
+        meters = [MeterSpec(PathFunctional.step_eigenvalue(k), PointerProfile.gaussian(0.5)) for k in range(3)]
+        grids = [Grid.cover([0.0, 1.0], 0.5, step=0.02)] * 3
+        assert 2 * math.prod(g.n for g in grids) > MAX_GRID_CELLS
+        trials = sample_trials(chain, meters, 1000, seed=3, grids=grids)
+        assert trials.readings.shape == (1000, 3)
 
     def test_sampling_buffer_fails_before_allocating(self):
         # one density of ~2e7 cells fits the cap, the three branches' do not

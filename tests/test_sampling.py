@@ -27,9 +27,9 @@ from qpathnet import (
     uniform_two_layer_network,
 )
 from qpathnet import sampling
-from qpathnet.paths import _branch_amplitudes
+from qpathnet.paths import _branch_amplitudes, grouped_amplitudes
 from qpathnet.rng import CHUNK, MAX_TRIALS, THREADS_ENV, uniform_block, worker_count
-from qpathnet.sampling import _ChainLaw
+from qpathnet.meter import _first_axis
 
 
 class TestUniformBlocks:
@@ -285,6 +285,17 @@ def draw(request, monkeypatch):
     return request.param
 
 
+_TEMPLATE_XS = np.linspace(-1.0, 1.0, 41)
+_TEMPLATE = (1.0 - np.abs(_TEMPLATE_XS)) * (1.0 + 0.3 * _TEMPLATE_XS)
+_TEMPLATE /= math.sqrt(np.trapezoid(_TEMPLATE**2, _TEMPLATE_XS))
+
+
+def _profile(shape, width):
+    if shape == "tabulated":
+        return PointerProfile.tabulated(_TEMPLATE_XS, _TEMPLATE, width)
+    return getattr(PointerProfile, shape)(width)
+
+
 def _weights(n, step):
     w = np.full(n, step)
     w[0] = w[-1] = step / 2.0
@@ -333,10 +344,10 @@ class TestChainRuleLaw:
     def test_first_axis_table_is_the_marginal(self, n_meters, n_points):
         chain, meters, grids = _law_case(n_meters, n_points)
         keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
-        law = _ChainLaw(keys, amps, [m.profile for m in meters], grids)
+        masses, _ = _first_axis(keys, amps, [m.profile for m in meters], grids)
         oracle = _oracle_masses(chain, meters, grids)
         expected = oracle.sum(axis=tuple(range(2, oracle.ndim)))
-        assert np.allclose(law.first_masses, expected, rtol=1e-12, atol=1e-12 * expected.max())
+        assert np.allclose(masses, expected, rtol=1e-12, atol=1e-12 * expected.max())
 
     @pytest.mark.parametrize("n_meters, n_points, n_trials", [(2, 40, 400_000), (3, 12, 400_000)])
     def test_cell_frequencies_chi_square(self, draw, n_meters, n_points, n_trials):
@@ -353,11 +364,17 @@ class TestChainRuleLaw:
         dof = observed.size - 1
         assert chi2 <= dof + 6.0 * math.sqrt(2.0 * dof)
 
-    @given(st.integers(0, 10_000), st.integers(2, 3), st.integers(1, 3), st.sampled_from([0.3, 1.0, 4.0]))
+    @given(
+        st.integers(0, 10_000),
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.sampled_from([0.3, 1.0, 4.0]),
+        st.sampled_from(["gaussian", "rectangular", "tabulated"]),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_exact_numbers_match_the_joint_density(self, seed, dim, n_meters, width):
+    def test_exact_numbers_match_the_joint_density(self, seed, dim, n_meters, width, shape):
         chain = random_chain(np.random.default_rng(seed), dim, 3, eigenvalues=np.linspace(-1.0, 1.0, dim))
-        meters = [MeterSpec(PathFunctional.step_eigenvalue(k), PointerProfile.gaussian(width)) for k in range(n_meters)]
+        meters = [MeterSpec(PathFunctional.step_eigenvalue(k), _profile(shape, width)) for k in range(n_meters)]
         grids = [Grid.cover([-1.0, 1.0], width, points_per_width=4)] * n_meters
         trials = sample_trials(chain, meters, 10, seed=seed, grids=grids)
         joints = [joint_reading_distribution(b, meters, grids) for b in chain.branches()]
@@ -365,8 +382,13 @@ class TestChainRuleLaw:
         assert trials.exact_success_probability == pytest.approx(
             first.norm / sum(j.norm for j in joints), rel=1e-12, abs=1e-12
         )
+        # the moment rule on the selected branch's own walk, as exact mode uses it
+        keys, amps = grouped_amplitudes(chain, [m.functional for m in meters])
+        masses, means = _first_axis(keys, amps, [m.profile for m in meters], grids)
+        assert masses.sum() == pytest.approx(first.norm, rel=1e-12)
         for r in range(n_meters):
             assert trials.exact_means[r] == pytest.approx(first.marginal_mean(r), rel=1e-12, abs=1e-12)
+            assert means[r] == pytest.approx(first.marginal_mean(r), rel=1e-12, abs=1e-12)
 
 
 class TestChunkInvariance:

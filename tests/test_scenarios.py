@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import count_grouped_amplitudes
+from qpathnet import meter, sampling
+from qpathnet.cli import main
 from qpathnet import (
     MeasurementChain,
     MeasurementStep,
@@ -194,8 +196,9 @@ class TestMonteCarloVerification:
 
 
 class TestVerificationBuildsOnce:
-    """verify_preset builds each functional's A(f) and the joint density at
-    most once; the other groupings are the sweep's and the sampler's own."""
+    """verify_preset builds each functional's A(f) at most once and no joint
+    density; the other groupings are the sweep's, the sampler's and the weak
+    marginals' own."""
 
     @pytest.mark.parametrize(
         "name, groupings",
@@ -216,7 +219,23 @@ class TestVerificationBuildsOnce:
         report = verify_preset(preset, mc_trials=2000)
         assert report.passed, "\n".join(report.lines())
         assert calls[0] <= groupings
-        assert len(joints) == (1 if name == "three-box" else 0)
+        assert joints == []
+
+    def test_three_box_builds_no_grid_of_two_axes(self, monkeypatch, tmp_path):
+        # the weak marginals come from the moment rule, so the kernel only
+        # ever fills one meter's axis
+        axes = []
+        kernel = meter._pointer_kernel
+
+        def spy(amps, keys, profiles, grids, dtype, out=None):
+            axes.append(len(grids))
+            return kernel(amps, keys, profiles, grids, dtype, out)
+
+        monkeypatch.setattr(meter, "_pointer_kernel", spy)
+        monkeypatch.setattr(sampling, "_pointer_kernel", spy)
+        assert main(["run", "preset:three-box", str(tmp_path), "--mode", "exact"]) == 0
+        assert verify_preset(build_three_box(), mc_trials=2000).passed
+        assert axes and set(axes) == {1}
 
     def test_difference_builder_states_its_numbers_by_hand(self, monkeypatch):
         calls = count_grouped_amplitudes(monkeypatch)
