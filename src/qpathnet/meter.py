@@ -281,35 +281,27 @@ class GridCapError(ValueError):
         return GridCapError(str(self).replace(_ONE_METER_WIDTH, f"meters[{index}].profile.width"))
 
 
-def _check_cells(profiles, grids, copies: int = 1, axis_cells=None) -> None:
-    """Refuse grids other than one per profile, and cells above MAX_GRID_CELLS
-    naming the width of the axis that holds most, before any grid array
-    exists: copies x the product grid's cells or, given axis_cells (the cells
-    per-axis tables hold on each axis), their sum."""
+def _check_cells(profiles, grids, cells: int | None = None) -> None:
+    """Refuse grids other than one per profile, and more cells held on them
+    (by default the product grid's) than MAX_GRID_CELLS, naming the width of
+    the axis with most nodes, before any grid array exists."""
     if len(grids) != len(profiles):
         raise ValueError("need one grid per meter")
-    if axis_cells is None:
-        axis_cells = [g.n for g in grids]
-        cells = math.prod(axis_cells)
-        held = "" if copies == 1 else f", held {copies} times,"
-        what, cells = f"reading grid of {cells} cells{held} exceeds", copies * cells
-    else:
-        cells = sum(axis_cells)
-        what = f"reading tables of {cells} cells exceed"
+    cells = math.prod(g.n for g in grids) if cells is None else cells
     if cells > MAX_GRID_CELLS:
-        r = max(range(len(grids)), key=axis_cells.__getitem__)
+        r = max(range(len(grids)), key=lambda i: grids[i].n)
         width = f"meters[{r}].profile.width" if len(grids) > 1 else _ONE_METER_WIDTH
         raise GridCapError(
-            f"{what} MAX_GRID_CELLS = {MAX_GRID_CELLS}: "
+            f"reading grids holding {cells} cells exceed MAX_GRID_CELLS = {MAX_GRID_CELLS}: "
             f"widen {width} ({profiles[r].width}) or coarsen "
             f"run.grid.step ({grids[r].step})"
         )
 
 
-def _check_grids(keys: np.ndarray, profiles, grids, axis_cells=None) -> None:
-    """Cell cap (of the product grid, or of axis_cells as in _check_cells) and
-    per-axis coverage of the values, before any grid array exists."""
-    _check_cells(profiles, grids, axis_cells=axis_cells)
+def _check_grids(keys: np.ndarray, profiles, grids, cells: int | None = None) -> None:
+    """Cell cap (as in _check_cells) and per-axis coverage of the values,
+    before any grid array exists."""
+    _check_cells(profiles, grids, cells)
     for r, (profile, grid) in enumerate(zip(profiles, grids)):
         lo = keys[:, r].min() - MIN_PAD_WIDTHS * profile.width
         hi = keys[:, r].max() + MIN_PAD_WIDTHS * profile.width
@@ -383,52 +375,78 @@ def _pair_form(re: np.ndarray, im: np.ndarray, q: np.ndarray) -> np.ndarray:
     """sum_{k,k'} Re(M_k conj M_k') q[k, k'] over axis 0 of M = re + i im,
     for every column of the rows M_k (the classes, of any trailing shape)."""
     re, im = re.reshape(len(q), -1), im.reshape(len(q), -1)
-    return (re * np.dot(q, re) + im * np.dot(q, im)).sum(axis=0)
+    form, im_form = np.dot(q, re), np.dot(q, im)
+    form *= re
+    im_form *= im
+    form += im_form
+    return form.sum(axis=0)
 
 
-def _axes(keys: np.ndarray, n_branches: int, profiles, grids):
-    """Each axis's distinct values and each row's index into them; on each later
-    axis r, S_r[v, i] = G_r(xi_i - values_r[v]) and the overlaps O_r = (S_r w_r) S_r^T
-    that integrate it out of a pair of rows (cap and coverage checked first)."""
-    values, index = zip(*(np.unique(keys[:, r], return_inverse=True) for r in range(len(grids))))
-    later = [v.size * g.n for v, g in zip(values[1:], grids[1:])]
-    _check_grids(keys, profiles, grids, [n_branches * grids[0].n, *later])
+def _values(keys: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Each axis's distinct values, and each row's index into them (rows x axes)."""
+    values, index = zip(*(np.unique(keys[:, r], return_inverse=True) for r in range(keys.shape[1])))
+    return values, np.stack([i.reshape(-1) for i in index], axis=1)
+
+
+def _later_axes(values, profiles, grids) -> tuple[list, list]:
+    """On each later axis r, S_r[v, i] = G_r(xi_i - values_r[v]) and the
+    overlaps O_r = (S_r w_r) S_r^T that integrate it out of a pair of rows."""
     samples = [None] + [p.samples(g.xs() - v[:, None]) for p, g, v in zip(profiles[1:], grids[1:], values[1:])]
-    overlaps = [None] + [(s * g.weights()) @ s.T for s, g in zip(samples[1:], grids[1:])]
-    return values, np.stack([i.reshape(-1) for i in index], axis=1), samples, overlaps
+    return samples, [None] + [(s * g.weights()) @ s.T for s, g in zip(samples[1:], grids[1:])]
 
 
-def _first_axis(keys: np.ndarray, amps: np.ndarray, profiles, grids=None, axes=None) -> tuple[np.ndarray, tuple]:
+def _mean_readings(dist: PointerDistribution) -> tuple[float, ...]:
+    """The mean reading on each axis of a held density, NaN at zero mass."""
+    return tuple(dist.marginal_mean(r) if dist.norm > 0 else math.nan for r in range(dist.n_axes))
+
+
+def _first_axis(keys: np.ndarray, amps: np.ndarray, profiles, grids=None) -> tuple[np.ndarray, tuple]:
     """masses[b, i] = w_0[i] sum_{k,k'} Re(M_bk conj M_bk') prod_{r>=1} O_r[k, k'],
     the trapezoid mass of amplitude column b at node i of axis 0 with every
     later axis integrated out, and column 0's mean reading on each axis (NaN at
     zero mass).  M_bk sums amps[g, b] G_0(xi_i - keys[g, 0]) over the rows of
     class k (sharing their values on axes 1..R-1), in blocks of axis 0; a mean
-    on axis r puts (S_r w_r xi) S_r^T for O_r.  axes, if given, is _axes."""
+    on axis r puts (S_r w_r xi) S_r^T for O_r.  Where the K classes' pair forms
+    and coefficients would hold more cells than the product grid, the same
+    numbers are read off each column's density on it instead."""
     amps = amps.reshape(len(keys), -1)
     grids = _place_grids(keys, profiles, grids)
-    values, index, samples, overlap = _axes(keys, amps.shape[1], profiles, grids) if axes is None else axes
-    n_axes = len(grids)
+    values, index = _values(keys)
+    first, of_row = _classes(index, 1)
+    n_axes, n_columns, n_classes = len(grids), amps.shape[1], len(first)
+    # cells of the pair rule besides the masses: R forms of K x K, the complex
+    # K x B x V_0 coefficients, and each later axis's samples and two overlaps
+    held = n_axes * n_classes**2 + 2 * n_classes * n_columns * values[0].size
+    held += sum(v.size * (g.n + 2 * v.size) for v, g in zip(values[1:], grids[1:]))
+    cells = math.prod(g.n for g in grids)
+    _check_grids(keys, profiles, grids, n_columns * grids[0].n + min(held, cells))
+    xs, weights = grids[0].xs(), grids[0].weights()
+    masses = np.empty((n_columns, xs.size))
+    if held > cells:
+        later = [None] + [g.weights() for g in grids[1:]]
+        for b in reversed(range(n_columns)):
+            density = _pointer_kernel(amps[:, b], keys, profiles, grids, float)
+            masses[b] = _integrate(density, later) * weights
+        return masses, _mean_readings(PointerDistribution(grids, density))
+    samples, overlap = _later_axes(values, profiles, grids)
     xi_overlap = [None] + [(s * (g.weights() * g.xs())) @ s.T for s, g in zip(samples[1:], grids[1:])]
     # row k B + b of coef: column b of amps summed over class k, by value on axis 0
-    first, of_row = _classes(index, 1)
-    coef = np.zeros((len(first), amps.shape[1], values[0].size), dtype=complex)
+    coef = np.zeros((n_classes, n_columns, values[0].size), dtype=complex)
     np.add.at(coef, (of_row, slice(None), index[:, 0]), amps)
     coef = coef.reshape(-1, values[0].size)
     forms = [_gram(first, 1, overlap)] + [
         _gram(first, 1, [xi_overlap[s] if s == r else overlap[s] for s in range(n_axes)]) for r in range(1, n_axes)
     ]
-    xs, weights = grids[0].xs(), grids[0].weights()
-    masses = np.empty((amps.shape[1], xs.size))
     moments = np.zeros(n_axes)
     rows = max(1, KERNEL_BLOCK_CELLS // max(values[0].size, len(coef)))
     for lo in range(0, xs.size, rows):
         block = slice(lo, lo + rows)
         s0 = profiles[0].samples(xs[block] - values[0][:, None])
         re, im = coef.real @ s0, coef.imag @ s0
-        masses[:, block] = _pair_form(re, im, forms[0]).reshape(len(masses), -1) * weights[block]
+        masses[:, block] = _pair_form(re, im, forms[0]).reshape(n_columns, -1)
         for r in range(1, n_axes):
-            moments[r] += _pair_form(re[:: len(masses)], im[:: len(masses)], forms[r]) @ weights[block]
+            moments[r] += _pair_form(re[::n_columns], im[::n_columns], forms[r]) @ weights[block]
+    masses *= weights
     norm = masses[0].sum()
     moments[0] = masses[0] @ xs
     return masses, tuple(float(m / norm) if norm > 0 else math.nan for m in moments)

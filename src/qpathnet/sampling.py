@@ -5,18 +5,19 @@ selection.  Their exact joint law on the grid nodes is known, and trials
 draw it by the chain rule, in reading order: first the selection branch and
 the reading of meter 0 together, from the B x n_0 table of their masses
 (meter._first_axis, which also gives the exact success probability and
-mean readings, for either draw); then each later reading given the earlier
-ones, by inverting its conditional CDF.  That CDF is a sum of per-axis pair
-tables weighted by the trial's running amplitudes, so no array spans the
-product grid: memory is O(B n_0 + sum_r P_r n_r) plus one chunk of trials
-(P_r pairs of row classes on axis r), and the cap on grid cells counts
-these cells, not the product grid's.
+mean readings); then each later reading given the earlier ones, by
+inverting its conditional CDF.  That CDF is a sum of per-axis pair tables
+weighted by the trial's running amplitudes, so no array spans the product
+grid: memory is O(B n_0 + sum_r P_r n_r) plus one chunk of trials (P_r
+pairs of row classes on axis r), and the cap on grid cells counts these
+cells, not the product grid's.
 
 A trial pays about P_r log2(n_r) table reads on each later axis, so where
 later axes read many distinct values, or the product grid is small next to
 the trial count, the trials are drawn instead by inverse CDF over the flat
 (branch, cell) masses of one density per branch on the product grid
-(_chain_rule_pays chooses, from the counts alone).
+(_chain_rule_pays chooses, from the counts alone), and the exact numbers
+are read off the success branch's density.
 
 Reproducibility: in the chain-rule draw trial i reads the uniform at Philox
 stream position R i + r for axis r, in the product-grid draw position i (see
@@ -35,13 +36,16 @@ import numpy as np
 from .meter import (
     Grid,
     MeterSpec,
-    _axes,
+    PointerDistribution,
     _check_cells,
     _classes,
     _first_axis,
     _gram,
+    _later_axes,
+    _mean_readings,
     _place_grids,
     _pointer_kernel,
+    _values,
 )
 from .paths import MeasurementChain, _branch_amplitudes
 from .rng import CHUNK, cdf_index, check_trials, inverse_cdf_draws, map_chunks, uniform_block
@@ -173,16 +177,16 @@ def sample_trials(
     keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
     profiles = [m.profile for m in meters]
     grids = _place_grids(keys, profiles, grids)
-    axes = _axes(keys, amps.shape[1], profiles, grids)
-    masses, exact_means = _first_axis(keys, amps, profiles, grids, axes)
-    total = masses.sum()
-    if total <= 0.0:
-        raise ValueError(_NOTHING_TO_SAMPLE)
-    exact_success = float(masses[0].sum() / total)
     if not _chain_rule_pays(keys, amps.shape[1], grids, n_trials):
-        readings, branches = _grid_trials(keys, amps, profiles, grids, n_trials, seed, max_workers)
-        return TrialSet(seed, readings, branches, exact_success, exact_means)
-    law = _ChainLaw(keys, amps, profiles, grids, axes, masses)
+        return _grid_trials(keys, amps, profiles, grids, n_trials, seed, max_workers)
+    keep = np.any(amps != 0, axis=1)
+    if not keep.any():
+        raise ValueError(_NOTHING_TO_SAMPLE)
+    keys, amps = keys[keep], amps[keep]
+    masses, exact_means = _first_axis(keys, amps, profiles, grids)
+    if masses.sum() <= 0.0:
+        raise ValueError(_NOTHING_TO_SAMPLE)
+    law = _ChainLaw(keys, amps, profiles, grids, masses)
 
     n_axes = len(grids)
     readings = np.empty((n_trials, n_axes))
@@ -195,7 +199,7 @@ def sample_trials(
             law.draw(u[a:b], readings[lo + a : lo + b], branches[lo + a : lo + b])
 
     map_chunks(n_trials, draw_chunk, max_workers)
-    return TrialSet(seed, readings, branches, exact_success, exact_means)
+    return TrialSet(seed, readings, branches, float(masses[0].sum() / law.total), exact_means)
 
 
 def _chain_rule_pays(keys: np.ndarray, n_branches: int, grids, n_trials: int) -> bool:
@@ -213,19 +217,24 @@ def _chain_rule_pays(keys: np.ndarray, n_branches: int, grids, n_trials: int) ->
     return tables <= cells and n_trials * per_trial <= READS_PER_CELL * cells
 
 
-def _grid_trials(keys, amps, profiles, grids, n_trials: int, seed: int, max_workers) -> tuple[np.ndarray, np.ndarray]:
-    """Readings and branches drawn by inverse CDF over the flat (branch, cell) masses
-    of one density per branch on the product grid; trial i reads stream position i."""
-    _check_cells(profiles, grids, copies=amps.shape[1])
+def _grid_trials(keys, amps, profiles, grids, n_trials: int, seed: int, max_workers) -> TrialSet:
+    """Records drawn by inverse CDF over the flat (branch, cell) masses of one
+    density per branch on the product grid; trial i reads stream position i.
+    The exact numbers are read off the success branch's density."""
+    _check_cells(profiles, grids, amps.shape[1] * math.prod(g.n for g in grids))
     masses = np.empty((amps.shape[1], *(g.n for g in grids)))
     for b, density in enumerate(masses):
         _pointer_kernel(amps[:, b], keys, profiles, grids, float, out=density)
+    first = PointerDistribution(grids, masses[0])
+    exact_means = _mean_readings(first)
 
     # cell mass = density * separable trapezoid weights; then the CDF, all in place
     masses *= grids[0].weights().reshape((-1,) + (1,) * (len(grids) - 1))
     masses *= functools.reduce(np.multiply.outer, [g.weights() for g in grids[1:]], np.ones(()))
     masses = masses.reshape(-1)
     total = masses.sum()
+    if total <= 0.0:
+        raise ValueError(_NOTHING_TO_SAMPLE)
     cdf = np.cumsum(masses, out=masses)
 
     # a drawn index is (branch, i_0, ..., i_R-1) in row-major order; peeling
@@ -235,7 +244,7 @@ def _grid_trials(keys, amps, profiles, grids, n_trials: int, seed: int, max_work
     for r in reversed(range(len(grids))):
         readings[:, r] = grids[r].xs()[drawn % grids[r].n]
         drawn //= grids[r].n
-    return readings, drawn
+    return TrialSet(seed, readings, drawn, float(first.norm / total), exact_means)
 
 
 def _bisect(tables: np.ndarray, n: int, coefs: list, u: np.ndarray) -> np.ndarray:
@@ -285,19 +294,20 @@ class _ChainLaw:
     A^b_g prod_{s<r} S_s[g, i_s] per class and the pair table T_r is the
     cumulative sum of w_r S_r[k] S_r[k'] times m prod_{s>r} O_s[k, k']
     (m = 1 on the diagonal, 2 off it), with the samples S_r and overlaps O_r
-    of meter._axes.
+    of meter._later_axes.
     """
 
-    def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids, axes, first_masses: np.ndarray):
+    def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids, first_masses: np.ndarray):
         n_axes = len(grids)
-        values, index, samples, overlap = axes
+        values, index = _values(keys)
         levels = [_classes(index, r) for r in range(1, n_axes)]
         # the tables drawn from, refused above the cap before any is built:
-        # the first masses with (if a later axis reads them) the samples of
-        # axis 0, and each later axis's pair tables
-        first = first_masses.size + (values[0].size * grids[0].n if levels else 0)
-        pairs = [math.comb(len(classes) + 1, 2) * g.n for (classes, _), g in zip(levels, grids[1:])]
-        _check_cells(profiles, grids, axis_cells=[first, *pairs])
+        # the first masses and, with a later axis, every axis's samples and
+        # each later axis's pair tables at their padded length
+        held = sum(v.size * g.n for v, g in zip(values, grids)) if levels else 0
+        held += sum(math.comb(len(c) + 1, 2) << (g.n - 1).bit_length() for (c, _), g in zip(levels, grids[1:]))
+        _check_cells(profiles, grids, first_masses.size + held)
+        samples, overlap = _later_axes(values, profiles, grids)
         self.xs = [g.xs() for g in grids]
         # the draw reads these from axis 0 to R-2 (one meter reads none)
         self.samples = [profiles[0].samples(self.xs[0] - values[0][:, None]), *samples[1:]] if levels else []

@@ -254,6 +254,36 @@ class TestOneWalk:
         first = joint_reading_distribution(chain, meters, grids)
         assert trials.exact_means[1] == pytest.approx(first.marginal_mean(1), rel=1e-12)
 
+    @pytest.mark.parametrize("n_meters", [1, 2])
+    def test_many_classes_take_moments_off_the_product_grid(self, n_meters):
+        # 4096 distinct values per meter: with two, the class-pair forms and
+        # coefficients would hold about 7e7 cells and the product grid 71^2
+        # (one meter's coefficients alone outnumber its 71 nodes); the moment
+        # rule (as exact mode calls it) and both draws read the numbers off
+        # densities on that grid (one meter takes the chain rule, two the
+        # product grid)
+        chain = random_chain(np.random.default_rng(4), 2, 12, eigenvalues=[0.0, 1.0])
+        rng = np.random.default_rng(5)
+        meters = [
+            MeterSpec(PathFunctional.from_table(rng.permutation(4096) / 4095.0), PointerProfile.gaussian(0.2))
+            for _ in range(n_meters)
+        ]
+        grids = [Grid.cover([0.0, 1.0], 0.2, step=0.05)] * n_meters
+        keys, amps = grouped_amplitudes(chain, [m.functional for m in meters])
+        tracemalloc.start()
+        try:
+            masses, means = _first_axis(keys, amps, [m.profile for m in meters], grids)
+            trials = sample_trials(chain, meters, 1000, seed=2, grids=grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        joint = joint_reading_distribution(chain, meters, grids)
+        assert masses.sum() == pytest.approx(joint.norm, rel=1e-12)
+        for r in range(n_meters):
+            assert means[r] == joint.marginal_mean(r)
+            assert trials.exact_means[r] == pytest.approx(joint.marginal_mean(r), rel=1e-12)
+
 
 class TestDrawChoice:
     """The chain-rule draw is taken where its per-trial table reads cost less
