@@ -133,7 +133,10 @@ def _run_sweep(config: ScenarioConfig, out: Path) -> dict:
     widths = config.run.widths
     if not widths:
         raise ConfigError("run.widths: sweep mode needs a list of widths")
-    report = weak_limit_report(config.chain, config.meters[0].functional, widths)
+    try:
+        report = weak_limit_report(config.chain, config.meters[0].functional, widths)
+    except GridCapError as exc:
+        raise exc.for_sweep(widths) from None
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["width", "mean", "abs_error"])

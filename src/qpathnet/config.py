@@ -286,6 +286,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     widths = run_doc.get("widths", [])
     _require(isinstance(widths, list), "run.widths", "expected a list")
     widths = tuple(_real(w, f"run.widths[{i}]", positive=True) for i, w in enumerate(widths))
+    _require(all(a < b for a, b in zip(widths, widths[1:])), "run.widths", "must be strictly increasing")
     grid_doc = run_doc.get("grid", {})
     _require(isinstance(grid_doc, dict), "run.grid", "expected an object")
     grid_step = grid_doc.get("step")

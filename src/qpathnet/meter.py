@@ -15,15 +15,18 @@ Numerics: one kernel serves 1 or R meters: it takes the path amplitudes
 grouped by their tuple of values (paths.grouped_amplitudes) and
 contracts per-axis profile samples, block by block, into one float64
 density, held with its grids in one PointerDistribution for 1 or R axes.
-Moments not read off a held density come from one rule, _first_axis, with
-no array spanning two axes.  Quadrature is composite trapezoid; the
-rectangular profile reports the half-jump value at its edges, which makes
-trapezoid sums over edge-aligned grids exact for piecewise-constant densities.
+Moments not read off a held density, and the sampler's first table, come
+from one rule, _first_axis, with no array spanning two axes unless its pair
+forms would outgrow the product grid or the table spans every axis.
+Quadrature is composite trapezoid; the rectangular profile reports the
+half-jump value at its edges, which makes trapezoid sums over edge-aligned
+grids exact for piecewise-constant densities.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -274,11 +277,24 @@ _ONE_METER_WIDTH = "the meter's profile.width"
 
 
 class GridCapError(ValueError):
-    """A reading grid above MAX_GRID_CELLS, refused before anything grid-sized exists."""
+    """A reading grid above MAX_GRID_CELLS, refused before anything grid-sized
+    exists; the message names the width field to widen and, unless step is
+    None, the grid step to coarsen."""
+
+    def __init__(self, cells: int, field: str, width: float, step: float | None):
+        remedy = f"widen {field} ({width})" + ("" if step is None else f" or coarsen run.grid.step ({step})")
+        super().__init__(f"reading grids holding {cells} cells exceed MAX_GRID_CELLS = {MAX_GRID_CELLS}: {remedy}")
+        self.cells, self.field, self.width, self.step = cells, field, width, step
 
     def for_meter(self, index: int) -> "GridCapError":
         """The same error, naming the width field of meter `index` of a config."""
-        return GridCapError(str(self).replace(_ONE_METER_WIDTH, f"meters[{index}].profile.width"))
+        field = f"meters[{index}].profile.width" if self.field == _ONE_METER_WIDTH else self.field
+        return GridCapError(self.cells, field, self.width, self.step)
+
+    def for_sweep(self, widths) -> "GridCapError":
+        """The same error for a sweep over widths, naming the one refused; a
+        sweep places its own grids, so no step is named."""
+        return GridCapError(self.cells, f"run.widths[{widths.index(self.width)}]", self.width, None)
 
 
 def _check_cells(profiles, grids, cells: int | None = None) -> None:
@@ -290,12 +306,8 @@ def _check_cells(profiles, grids, cells: int | None = None) -> None:
     cells = math.prod(g.n for g in grids) if cells is None else cells
     if cells > MAX_GRID_CELLS:
         r = max(range(len(grids)), key=lambda i: grids[i].n)
-        width = f"meters[{r}].profile.width" if len(grids) > 1 else _ONE_METER_WIDTH
-        raise GridCapError(
-            f"reading grids holding {cells} cells exceed MAX_GRID_CELLS = {MAX_GRID_CELLS}: "
-            f"widen {width} ({profiles[r].width}) or coarsen "
-            f"run.grid.step ({grids[r].step})"
-        )
+        field = f"meters[{r}].profile.width" if len(grids) > 1 else _ONE_METER_WIDTH
+        raise GridCapError(cells, field, profiles[r].width, grids[r].step)
 
 
 def _check_grids(keys: np.ndarray, profiles, grids, cells: int | None = None) -> None:
@@ -395,20 +407,22 @@ def _later_axes(values, profiles, grids) -> tuple[list, list]:
     return samples, [None] + [(s * g.weights()) @ s.T for s, g in zip(samples[1:], grids[1:])]
 
 
-def _mean_readings(dist: PointerDistribution) -> tuple[float, ...]:
-    """The mean reading on each axis of a held density, NaN at zero mass."""
-    return tuple(dist.marginal_mean(r) if dist.norm > 0 else math.nan for r in range(dist.n_axes))
-
-
-def _first_axis(keys: np.ndarray, amps: np.ndarray, profiles, grids=None) -> tuple[np.ndarray, tuple]:
+def _first_axis(
+    keys: np.ndarray, amps: np.ndarray, profiles, grids=None, every_axis: bool = False
+) -> tuple[np.ndarray, tuple]:
     """masses[b, i] = w_0[i] sum_{k,k'} Re(M_bk conj M_bk') prod_{r>=1} O_r[k, k'],
     the trapezoid mass of amplitude column b at node i of axis 0 with every
     later axis integrated out, and column 0's mean reading on each axis (NaN at
     zero mass).  M_bk sums amps[g, b] G_0(xi_i - keys[g, 0]) over the rows of
     class k (sharing their values on axes 1..R-1), in blocks of axis 0; a mean
-    on axis r puts (S_r w_r xi) S_r^T for O_r.  Where the K classes' pair forms
-    and coefficients would hold more cells than the product grid, the same
-    numbers are read off each column's density on it instead."""
+    on axis r puts (S_r w_r xi) S_r^T for O_r.
+
+    With every_axis, masses[b, i_0, ..., i_R-1] is the trapezoid mass of every
+    cell of the product grid instead.  That table, and the axis-0 one wherever
+    the K classes' pair forms and coefficients would hold more cells than the
+    product grid, is read off each column's density on the product grid: the
+    densities fill one buffer, column 0's means are taken, and the buffer is
+    weighted in place."""
     amps = amps.reshape(len(keys), -1)
     grids = _place_grids(keys, profiles, grids)
     values, index = _values(keys)
@@ -419,15 +433,19 @@ def _first_axis(keys: np.ndarray, amps: np.ndarray, profiles, grids=None) -> tup
     held = n_axes * n_classes**2 + 2 * n_classes * n_columns * values[0].size
     held += sum(v.size * (g.n + 2 * v.size) for v, g in zip(values[1:], grids[1:]))
     cells = math.prod(g.n for g in grids)
-    _check_grids(keys, profiles, grids, n_columns * grids[0].n + min(held, cells))
+    dense = every_axis or held > cells
+    _check_grids(keys, profiles, grids, n_columns * cells if dense else n_columns * grids[0].n + held)
     xs, weights = grids[0].xs(), grids[0].weights()
+    if dense:
+        masses = np.empty((n_columns, *(g.n for g in grids)))
+        for b, density in enumerate(masses):
+            _pointer_kernel(amps[:, b], keys, profiles, grids, float, out=density)
+        dist = PointerDistribution(grids, masses[0])
+        means = tuple(dist.marginal_mean(r) if dist.norm > 0 else math.nan for r in range(n_axes))
+        masses *= weights.reshape((-1,) + (1,) * (n_axes - 1))
+        masses *= functools.reduce(np.multiply.outer, [g.weights() for g in grids[1:]], np.ones(()))
+        return (masses if every_axis else masses.reshape(n_columns, xs.size, -1).sum(axis=2)), means
     masses = np.empty((n_columns, xs.size))
-    if held > cells:
-        later = [None] + [g.weights() for g in grids[1:]]
-        for b in reversed(range(n_columns)):
-            density = _pointer_kernel(amps[:, b], keys, profiles, grids, float)
-            masses[b] = _integrate(density, later) * weights
-        return masses, _mean_readings(PointerDistribution(grids, density))
     samples, overlap = _later_axes(values, profiles, grids)
     xi_overlap = [None] + [(s * (g.weights() * g.xs())) @ s.T for s, g in zip(samples[1:], grids[1:])]
     # row k B + b of coef: column b of amps summed over class k, by value on axis 0

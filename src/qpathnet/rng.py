@@ -1,5 +1,5 @@
 """Counter-based uniform streams with stable per-trial positions, and the
-chunked thread-pool runner and seeded inverse-CDF draw that Monte-Carlo
+chunked thread-pool runner and inverse-CDF lookup that Monte-Carlo
 sampling and the classical comparator share.
 
 Trial i always consumes the same positions of one Philox stream keyed by the

@@ -14,20 +14,20 @@ cells, not the product grid's.
 
 A trial pays about P_r log2(n_r) table reads on each later axis, so where
 later axes read many distinct values, or the product grid is small next to
-the trial count, the trials are drawn instead by inverse CDF over the flat
-(branch, cell) masses of one density per branch on the product grid
-(_chain_rule_pays chooses, from the counts alone), and the exact numbers
-are read off the success branch's density.
+the trial count, the first table spans every axis instead: the B x n_0 x
+... x n_R-1 cell masses of one density per branch on the product grid, with
+no later axis left (_chain_rule_pays chooses, from the counts alone).  The
+same law draws both, and the same _first_axis call gives the exact numbers.
 
-Reproducibility: in the chain-rule draw trial i reads the uniform at Philox
-stream position R i + r for axis r, in the product-grid draw position i (see
-rng.uniform_block); every per-trial step is elementwise, so records are
-bit-identical for any worker count or chunking.
+Reproducibility: trial i reads the uniforms at Philox stream positions
+(1 + L) i + c, with L the axes after the first table, c = 0 for that table
+and c = r for later axis r: R i + r in the chain-rule draw, i where the
+table spans every axis (see rng.uniform_block); every per-trial step is
+elementwise, so records are bit-identical for any worker count or chunking.
 """
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 
@@ -36,19 +36,16 @@ import numpy as np
 from .meter import (
     Grid,
     MeterSpec,
-    PointerDistribution,
     _check_cells,
     _classes,
     _first_axis,
     _gram,
     _later_axes,
-    _mean_readings,
     _place_grids,
-    _pointer_kernel,
     _values,
 )
 from .paths import MeasurementChain, _branch_amplitudes
-from .rng import CHUNK, cdf_index, check_trials, inverse_cdf_draws, map_chunks, uniform_block
+from .rng import CHUNK, cdf_index, check_trials, map_chunks, uniform_block
 
 # Trials drawn at once within a chunk hold about this many per-trial values
 # (trials x (groups + pairs)); a law of few groups draws a whole chunk at once.
@@ -177,34 +174,36 @@ def sample_trials(
     keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
     profiles = [m.profile for m in meters]
     grids = _place_grids(keys, profiles, grids)
-    if not _chain_rule_pays(keys, amps.shape[1], grids, n_trials):
-        return _grid_trials(keys, amps, profiles, grids, n_trials, seed, max_workers)
+    # rows that vanish on every branch are neither drawn nor counted as classes
     keep = np.any(amps != 0, axis=1)
     if not keep.any():
         raise ValueError(_NOTHING_TO_SAMPLE)
     keys, amps = keys[keep], amps[keep]
-    masses, exact_means = _first_axis(keys, amps, profiles, grids)
-    if masses.sum() <= 0.0:
-        raise ValueError(_NOTHING_TO_SAMPLE)
+    every_axis = not _chain_rule_pays(keys, amps.shape[1], grids, n_trials)
+    masses, exact_means = _first_axis(keys, amps, profiles, grids, every_axis)
+    # read before the law turns the masses into their CDF
+    success = masses[0].sum()
     law = _ChainLaw(keys, amps, profiles, grids, masses)
+    if law.total <= 0.0:
+        raise ValueError(_NOTHING_TO_SAMPLE)
 
-    n_axes = len(grids)
-    readings = np.empty((n_trials, n_axes))
+    readings = np.empty((n_trials, len(grids)))
     branches = np.empty(n_trials, dtype=np.intp)
 
     def draw_chunk(lo: int, hi: int) -> None:
-        u = uniform_block(seed, n_axes * lo, n_axes * (hi - lo)).reshape(-1, n_axes)
+        u = uniform_block(seed, law.stride * lo, law.stride * (hi - lo)).reshape(-1, law.stride)
         for a in range(0, hi - lo, law.rows):
             b = min(a + law.rows, hi - lo)
             law.draw(u[a:b], readings[lo + a : lo + b], branches[lo + a : lo + b])
 
     map_chunks(n_trials, draw_chunk, max_workers)
-    return TrialSet(seed, readings, branches, float(masses[0].sum() / law.total), exact_means)
+    return TrialSet(seed, readings, branches, float(success / law.total), exact_means)
 
 
 def _chain_rule_pays(keys: np.ndarray, n_branches: int, grids, n_trials: int) -> bool:
-    """Whether the per-axis tables draw the trials for less memory and work
-    than one density per branch over the product grid.
+    """Whether a first table over axis 0 alone, with per-axis tables for the
+    later axes, draws the trials for less memory and work than one table
+    over every axis of the product grid.
 
     A later axis r costs each trial about G + P_r ceil(log2 n_r) table reads
     (G groups; P_r pairs of the classes of rows sharing their values on axes
@@ -215,36 +214,6 @@ def _chain_rule_pays(keys: np.ndarray, n_branches: int, grids, n_trials: int) ->
     per_trial = sum(len(keys) + p * (g.n - 1).bit_length() for p, g in zip(pairs, grids[1:]))
     cells = n_branches * math.prod(g.n for g in grids)
     return tables <= cells and n_trials * per_trial <= READS_PER_CELL * cells
-
-
-def _grid_trials(keys, amps, profiles, grids, n_trials: int, seed: int, max_workers) -> TrialSet:
-    """Records drawn by inverse CDF over the flat (branch, cell) masses of one
-    density per branch on the product grid; trial i reads stream position i.
-    The exact numbers are read off the success branch's density."""
-    _check_cells(profiles, grids, amps.shape[1] * math.prod(g.n for g in grids))
-    masses = np.empty((amps.shape[1], *(g.n for g in grids)))
-    for b, density in enumerate(masses):
-        _pointer_kernel(amps[:, b], keys, profiles, grids, float, out=density)
-    first = PointerDistribution(grids, masses[0])
-    exact_means = _mean_readings(first)
-
-    # cell mass = density * separable trapezoid weights; then the CDF, all in place
-    masses *= grids[0].weights().reshape((-1,) + (1,) * (len(grids) - 1))
-    masses *= functools.reduce(np.multiply.outer, [g.weights() for g in grids[1:]], np.ones(()))
-    masses = masses.reshape(-1)
-    total = masses.sum()
-    if total <= 0.0:
-        raise ValueError(_NOTHING_TO_SAMPLE)
-    cdf = np.cumsum(masses, out=masses)
-
-    # a drawn index is (branch, i_0, ..., i_R-1) in row-major order; peeling
-    # the axes off from the last, in place, leaves the branch
-    drawn = inverse_cdf_draws(cdf, total, n_trials, seed, max_workers)
-    readings = np.empty((n_trials, len(grids)))
-    for r in reversed(range(len(grids))):
-        readings[:, r] = grids[r].xs()[drawn % grids[r].n]
-        drawn //= grids[r].n
-    return TrialSet(seed, readings, drawn, float(first.norm / total), exact_means)
 
 
 def _bisect(tables: np.ndarray, n: int, coefs: list, u: np.ndarray) -> np.ndarray:
@@ -285,38 +254,48 @@ def _class_sum(values: np.ndarray, rows) -> np.ndarray:
 
 class _ChainLaw:
     """The (branch, readings) law on the grid nodes, factored in reading order
-    into per-axis tables; no array spans two reading axes.
+    into a first table and per-axis tables for the axes after it.
 
-    Axis 0 is drawn jointly with the branch from the B x n_0 table of
-    meter._first_axis; each later axis r from its conditional CDF,
-    F(i) = sum over pairs k <= k' of classes (rows sharing their values on
-    axes r..R-1) of Re(u_k conj u_k') T_r[k, k', i], where u sums the rows'
-    A^b_g prod_{s<r} S_s[g, i_s] per class and the pair table T_r is the
-    cumulative sum of w_r S_r[k] S_r[k'] times m prod_{s>r} O_s[k, k']
-    (m = 1 on the diagonal, 2 off it), with the samples S_r and overlaps O_r
-    of meter._later_axes.
+    The first table is meter._first_axis's masses, over the branch and axis 0
+    (B x n_0) or over the branch and every axis (B x n_0 x ... x n_R-1);
+    (branch, i_0, ...) is drawn from its flat CDF and the index unravelled.
+    After a table over axis 0, each later axis r is drawn from its
+    conditional CDF, F(i) = sum over pairs k <= k' of classes (rows sharing
+    their values on axes r..R-1) of Re(u_k conj u_k') T_r[k, k', i], where u
+    sums the rows' A^b_g prod_{s<r} S_s[g, i_s] per class and the pair table
+    T_r is the cumulative sum of w_r S_r[k] S_r[k'] times m prod_{s>r}
+    O_s[k, k'] (m = 1 on the diagonal, 2 off it), with the samples S_r and
+    overlaps O_r of meter._later_axes; no array of these spans two axes.
+
+    The first table becomes its CDF in place, so it must not be read after.
     """
 
     def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids, first_masses: np.ndarray):
         n_axes = len(grids)
         values, index = _values(keys)
-        levels = [_classes(index, r) for r in range(1, n_axes)]
+        levels = [_classes(index, r) for r in range(first_masses.ndim - 1, n_axes)]
         # the tables drawn from, refused above the cap before any is built:
         # the first masses and, with a later axis, every axis's samples and
         # each later axis's pair tables at their padded length
         held = sum(v.size * g.n for v, g in zip(values, grids)) if levels else 0
         held += sum(math.comb(len(c) + 1, 2) << (g.n - 1).bit_length() for (c, _), g in zip(levels, grids[1:]))
         _check_cells(profiles, grids, first_masses.size + held)
-        samples, overlap = _later_axes(values, profiles, grids)
         self.xs = [g.xs() for g in grids]
-        # the draw reads these from axis 0 to R-2 (one meter reads none)
-        self.samples = [profiles[0].samples(self.xs[0] - values[0][:, None]), *samples[1:]] if levels else []
+        self.shape = first_masses.shape
         self.total = first_masses.sum()
-        self.cdf = np.cumsum(first_masses.reshape(-1))
+        self.cdf = first_masses.reshape(-1)
+        np.cumsum(self.cdf, out=self.cdf)
+        # uniforms per trial: one for the first table, one per later axis
+        self.stride = 1 + len(levels)
+        self.axes, self.rows = [], CHUNK
+        if not levels:
+            return
+        samples, overlap = _later_axes(values, profiles, grids)
+        # the draw reads these from axis 0 to R-2
+        self.samples = [profiles[0].samples(self.xs[0] - values[0][:, None]), *samples[1:]]
 
         # later axes: the rows of each class, and the pair tables T_r padded
         # to a power-of-two length by repeating their last node
-        self.axes = []
         for r, (classes, of_row) in enumerate(levels, start=1):
             q = _gram(classes, r, [overlap[s] if s > r else None for s in range(n_axes)])
             pairs = list(zip(*np.triu_indices(len(classes))))
@@ -335,18 +314,21 @@ class _ChainLaw:
         self.amp_at = (np.arange(len(keys)) * amps.shape[1])[:, None]
         self.sample_at = [(index[:, s] * g.n)[:, None] for s, g in enumerate(grids)]
         widest = max([len(keys)] + [len(pairs) for _, pairs, _ in self.axes])
-        self.rows = max(1, min(CHUNK, SLICE_VALUES // widest)) if self.axes else CHUNK
+        self.rows = max(1, min(CHUNK, SLICE_VALUES // widest))
 
     def draw(self, u: np.ndarray, readings: np.ndarray, branches: np.ndarray) -> None:
         """Fill readings and branches for the trials whose uniforms are the
-        rows of u, column r for axis r; every step is elementwise per trial."""
-        branch, i = np.divmod(cdf_index(self.cdf, self.total, u[:, 0]), self.xs[0].size)
-        branches[:] = branch
-        readings[:, 0] = self.xs[0][i]
+        rows of u: column 0 for the first table, column r for later axis r;
+        every step is elementwise per trial."""
+        branches[:], *drawn = np.unravel_index(cdf_index(self.cdf, self.total, u[:, 0]), self.shape)
+        for r, i in enumerate(drawn):
+            readings[:, r] = self.xs[r][i]
         if not self.axes:
             return
+        # later axes follow a table over axis 0 alone
+        (i,) = drawn
         # c_g = A^b_g prod_{s<r} S_s[g, i_s], real and imaginary parts by row
-        at = self.amp_at + branch
+        at = self.amp_at + branches
         re, im = self.amps_re.take(at), self.amps_im.take(at)
         for r, (members, pairs, pair_tables) in enumerate(self.axes, start=1):
             factor = self.samples[r - 1].take(self.sample_at[r - 1] + i)

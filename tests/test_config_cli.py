@@ -18,7 +18,7 @@ from qpathnet import cli
 from qpathnet.cli import main, report, run
 from qpathnet.config import RunSettings
 from qpathnet.rng import MAX_TRIALS
-from qpathnet.scenarios import build_difference_meter, build_projector_postselected
+from qpathnet.scenarios import build_difference_meter, build_preset, build_projector_postselected
 
 
 def sample_config(mode="exact"):
@@ -377,6 +377,17 @@ class TestCliEntryPoint:
         assert main(["run", str(path), str(tmp_path / "out")]) == 3
         assert "widen meters[1].profile.width (1e-06)" in capsys.readouterr().err
 
+    def test_sweep_width_over_the_grid_cap_names_the_width(self, tmp_path, capsys):
+        # a sweep places its own grids, so run.grid.step is no remedy
+        preset = build_preset("minus-hundred")
+        settings = RunSettings(mode="sweep", widths=(1e-6, 1.0))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(export_config(preset.name, preset.chain, preset.meters, settings)))
+        assert main(["run", str(path), str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "widen run.widths[0] (1e-06)" in err and "run.grid.step" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_run_leaves_no_artifacts(self, tmp_path):
         # meter 0 succeeds and meter 1 hits the grid cap
         doc = sample_config()
@@ -494,7 +505,13 @@ class TestCliEntryPoint:
 
     @pytest.mark.parametrize(
         "run_doc, field",
-        [({"grid": {"pad": 1}}, "run.grid.pad"), ({"trials": MAX_TRIALS + 1}, "run.trials"), ({"trials": 2.5}, "run.trials")],
+        [
+            ({"grid": {"pad": 1}}, "run.grid.pad"),
+            ({"trials": MAX_TRIALS + 1}, "run.trials"),
+            ({"trials": 2.5}, "run.trials"),
+            ({"widths": [10.0, 1.0]}, "run.widths"),
+            ({"widths": [1.0, 1.0]}, "run.widths"),
+        ],
     )
     def test_run_fields_are_refused_at_parse_time(self, tmp_path, capsys, run_doc, field):
         doc = sample_config("sample")

@@ -13,9 +13,14 @@ from hypothesis import strategies as st
 from helpers import brute_force_joint_density, count_grouped_amplitudes, path_amplitude_oracle, random_chain
 from qpathnet import (
     Grid,
+    MeasurementChain,
+    MeasurementStep,
     MeterSpec,
+    Observable,
     PathFunctional,
     PointerProfile,
+    Propagator,
+    StateVector,
     build_minus_hundred,
     build_projector_postselected,
     build_three_box,
@@ -28,7 +33,7 @@ from qpathnet import (
 )
 from qpathnet import sampling
 from qpathnet.paths import _branch_amplitudes, grouped_amplitudes
-from qpathnet.rng import CHUNK, MAX_TRIALS, THREADS_ENV, uniform_block, worker_count
+from qpathnet.rng import CHUNK, MAX_TRIALS, THREADS_ENV, cdf_index, uniform_block, worker_count
 from qpathnet.meter import _first_axis
 
 
@@ -236,13 +241,38 @@ class TestOneWalk:
             tracemalloc.stop()
         assert peak < 0.5 * density_bytes
 
+    def test_dead_rows_do_not_choose_the_draw(self):
+        # free evolution in the measured basis keeps 2 of the 128 paths alive
+        # on both branches; counted as classes, the dead rows sent this run
+        # to the product grid of 2 x 2601^2 cells (112 MB traced)
+        projector = Observable.from_eigensystem([0.0, 1.0], np.eye(2))
+        steps = tuple(MeasurementStep(k / 8.0, projector) for k in range(1, 8))
+        plus = StateVector(np.array([1.0, 1.0]) / math.sqrt(2.0))
+        chain = MeasurementChain(plus, steps, Propagator.free(2), plus, 1.0)
+        meters = [
+            MeterSpec(PathFunctional.step_eigenvalue(0), PointerProfile.gaussian(1.0)),
+            MeterSpec(PathFunctional.from_table(np.arange(128) / 127.0), PointerProfile.gaussian(1.0)),
+        ]
+        tracemalloc.start()
+        try:
+            sample_trials(chain, meters, 100_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
     def test_many_classes_draw_from_the_product_grid(self, monkeypatch):
         # 128 distinct values on meter 1 give 8256 pair tables of 10^4 nodes,
-        # far above the 2 branches x 3 x 10^4 cells of the product grid
-        def refused(*args, **kwargs):
-            raise AssertionError("sample_trials built per-axis tables")
+        # far above the 2 branches x 3 x 10^4 cells of the product grid, so
+        # the law's first table spans both axes and no later axis is left
+        laws = []
 
-        monkeypatch.setattr(sampling, "_ChainLaw", refused)
+        class Spy(sampling._ChainLaw):
+            def __init__(self, *args):
+                super().__init__(*args)
+                laws.append(self)
+
+        monkeypatch.setattr(sampling, "_ChainLaw", Spy)
         chain = random_chain(np.random.default_rng(8), 2, 7, eigenvalues=[0.0, 1.0])
         values = np.random.default_rng(9).permutation(128) / 127.0
         meters = [
@@ -251,6 +281,7 @@ class TestOneWalk:
         ]
         grids = [Grid(-5.0, 5.0, 3), Grid(-5.0, 11.0 / 9999, 10_000)]
         trials = sample_trials(chain, meters, 1000, seed=1, grids=grids)
+        assert [(law.shape, law.axes) for law in laws] == [((2, 3, 10_000), [])]
         first = joint_reading_distribution(chain, meters, grids)
         assert trials.exact_means[1] == pytest.approx(first.marginal_mean(1), rel=1e-12)
 
@@ -393,6 +424,21 @@ class TestChainRuleLaw:
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         dof = observed.size - 1
         assert chi2 <= dof + 6.0 * math.sqrt(2.0 * dof)
+
+    @pytest.mark.parametrize("n_meters, n_points", [(2, 40), (3, 12)])
+    def test_product_grid_draw_reads_one_uniform_per_trial(self, monkeypatch, n_meters, n_points):
+        # a first table over every axis leaves no later axis: trial i takes
+        # the cell of the flat CDF above the uniform at stream position i
+        monkeypatch.setattr(sampling, "_chain_rule_pays", lambda *args: False)
+        chain, meters, grids = _law_case(n_meters, n_points)
+        n, seed = 50_000, 31
+        trials = sample_trials(chain, meters, n, seed=seed, grids=grids)
+        masses = _oracle_masses(chain, meters, grids)
+        cells = cdf_index(np.cumsum(masses.reshape(-1)), masses.sum(), uniform_block(seed, 0, n))
+        branches, *nodes = np.unravel_index(cells, masses.shape)
+        assert np.array_equal(trials.branches, branches)
+        for r, (g, i) in enumerate(zip(grids, nodes)):
+            assert np.array_equal(trials.readings[:, r], g.xs()[i])
 
     @given(
         st.integers(0, 10_000),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import count_grouped_amplitudes
-from qpathnet import meter, sampling
+from qpathnet import meter
 from qpathnet.cli import main
 from qpathnet import (
     MeasurementChain,
@@ -232,7 +232,6 @@ class TestVerificationBuildsOnce:
             return kernel(amps, keys, profiles, grids, dtype, out)
 
         monkeypatch.setattr(meter, "_pointer_kernel", spy)
-        monkeypatch.setattr(sampling, "_pointer_kernel", spy)
         assert main(["run", "preset:three-box", str(tmp_path), "--mode", "exact"]) == 0
         assert verify_preset(build_three_box(), mc_trials=2000).passed
         assert axes and set(axes) == {1}
