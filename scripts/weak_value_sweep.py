@@ -27,7 +27,7 @@ from qpathnet import (
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--widths", type=float, nargs="+", default=[10.0, 100.0, 1000.0, 10000.0])
+    parser.add_argument("--widths", type=float, nargs="+", default=[0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0])
     parser.add_argument("--target", type=float, default=None, help="also build states for this weak mean")
     args = parser.parse_args()
 

@@ -33,8 +33,7 @@ from .meter import (
     GRID_PAD_WIDTHS,
     Grid,
     GridCapError,
-    _first_axis,
-    mean_reading,
+    _moments,
     pointer_distribution,
     weak_limit_report,
 )
@@ -47,6 +46,11 @@ DIGITS = 12  # significant digits in rendered reports
 
 def _fmt(x) -> str:
     return f"{float(x):.{DIGITS}g}"
+
+
+def _finite(x: float) -> float | None:
+    """x, or None (JSON null) where it is not finite."""
+    return x if np.isfinite(x) else None
 
 
 def _load(source: str, args=None) -> ScenarioConfig:
@@ -90,23 +94,21 @@ def _run_exact(config: ScenarioConfig, out: Path) -> dict:
     summary: dict = {"name": config.name, "mode": "exact", "dim": chain.dim, "meters": []}
     # one walk of all meters: each meter's A(f) and the weak marginals read its keys
     keys, grouped = grouped_amplitudes(chain, [m.functional for m in meters])
-    grids = []
     for i, meter in enumerate(meters):
         amps = group_by_value(keys[:, i], grouped)
-        grid = _grid(config, amps.support, meter.profile.width)
-        grids.append(grid)
         try:
-            dist = pointer_distribution(amps, meter.profile, grid)
+            dist = pointer_distribution(amps, meter.profile, _grid(config, amps.support, meter.profile.width))
         except GridCapError as exc:
             raise exc.for_meter(i) from None
         csv_name = f"distribution_m{i}.csv"
         dist.write_csv(out / csv_name)
+        norms, (mean,) = _moments(amps.support[:, None], amps.amplitudes, [meter.profile])
         entry = {
             "index": i,
             "shape": meter.profile.shape,
             "width": meter.profile.width,
-            "norm": dist.norm,
-            "mean_reading": mean_reading(dist),
+            "norm": float(norms[0]),
+            "mean_reading": mean,
             "strong_mean": amps.strong_mean(),
             "strong_bins": [[f, m] for f, m in sorted(amps.strong_bins().items())],
             "distribution_csv": csv_name,
@@ -125,7 +127,7 @@ def _run_exact(config: ScenarioConfig, out: Path) -> dict:
         if key in head:
             summary[key] = head[key]
     if len(meters) >= 2:
-        summary["weak_marginals"] = list(_first_axis(keys, grouped, [m.profile for m in meters], grids)[1])
+        summary["weak_marginals"] = list(_moments(keys, grouped, [m.profile for m in meters])[1])
     return summary
 
 
@@ -133,10 +135,7 @@ def _run_sweep(config: ScenarioConfig, out: Path) -> dict:
     widths = config.run.widths
     if not widths:
         raise ConfigError("run.widths: sweep mode needs a list of widths")
-    try:
-        report = weak_limit_report(config.chain, config.meters[0].functional, widths)
-    except GridCapError as exc:
-        raise exc.for_sweep(widths) from None
+    report = weak_limit_report(config.chain, config.meters[0].functional, widths)
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["width", "mean", "abs_error"])
@@ -179,10 +178,10 @@ def _run_sample(config: ScenarioConfig, out: Path) -> dict:
         "meters": [
             {
                 "index": i,
-                "empirical_mean": m.conditional_mean,
-                "standard_error": m.standard_error,
-                "exact_mean": m.exact_mean,
-                "z_score": m.z_score,
+                "empirical_mean": _finite(m.conditional_mean),
+                "standard_error": _finite(m.standard_error),
+                "exact_mean": _finite(m.exact_mean),
+                "z_score": _finite(m.z_score),
             }
             for i, m in enumerate(s.meters)
         ],
@@ -256,7 +255,7 @@ def run(source: str, out_dir, args=None) -> dict:
     try:
         summary = runner(config, staging)
         with open(staging / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
+            json.dump(summary, fh, indent=2, allow_nan=False)
         for artifact in staging.iterdir():
             os.replace(artifact, out / artifact.name)
     except BaseException:
@@ -301,11 +300,9 @@ def report(summary_paths, out_dir=None) -> str:
             for i, v in enumerate(s["weak_marginals"]):
                 rows.append((label, f"weak_marginal_{i}", _fmt(v)))
         for m in s.get("meters", []):
-            if "empirical_mean" in m:
-                i = m["index"]
-                rows.append((label, f"meter{i}_empirical_mean", _fmt(m["empirical_mean"])))
-                rows.append((label, f"meter{i}_standard_error", _fmt(m["standard_error"])))
-                rows.append((label, f"meter{i}_z_score", _fmt(m["z_score"])))
+            for metric in ("empirical_mean", "standard_error", "z_score"):
+                if m.get(metric) is not None:
+                    rows.append((label, f"meter{m['index']}_{metric}", _fmt(m[metric])))
 
     # pair empirical and exact runs of one scenario: z-score of the sampled
     # conditional mean against the exact mean reading

@@ -15,12 +15,12 @@ Numerics: one kernel serves 1 or R meters: it takes the path amplitudes
 grouped by their tuple of values (paths.grouped_amplitudes) and
 contracts per-axis profile samples, block by block, into one float64
 density, held with its grids in one PointerDistribution for 1 or R axes.
-Moments not read off a held density, and the sampler's first table, come
-from one rule, _first_axis, with no array spanning two axes unless its pair
-forms would outgrow the product grid or the table spans every axis.
-Quadrature is composite trapezoid; the rectangular profile reports the
-half-jump value at its edges, which makes trapezoid sums over edge-aligned
-grids exact for piecewise-constant densities.
+Norms and means not taken off a held density come from one closed form,
+_moments: a pair sum over the groups weighted by the profiles' overlaps
+C_r(f - f'), with no grid.  Quadrature is composite trapezoid; the
+rectangular profile reports the half-jump value at its edges, which makes
+trapezoid sums over edge-aligned grids exact for piecewise-constant
+densities.
 """
 
 from __future__ import annotations
@@ -53,6 +53,10 @@ MIN_PAD_WIDTHS = 5.0
 MAX_GRID_CELLS = 1 << 25
 # Cells of one kernel output block and of its groups-by-rows profile samples.
 KERNEL_BLOCK_CELLS = 1 << 15
+# Cap on the group pairs of the closed-form moments (16384 groups).
+MAX_MOMENT_PAIRS = 1 << 28
+# Lattice points of a tabulated template's autocorrelation, over the template's span.
+AUTOCORRELATION_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,21 @@ class PointerProfile:
         scaled = xi / w
         return w**-0.5 * np.interp(scaled, self.template_xs, self.template_values, left=0.0, right=0.0)
 
+    def autocorrelation(self, delta, moment: int = 0) -> np.ndarray:
+        """integral u^moment G(u - delta/2) G(u + delta/2) du, elementwise: the
+        overlap C(delta) at moment 0, and at 1 its first moment about the
+        midpoint, 0 for the even Gaussian and rectangular shapes.  A tabulated
+        C is the interpolant's, so C(0) is its integral G^2, not forced to 1."""
+        delta = np.asarray(delta, dtype=float)
+        if moment and self.shape != "tabulated":
+            return np.zeros_like(delta)
+        if self.shape == "gaussian":
+            return np.exp(-(delta**2) / (8.0 * self.width**2))
+        if self.shape == "rectangular":
+            return np.maximum(0.0, 1.0 - np.abs(delta) / self.width)
+        lags, tables = _unit_autocorrelation(self.with_width(1.0))
+        return self.width**moment * np.interp(np.abs(delta) / self.width, lags, tables[moment], right=0.0)
+
     def with_width(self, width: float) -> "PointerProfile":
         return PointerProfile(self.shape, float(width), self.template_xs, self.template_values)
 
@@ -137,6 +156,23 @@ class PointerProfile:
 
     def __hash__(self):
         return hash(self._key())
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_autocorrelation(template: PointerProfile) -> tuple[np.ndarray, tuple]:
+    """Lags d and, at each, c = integral g(u) g(u + d) du and the midpoint
+    moment e + d/2 c, e = integral u g(u) g(u + d) du, of a unit-width
+    template's interpolant g, by FFT on a lattice spanning it; taking off half
+    the end products makes each lattice sum a trapezoid rule."""
+    n, xs = AUTOCORRELATION_POINTS, template.template_xs
+    lattice, step = np.linspace(xs[0], xs[-1], n, retstep=True)
+    g = np.interp(lattice, xs, template.template_values)
+    spectrum = np.fft.rfft(g, 2 * n)
+    c, e = (np.fft.irfft(np.conj(np.fft.rfft(f, 2 * n)) * spectrum, 2 * n)[:n] for f in (g, lattice * g))
+    c -= (g[0] * g + g[::-1] * g[-1]) / 2.0
+    e -= (lattice[0] * g[0] * g + (lattice * g)[::-1] * g[-1]) / 2.0
+    c, e, lags = c * step, e * step, step * np.arange(n)
+    return lags, (c, e + lags / 2.0 * c)
 
 
 @dataclass(frozen=True)
@@ -278,11 +314,10 @@ _ONE_METER_WIDTH = "the meter's profile.width"
 
 class GridCapError(ValueError):
     """A reading grid above MAX_GRID_CELLS, refused before anything grid-sized
-    exists; the message names the width field to widen and, unless step is
-    None, the grid step to coarsen."""
+    exists; the message names the width field to widen and the step to coarsen."""
 
-    def __init__(self, cells: int, field: str, width: float, step: float | None):
-        remedy = f"widen {field} ({width})" + ("" if step is None else f" or coarsen run.grid.step ({step})")
+    def __init__(self, cells: int, field: str, width: float, step: float):
+        remedy = f"widen {field} ({width}) or coarsen run.grid.step ({step})"
         super().__init__(f"reading grids holding {cells} cells exceed MAX_GRID_CELLS = {MAX_GRID_CELLS}: {remedy}")
         self.cells, self.field, self.width, self.step = cells, field, width, step
 
@@ -291,16 +326,11 @@ class GridCapError(ValueError):
         field = f"meters[{index}].profile.width" if self.field == _ONE_METER_WIDTH else self.field
         return GridCapError(self.cells, field, self.width, self.step)
 
-    def for_sweep(self, widths) -> "GridCapError":
-        """The same error for a sweep over widths, naming the one refused; a
-        sweep places its own grids, so no step is named."""
-        return GridCapError(self.cells, f"run.widths[{widths.index(self.width)}]", self.width, None)
 
-
-def _check_cells(profiles, grids, cells: int | None = None) -> None:
-    """Refuse grids other than one per profile, and more cells held on them
-    (by default the product grid's) than MAX_GRID_CELLS, naming the width of
-    the axis with most nodes, before any grid array exists."""
+def _check_grids(keys: np.ndarray, profiles, grids, cells: int | None = None) -> None:
+    """Refuse grids other than one per profile, more cells held on them (by
+    default the product grid's) than MAX_GRID_CELLS, naming the width of the
+    axis with most nodes, and grids not covering their axis's values."""
     if len(grids) != len(profiles):
         raise ValueError("need one grid per meter")
     cells = math.prod(g.n for g in grids) if cells is None else cells
@@ -308,12 +338,6 @@ def _check_cells(profiles, grids, cells: int | None = None) -> None:
         r = max(range(len(grids)), key=lambda i: grids[i].n)
         field = f"meters[{r}].profile.width" if len(grids) > 1 else _ONE_METER_WIDTH
         raise GridCapError(cells, field, profiles[r].width, grids[r].step)
-
-
-def _check_grids(keys: np.ndarray, profiles, grids, cells: int | None = None) -> None:
-    """Cell cap (as in _check_cells) and per-axis coverage of the values,
-    before any grid array exists."""
-    _check_cells(profiles, grids, cells)
     for r, (profile, grid) in enumerate(zip(profiles, grids)):
         lo = keys[:, r].min() - MIN_PAD_WIDTHS * profile.width
         hi = keys[:, r].max() + MIN_PAD_WIDTHS * profile.width
@@ -361,113 +385,34 @@ def _integrate(density: np.ndarray, weights) -> np.ndarray:
     return density
 
 
-def _classes(index: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of the rows that share their value indices on axes first..R-1,
-    in lexicographic order: each class's indices on those axes, and the class
-    of each row.  Each axis ranks the pairs (rank so far, index) in turn, which
-    costs a fraction of np.unique over rows; with no axes all rows are one class."""
-    rank, rows = np.zeros(len(index), dtype=np.intp), np.zeros(min(len(index), 1), dtype=np.intp)
-    for column in index[:, first:].T:
-        _, rows, rank = np.unique(rank * len(index) + column, return_index=True, return_inverse=True)
-    return index[rows, first:], rank
-
-
-def _gram(classes: np.ndarray, first: int, tables: list) -> np.ndarray:
-    """prod_s tables[s][v_s(k), v_s(k')] over class pairs (k, k') and the axes
-    s >= first whose table is given (None skips the axis)."""
-    q = np.ones((len(classes), len(classes)))
-    for s in range(first, first + classes.shape[1]):
-        if tables[s] is not None:
-            v = classes[:, s - first]
-            q *= tables[s][np.ix_(v, v)]
-    return q
-
-
-def _pair_form(re: np.ndarray, im: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_{k,k'} Re(M_k conj M_k') q[k, k'] over axis 0 of M = re + i im,
-    for every column of the rows M_k (the classes, of any trailing shape)."""
-    re, im = re.reshape(len(q), -1), im.reshape(len(q), -1)
-    form, im_form = np.dot(q, re), np.dot(q, im)
-    form *= re
-    im_form *= im
-    form += im_form
-    return form.sum(axis=0)
-
-
-def _values(keys: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Each axis's distinct values, and each row's index into them (rows x axes)."""
-    values, index = zip(*(np.unique(keys[:, r], return_inverse=True) for r in range(keys.shape[1])))
-    return values, np.stack([i.reshape(-1) for i in index], axis=1)
-
-
-def _later_axes(values, profiles, grids) -> tuple[list, list]:
-    """On each later axis r, S_r[v, i] = G_r(xi_i - values_r[v]) and the
-    overlaps O_r = (S_r w_r) S_r^T that integrate it out of a pair of rows."""
-    samples = [None] + [p.samples(g.xs() - v[:, None]) for p, g, v in zip(profiles[1:], grids[1:], values[1:])]
-    return samples, [None] + [(s * g.weights()) @ s.T for s, g in zip(samples[1:], grids[1:])]
-
-
-def _first_axis(
-    keys: np.ndarray, amps: np.ndarray, profiles, grids=None, every_axis: bool = False
-) -> tuple[np.ndarray, tuple]:
-    """masses[b, i] = w_0[i] sum_{k,k'} Re(M_bk conj M_bk') prod_{r>=1} O_r[k, k'],
-    the trapezoid mass of amplitude column b at node i of axis 0 with every
-    later axis integrated out, and column 0's mean reading on each axis (NaN at
-    zero mass).  M_bk sums amps[g, b] G_0(xi_i - keys[g, 0]) over the rows of
-    class k (sharing their values on axes 1..R-1), in blocks of axis 0; a mean
-    on axis r puts (S_r w_r xi) S_r^T for O_r.
-
-    With every_axis, masses[b, i_0, ..., i_R-1] is the trapezoid mass of every
-    cell of the product grid instead.  That table, and the axis-0 one wherever
-    the K classes' pair forms and coefficients would hold more cells than the
-    product grid, is read off each column's density on the product grid: the
-    densities fill one buffer, column 0's means are taken, and the buffer is
-    weighted in place."""
-    amps = amps.reshape(len(keys), -1)
-    grids = _place_grids(keys, profiles, grids)
-    values, index = _values(keys)
-    first, of_row = _classes(index, 1)
-    n_axes, n_columns, n_classes = len(grids), amps.shape[1], len(first)
-    # cells of the pair rule besides the masses: R forms of K x K, the complex
-    # K x B x V_0 coefficients, and each later axis's samples and two overlaps
-    held = n_axes * n_classes**2 + 2 * n_classes * n_columns * values[0].size
-    held += sum(v.size * (g.n + 2 * v.size) for v, g in zip(values[1:], grids[1:]))
-    cells = math.prod(g.n for g in grids)
-    dense = every_axis or held > cells
-    _check_grids(keys, profiles, grids, n_columns * cells if dense else n_columns * grids[0].n + held)
-    xs, weights = grids[0].xs(), grids[0].weights()
-    if dense:
-        masses = np.empty((n_columns, *(g.n for g in grids)))
-        for b, density in enumerate(masses):
-            _pointer_kernel(amps[:, b], keys, profiles, grids, float, out=density)
-        dist = PointerDistribution(grids, masses[0])
-        means = tuple(dist.marginal_mean(r) if dist.norm > 0 else math.nan for r in range(n_axes))
-        masses *= weights.reshape((-1,) + (1,) * (n_axes - 1))
-        masses *= functools.reduce(np.multiply.outer, [g.weights() for g in grids[1:]], np.ones(()))
-        return (masses if every_axis else masses.reshape(n_columns, xs.size, -1).sum(axis=2)), means
-    masses = np.empty((n_columns, xs.size))
-    samples, overlap = _later_axes(values, profiles, grids)
-    xi_overlap = [None] + [(s * (g.weights() * g.xs())) @ s.T for s, g in zip(samples[1:], grids[1:])]
-    # row k B + b of coef: column b of amps summed over class k, by value on axis 0
-    coef = np.zeros((n_classes, n_columns, values[0].size), dtype=complex)
-    np.add.at(coef, (of_row, slice(None), index[:, 0]), amps)
-    coef = coef.reshape(-1, values[0].size)
-    forms = [_gram(first, 1, overlap)] + [
-        _gram(first, 1, [xi_overlap[s] if s == r else overlap[s] for s in range(n_axes)]) for r in range(1, n_axes)
-    ]
-    moments = np.zeros(n_axes)
-    rows = max(1, KERNEL_BLOCK_CELLS // max(values[0].size, len(coef)))
-    for lo in range(0, xs.size, rows):
+def _moments(keys: np.ndarray, amps: np.ndarray, profiles) -> tuple[np.ndarray, tuple]:
+    """Each amplitude column's norm sum_{g,h} Re(A_g conj A_h) C[g, h], with
+    C[g, h] = prod_r C_r(keys[g, r] - keys[h, r]), and column 0's mean on each
+    axis r: the pairs' midpoints, which sum to keys[g, r] as C is symmetric,
+    plus the midpoint moment D_r in place of C_r.  In row blocks, after the
+    G^2 pairs are checked against MAX_MOMENT_PAIRS."""
+    amps, n = amps.reshape(len(keys), -1), len(keys)
+    if n * n > MAX_MOMENT_PAIRS:
+        message = f"{n} groups of meter values give {n * n} pairs, above MAX_MOMENT_PAIRS = {MAX_MOMENT_PAIRS}"
+        raise ValueError(f"{message}: choose functionals with fewer distinct values")
+    norms, moments = np.zeros(amps.shape[1]), np.zeros(keys.shape[1])
+    rows = max(1, KERNEL_BLOCK_CELLS // n)
+    for lo in range(0, n, rows):
         block = slice(lo, lo + rows)
-        s0 = profiles[0].samples(xs[block] - values[0][:, None])
-        re, im = coef.real @ s0, coef.imag @ s0
-        masses[:, block] = _pair_form(re, im, forms[0]).reshape(n_columns, -1)
-        for r in range(1, n_axes):
-            moments[r] += _pair_form(re[::n_columns], im[::n_columns], forms[r]) @ weights[block]
-    masses *= weights
-    norm = masses[0].sum()
-    moments[0] = masses[0] @ xs
-    return masses, tuple(float(m / norm) if norm > 0 else math.nan for m in moments)
+        deltas = [keys[block, r, None] - keys[:, r] for r in range(len(profiles))]
+        overlaps = [p.autocorrelation(d) for p, d in zip(profiles, deltas)]
+        overlap = math.prod(overlaps)
+        weight = amps.real[block] * (overlap @ amps.real) + amps.imag[block] * (overlap @ amps.imag)
+        norms += weight.sum(axis=0)
+        moments += weight[:, 0] @ keys[block]
+        # the Gaussian and rectangular profiles are even: their D_r is 0
+        for r, p in enumerate(profiles):
+            if p.shape == "tabulated":
+                shift = p.autocorrelation(deltas[r], 1) * math.prod(overlaps[:r] + overlaps[r + 1 :])
+                moments[r] += (amps[block, 0].conj() * (shift @ amps[:, 0])).real.sum()
+    if norms[0] <= 0.0:
+        raise ValueError("distribution has zero total mass; the mean reading is undefined")
+    return norms, tuple(float(m / norms[0]) for m in moments)
 
 
 def _place_grids(keys: np.ndarray, profiles, grids=None) -> tuple[Grid, ...]:
@@ -619,21 +564,20 @@ class WeakLimitReport:
     @property
     def monotone(self) -> bool:
         errs = self.errors
-        return all(b < a for a, b in zip(errs, errs[1:]))
+        return all(b < a or a == b == 0.0 for a, b in zip(errs, errs[1:]))
 
 
 def weak_limit_report(chain: MeasurementChain, functional: PathFunctional, widths) -> WeakLimitReport:
-    """Gaussian-meter mean readings for increasing widths.
+    """Gaussian-meter mean readings for increasing widths, in closed form.
 
-    The error against the real part of the amplitude-weighted mean is
-    expected (and observed) to shrink as the width grows; no rate is
-    claimed.
+    The error against the real part of the amplitude-weighted mean shrinks
+    as the width grows; no grid is built, so any positive width serves, from
+    the accurate end to the weak one.
     """
     widths = tuple(float(w) for w in widths)
     if any(w2 <= w1 for w1, w2 in zip(widths, widths[1:])):
         raise ValueError("widths must be strictly increasing")
     dist = amplitude_distribution(chain, functional)
     weak = dist.weak_value()
-    keys = dist.support[:, None]
-    means = tuple(_first_axis(keys, dist.amplitudes, [PointerProfile.gaussian(w)])[1][0] for w in widths)
+    means = tuple(_moments(dist.support[:, None], dist.amplitudes, [PointerProfile.gaussian(w)])[1][0] for w in widths)
     return WeakLimitReport(widths, means, weak)

@@ -3,9 +3,8 @@
 Outcomes of a run are a reading per meter plus the result of the final
 selection.  Their exact joint law on the grid nodes is known, and trials
 draw it by the chain rule, in reading order: first the selection branch and
-the reading of meter 0 together, from the B x n_0 table of their masses
-(meter._first_axis, which also gives the exact success probability and
-mean readings); then each later reading given the earlier ones, by
+the reading of meter 0 together, from the B x n_0 table of their masses;
+then each later reading given the earlier ones, by
 inverting its conditional CDF.  That CDF is a sum of per-axis pair tables
 weighted by the trial's running amplitudes, so no array spans the product
 grid: memory is O(B n_0 + sum_r P_r n_r) plus one chunk of trials (P_r
@@ -16,8 +15,8 @@ A trial pays about P_r log2(n_r) table reads on each later axis, so where
 later axes read many distinct values, or the product grid is small next to
 the trial count, the first table spans every axis instead: the B x n_0 x
 ... x n_R-1 cell masses of one density per branch on the product grid, with
-no later axis left (_chain_rule_pays chooses, from the counts alone).  The
-same law draws both, and the same _first_axis call gives the exact numbers.
+no later axis left (_chain_rule_pays chooses, from the counts alone).  Either
+way one _ChainLaw builds the tables and the exact numbers of the law it draws.
 
 Reproducibility: trial i reads the uniforms at Philox stream positions
 (1 + L) i + c, with L the axes after the first table, c = 0 for that table
@@ -28,21 +27,20 @@ elementwise, so records are bit-identical for any worker count or chunking.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .meter import (
+    KERNEL_BLOCK_CELLS,
     Grid,
     MeterSpec,
-    _check_cells,
-    _classes,
-    _first_axis,
-    _gram,
-    _later_axes,
+    PointerDistribution,
+    _check_grids,
     _place_grids,
-    _values,
+    _pointer_kernel,
 )
 from .paths import MeasurementChain, _branch_amplitudes
 from .rng import CHUNK, cdf_index, check_trials, map_chunks, uniform_block
@@ -179,11 +177,7 @@ def sample_trials(
     if not keep.any():
         raise ValueError(_NOTHING_TO_SAMPLE)
     keys, amps = keys[keep], amps[keep]
-    every_axis = not _chain_rule_pays(keys, amps.shape[1], grids, n_trials)
-    masses, exact_means = _first_axis(keys, amps, profiles, grids, every_axis)
-    # read before the law turns the masses into their CDF
-    success = masses[0].sum()
-    law = _ChainLaw(keys, amps, profiles, grids, masses)
+    law = _ChainLaw(keys, amps, profiles, grids, not _chain_rule_pays(keys, amps.shape[1], grids, n_trials))
     if law.total <= 0.0:
         raise ValueError(_NOTHING_TO_SAMPLE)
 
@@ -197,7 +191,7 @@ def sample_trials(
             law.draw(u[a:b], readings[lo + a : lo + b], branches[lo + a : lo + b])
 
     map_chunks(n_trials, draw_chunk, max_workers)
-    return TrialSet(seed, readings, branches, float(success / law.total), exact_means)
+    return TrialSet(seed, readings, branches, float(law.success / law.total), law.exact_means)
 
 
 def _chain_rule_pays(keys: np.ndarray, n_branches: int, grids, n_trials: int) -> bool:
@@ -252,45 +246,121 @@ def _class_sum(values: np.ndarray, rows) -> np.ndarray:
     return total
 
 
+def _classes(index: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the rows that share their value indices on axes first..R-1,
+    in lexicographic order: each class's indices on those axes, and the class
+    of each row.  Each axis ranks the pairs (rank so far, index) in turn, which
+    costs a fraction of np.unique over rows; with no axes all rows are one class."""
+    rank, rows = np.zeros(len(index), dtype=np.intp), np.zeros(min(len(index), 1), dtype=np.intp)
+    for column in index[:, first:].T:
+        _, rows, rank = np.unique(rank * len(index) + column, return_index=True, return_inverse=True)
+    return index[rows, first:], rank
+
+
+def _gram(classes: np.ndarray, first: int, tables: list) -> np.ndarray:
+    """prod_s tables[s][v_s(k), v_s(k')] over class pairs (k, k') and the axes
+    s >= first whose table is given (None skips the axis)."""
+    q = np.ones((len(classes), len(classes)))
+    for s in range(first, first + classes.shape[1]):
+        if tables[s] is not None:
+            v = classes[:, s - first]
+            q *= tables[s][np.ix_(v, v)]
+    return q
+
+
+def _pair_form(re: np.ndarray, im: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_{k,k'} Re(M_k conj M_k') q[k, k'] over axis 0 of M = re + i im,
+    for every column of the rows M_k (the classes, of any trailing shape)."""
+    re, im = re.reshape(len(q), -1), im.reshape(len(q), -1)
+    form, im_form = np.dot(q, re), np.dot(q, im)
+    form *= re
+    im_form *= im
+    form += im_form
+    return form.sum(axis=0)
+
+
 class _ChainLaw:
     """The (branch, readings) law on the grid nodes, factored in reading order
-    into a first table and per-axis tables for the axes after it.
-
-    The first table is meter._first_axis's masses, over the branch and axis 0
-    (B x n_0) or over the branch and every axis (B x n_0 x ... x n_R-1);
-    (branch, i_0, ...) is drawn from its flat CDF and the index unravelled.
-    After a table over axis 0, each later axis r is drawn from its
-    conditional CDF, F(i) = sum over pairs k <= k' of classes (rows sharing
-    their values on axes r..R-1) of Re(u_k conj u_k') T_r[k, k', i], where u
-    sums the rows' A^b_g prod_{s<r} S_s[g, i_s] per class and the pair table
-    T_r is the cumulative sum of w_r S_r[k] S_r[k'] times m prod_{s>r}
-    O_s[k, k'] (m = 1 on the diagonal, 2 off it), with the samples S_r and
-    overlaps O_r of meter._later_axes; no array of these spans two axes.
-
-    The first table becomes its CDF in place, so it must not be read after.
+    into a first table and per-axis tables for the later axes, with its exact
+    success probability and mean readings.  The first table holds
+    masses[b, i] = w_0[i] sum_{k,k'} Re(M_bk conj M_bk') prod_{r>=1} O_r[k, k'],
+    M_bk summing amps[g, b] G_0(xi_i - keys[g, 0]) over class k (rows sharing
+    their values on axes 1..R-1), in blocks of axis 0 (a mean on axis r puts
+    (S_r w_r xi) S_r^T for O_r); with every_axis, each branch's density on the
+    product grid times its cell weights.  (branch, i_0, ...) is drawn from its
+    flat CDF, built in place, and each later axis r from F(i) = sum over pairs
+    k <= k' of classes (rows sharing their values on axes r..R-1) of
+    Re(u_k conj u_k') T_r[k, k', i]: u sums the rows' A^b_g prod_{s<r}
+    S_s[g, i_s] per class, and T_r is the cumulative sum of w_r S_r[k] S_r[k']
+    times m prod_{s>r} O_s[k, k'] (m = 1 on the diagonal, 2 off it), with
+    O_r = (S_r w_r) S_r^T; no array spans two axes.  Every array is counted
+    against the grid cap before any is built.
     """
 
-    def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids, first_masses: np.ndarray):
-        n_axes = len(grids)
-        values, index = _values(keys)
-        levels = [_classes(index, r) for r in range(first_masses.ndim - 1, n_axes)]
-        # the tables drawn from, refused above the cap before any is built:
-        # the first masses and, with a later axis, every axis's samples and
-        # each later axis's pair tables at their padded length
-        held = sum(v.size * g.n for v, g in zip(values, grids)) if levels else 0
-        held += sum(math.comb(len(c) + 1, 2) << (g.n - 1).bit_length() for (c, _), g in zip(levels, grids[1:]))
-        _check_cells(profiles, grids, first_masses.size + held)
+    def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids, every_axis: bool):
+        n_axes, n_columns = len(grids), amps.shape[1]
+        values, index = zip(*(np.unique(keys[:, r], return_inverse=True) for r in range(n_axes)))
+        index = np.stack([i.reshape(-1) for i in index], axis=1)
+        if every_axis:
+            _check_grids(keys, profiles, grids, n_columns * math.prod(g.n for g in grids))
+            masses = np.empty((n_columns, *(g.n for g in grids)))
+            for b, density in enumerate(masses):
+                _pointer_kernel(amps[:, b], keys, profiles, grids, float, out=density)
+            dist = PointerDistribution(grids, masses[0])
+            means = tuple(dist.marginal_mean(r) if dist.norm > 0 else math.nan for r in range(n_axes))
+            masses *= grids[0].weights().reshape((-1,) + (1,) * (n_axes - 1))
+            masses *= functools.reduce(np.multiply.outer, [g.weights() for g in grids[1:]], np.ones(()))
+            levels = []
+        else:
+            # the first table's classes are those of axis 1 (one class for one meter)
+            levels = [_classes(index, r) for r in range(1, n_axes)]
+            first, of_row = (levels or [_classes(index, 1)])[0]
+            # cells of the masses, R K x K forms, complex K x B x V_0 coefficients,
+            # later samples and two overlaps each, then axis 0's samples and pair tables
+            held = n_columns * grids[0].n + n_axes * len(first) ** 2 + 2 * len(first) * n_columns * values[0].size
+            held += sum(v.size * (g.n + 2 * v.size) for v, g in zip(values[1:], grids[1:]))
+            if levels:
+                held += values[0].size * grids[0].n
+                held += sum(math.comb(len(c) + 1, 2) << (g.n - 1).bit_length() for (c, _), g in zip(levels, grids[1:]))
+            _check_grids(keys, profiles, grids, held)
+            samples = [None] + [p.samples(g.xs() - v[:, None]) for p, g, v in zip(profiles[1:], grids[1:], values[1:])]
+            overlap = [None] + [(s * g.weights()) @ s.T for s, g in zip(samples[1:], grids[1:])]
+            xs, weights = grids[0].xs(), grids[0].weights()
+            masses = np.empty((n_columns, xs.size))
+            xi_overlap = [None] + [(s * (g.weights() * g.xs())) @ s.T for s, g in zip(samples[1:], grids[1:])]
+            # row k B + b of coef: column b of amps summed over class k, by value on axis 0
+            coef = np.zeros((len(first), n_columns, values[0].size), dtype=complex)
+            np.add.at(coef, (of_row, slice(None), index[:, 0]), amps)
+            coef = coef.reshape(-1, values[0].size)
+            forms = [_gram(first, 1, overlap)] + [
+                _gram(first, 1, [xi_overlap[s] if s == r else overlap[s] for s in range(n_axes)])
+                for r in range(1, n_axes)
+            ]
+            moments = np.zeros(n_axes)
+            rows = max(1, KERNEL_BLOCK_CELLS // max(values[0].size, len(coef)))
+            for lo in range(0, xs.size, rows):
+                block = slice(lo, lo + rows)
+                s0 = profiles[0].samples(xs[block] - values[0][:, None])
+                re, im = coef.real @ s0, coef.imag @ s0
+                masses[:, block] = _pair_form(re, im, forms[0]).reshape(n_columns, -1)
+                for r in range(1, n_axes):
+                    moments[r] += _pair_form(re[::n_columns], im[::n_columns], forms[r]) @ weights[block]
+            masses *= weights
+            norm = masses[0].sum()
+            moments[0] = masses[0] @ xs
+            means = tuple(float(m / norm) if norm > 0 else math.nan for m in moments)
+        self.exact_means = means
         self.xs = [g.xs() for g in grids]
-        self.shape = first_masses.shape
-        self.total = first_masses.sum()
-        self.cdf = first_masses.reshape(-1)
+        self.shape = masses.shape
+        self.success = masses[0].sum()
+        self.total = masses.sum()
+        self.cdf = masses.reshape(-1)
         np.cumsum(self.cdf, out=self.cdf)
         # uniforms per trial: one for the first table, one per later axis
         self.stride = 1 + len(levels)
         self.axes, self.rows = [], CHUNK
         if not levels:
             return
-        samples, overlap = _later_axes(values, profiles, grids)
         # the draw reads these from axis 0 to R-2
         self.samples = [profiles[0].samples(self.xs[0] - values[0][:, None]), *samples[1:]]
 

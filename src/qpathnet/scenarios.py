@@ -4,7 +4,8 @@ Each preset bundles a measurement chain, its meters, and a table of expected
 constants labelled by tolerance class:
 
     analytic   - closed-form path arithmetic, checked to 1e-9
-    quadrature - grid integrals, checked to 1e-6 (1e-3 for joint marginals)
+    quadrature - grid integrals, checked to 1e-6
+    marginal   - wide meters' closed-form mean readings, checked to 1e-3
     sweep      - wide-width limit, final relative error below 5 percent
     mc         - sampled statistics, checked to 3 standard errors
 """
@@ -22,7 +23,7 @@ from .core import Observable, Propagator, StateVector
 from .meter import (
     MeterSpec,
     PointerProfile,
-    _first_axis,
+    _moments,
     weak_limit_report,
 )
 from .paths import (
@@ -360,7 +361,7 @@ def verify_preset(
 
     profiles = [m.profile for m in preset.meters]
     marginals = functools.cache(
-        lambda: _first_axis(*grouped_amplitudes(preset.chain, [m.functional for m in preset.meters]), profiles)[1]
+        lambda: _moments(*grouped_amplitudes(preset.chain, [m.functional for m in preset.meters]), profiles)[1]
     )
     checks = []
     for name, exp in preset.expected.items():

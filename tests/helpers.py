@@ -2,11 +2,12 @@
 
 The oracles deliberately avoid the package's own code paths: the matrix
 exponential check and single path amplitudes go through scipy, mean
-readings through the Gaussian overlap closed form, and joint densities
-through plain nested loops.
+readings through the overlap closed form summed pair by pair, and joint
+densities through plain nested loops.
 """
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from qpathnet import (
@@ -108,6 +109,60 @@ def gaussian_overlap_norm(support, amps, width):
     overlap = np.exp(-((support[:, None] - support[None, :]) ** 2) / (8.0 * width**2))
     pair_re = np.real(amps[:, None] * np.conj(amps[None, :]))
     return float((pair_re * overlap).sum())
+
+
+def closed_form_moments(keys, amps, autocorrelations, midpoint_moments=None):
+    """Norm of each amplitude column and column 0's mean reading on each axis
+    of |sum_g A_g prod_r G_r(xi_r - keys[g, r])|^2, by an explicit loop over
+    group pairs (g, h).  The pair weighs Re(A_g conj A_h) prod_r C_r(k_gr - k_hr)
+    into the norm and, times the midpoint (k_gr + k_hr) / 2, into the first
+    moment on axis r, plus Re(A_g conj A_h) D_r(k_gr - k_hr) prod_{s != r} C_s
+    where axis r has a midpoint moment D_r (None for an even profile).  C_r
+    and D_r are any functions of one difference."""
+    keys = np.asarray(keys, dtype=float).reshape(len(keys), -1)
+    amps = np.asarray(amps, dtype=complex).reshape(len(keys), -1)
+    n_groups, n_axes = keys.shape
+    midpoint_moments = midpoint_moments or [None] * n_axes
+    norms, first = [0.0] * amps.shape[1], [0.0] * n_axes
+    for g in range(n_groups):
+        for h in range(n_groups):
+            overlaps = [float(autocorrelations[r](keys[g, r] - keys[h, r])) for r in range(n_axes)]
+            overlap = float(np.prod(overlaps))
+            for b in range(amps.shape[1]):
+                norms[b] += (amps[g, b] * np.conj(amps[h, b])).real * overlap
+            pair = (amps[g, 0] * np.conj(amps[h, 0])).real
+            for r in range(n_axes):
+                first[r] += pair * overlap * (keys[g, r] + keys[h, r]) / 2.0
+                if midpoint_moments[r] is not None:
+                    others = float(np.prod(overlaps[:r] + overlaps[r + 1 :]))
+                    first[r] += pair * float(midpoint_moments[r](keys[g, r] - keys[h, r])) * others
+    return norms, [m / norms[0] for m in first]
+
+
+def quadrature_overlaps(profile):
+    """The overlap C(d) = integral G(u - d/2) G(u + d/2) du of a profile and
+    its midpoint moment D(d) = integral u G(u - d/2) G(u + d/2) du, each by
+    scipy quadrature over the profile's own samples, split at every knot of
+    a tabulated template; values are kept per difference."""
+    lo, hi = (-12.0 * profile.width, 12.0 * profile.width)
+    if profile.shape == "tabulated":
+        knots = list(profile.template_xs * profile.width)
+    else:
+        knots = [-profile.width / 2.0, profile.width / 2.0] if profile.shape == "rectangular" else []
+    cache = {}
+
+    def integrals(d):
+        d = float(d)
+        if d not in cache:
+            points = sorted({k + s * d / 2.0 for k in knots for s in (-1, 1) if lo < k + s * d / 2.0 < hi})
+            cache[d] = [
+                quad(lambda u: u**k * float(profile.samples(u - d / 2.0) * profile.samples(u + d / 2.0)),
+                     lo, hi, points=points or None, limit=1000, epsabs=1e-13, epsrel=1e-13)[0]
+                for k in (0, 1)
+            ]
+        return cache[d]
+
+    return (lambda d: integrals(d)[0]), (lambda d: integrals(d)[1])
 
 
 def brute_force_joint_density(amps, value_table, profiles, axes):

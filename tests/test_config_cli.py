@@ -14,7 +14,7 @@ from qpathnet import (
     export_config,
     parse_config,
 )
-from qpathnet import cli
+from qpathnet import cli, sampling, strong_mean
 from qpathnet.cli import main, report, run
 from qpathnet.config import RunSettings
 from qpathnet.rng import MAX_TRIALS
@@ -188,6 +188,22 @@ class TestRunModes:
         lines = (tmp_path / "out" / "trials.csv").read_text().splitlines()
         assert lines[0] == "trial_id,reading_0,branch"
         assert len(lines) == 2001
+
+    def test_sample_summary_is_strict_json(self, tmp_path, capsys):
+        # the one trial of seed 2 fails the selection: no meter has an
+        # empirical mean, which is null, not NaN
+        flags = ["--mode", "sample", "--trials", "1", "--seed", "2"]
+        assert main(["run", "preset:three-box", str(tmp_path / "out"), *flags]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["success_count"] == 0
+        for meter in summary["meters"]:
+            assert meter["empirical_mean"] is None and meter["standard_error"] is None and meter["z_score"] is None
+        assert main(["report", str(tmp_path / "out" / "summary.json")]) == 0
+        assert "meter0_empirical_mean" not in capsys.readouterr().out
 
     def test_classical_artifacts(self, tmp_path):
         summary = run("preset:difference", tmp_path, _Args(mode="classical"))
@@ -377,15 +393,39 @@ class TestCliEntryPoint:
         assert main(["run", str(path), str(tmp_path / "out")]) == 3
         assert "widen meters[1].profile.width (1e-06)" in capsys.readouterr().err
 
-    def test_sweep_width_over_the_grid_cap_names_the_width(self, tmp_path, capsys):
-        # a sweep places its own grids, so run.grid.step is no remedy
+    def test_sweep_reaches_the_accurate_end(self, tmp_path):
+        # no sweep builds a grid, so a width far below the support gap runs
         preset = build_preset("minus-hundred")
-        settings = RunSettings(mode="sweep", widths=(1e-6, 1.0))
+        settings = RunSettings(mode="sweep", widths=(1e-6, 1e4))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(export_config(preset.name, preset.chain, preset.meters, settings)))
+        assert main(["run", str(path), str(tmp_path / "out")]) == 0
+        means = json.loads((tmp_path / "out" / "summary.json").read_text())["means"]
+        assert means[0] == pytest.approx(strong_mean(preset.chain, preset.meters[0].functional), abs=1e-12)
+        assert abs(means[-1] + 100.0) <= 5.0
+
+    def test_moment_pair_cap_exit_code(self, tmp_path, capsys):
+        # 15 steps with incommensurate weights: 2^15 distinct sums, whose
+        # group pairs exceed MAX_MOMENT_PAIRS
+        doc = sample_config("sweep")
+        doc["steps"] = [dict(doc["steps"][0], time=(k + 1) / 16) for k in range(15)]
+        weights = np.sqrt(np.arange(2.0, 17.0)).tolist()
+        doc["functionals"] = [{"name": "first", "rule": "weighted_steps", "weights": weights}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
         assert main(["run", str(path), str(tmp_path / "out")]) == 3
-        err = capsys.readouterr().err
-        assert "widen run.widths[0] (1e-06)" in err and "run.grid.step" not in err
+        assert "MAX_MOMENT_PAIRS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_vanishing_amplitudes_exact_mode_exit_code(self, tmp_path, capsys):
+        # every path amplitude is 0: no reading has a mean
+        doc = sample_config()
+        doc["pre_state"] = [[1.0, 0.0], [0.0, 0.0]]
+        doc["post_state"] = [[0.0, 0.0], [1.0, 0.0]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out")]) == 3
+        assert "zero total mass" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_failed_run_leaves_no_artifacts(self, tmp_path):
@@ -522,20 +562,21 @@ class TestCliEntryPoint:
         assert field in capsys.readouterr().err
 
     def test_grid_step_reaches_every_grid_of_the_run(self, tmp_path, monkeypatch):
-        moment_grids = []
-        moments = cli._first_axis
+        law_grids = []
 
-        def spy(keys, amps, profiles, grids=None):
-            moment_grids.append(grids)
-            return moments(keys, amps, profiles, grids)
+        class Spy(sampling._ChainLaw):
+            def __init__(self, keys, amps, profiles, grids, every_axis):
+                law_grids.append(grids)
+                super().__init__(keys, amps, profiles, grids, every_axis)
 
-        monkeypatch.setattr(cli, "_first_axis", spy)
+        monkeypatch.setattr(sampling, "_ChainLaw", Spy)
         for mode in ("exact", "sample"):
             flags = ["--mode", mode, "--grid-step", "50", "--trials", "200"]
             assert main(["run", "preset:three-box", str(tmp_path / mode), *flags]) == 0
         xs = np.loadtxt(tmp_path / "exact" / "distribution_m0.csv", delimiter=",", skiprows=1)[:, 0]
         assert np.all(np.diff(xs) == 50.0)
-        assert [g.step for g in moment_grids[0]] == [50.0, 50.0]
+        # the sampled law, and so its exact numbers, is on the same grids
+        assert [[g.step for g in grids] for grids in law_grids] == [[50.0, 50.0]]
         readings = np.loadtxt(tmp_path / "sample" / "trials.csv", delimiter=",", skiprows=1)[:, 1:3]
         assert np.all(readings % 50.0 == 0.0)
 

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import (
     brute_force_joint_density,
+    closed_form_moments,
     count_grouped_amplitudes,
     gaussian_overlap_mean,
     gaussian_overlap_norm,
+    quadrature_overlaps,
     random_chain,
     random_spin_chain,
 )
@@ -30,6 +33,7 @@ from qpathnet import (
     joint_reading_distribution,
     mean_reading,
     path_amplitudes,
+    pointer_distribution,
     reading_distribution,
     relative_amplitudes,
     strong_limit_bins,
@@ -39,6 +43,7 @@ from qpathnet import (
     weak_value,
     window_masses,
 )
+from qpathnet.meter import MAX_MOMENT_PAIRS, WeakLimitReport, _moments
 
 
 def quad(grid, values):
@@ -223,6 +228,83 @@ class TestGaussianOracle:
             )
 
 
+class TestClosedFormMoments:
+    """meter._moments against the pair-by-pair oracle of tests/helpers.py."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_axes", [1, 2, 3])
+    @pytest.mark.parametrize("shape", ["gaussian", "rectangular"])
+    def test_against_the_pair_oracle(self, shape, n_axes, seed):
+        # two amplitude columns over groups with a few shared values per axis
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(-2, 3, size=(7, n_axes)) * rng.uniform(0.5, 1.5, size=n_axes)
+        amps = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
+        profiles = [getattr(PointerProfile, shape)(w) for w in rng.uniform(0.3, 4.0, size=n_axes)]
+        norms, means = _moments(keys, amps, profiles)
+        want_norms, want_means = closed_form_moments(keys, amps, [p.autocorrelation for p in profiles])
+        assert norms == pytest.approx(want_norms, rel=1e-12)
+        assert means == pytest.approx(want_means, rel=1e-12, abs=1e-12)
+
+    @staticmethod
+    def _template(name):
+        if name == "vanishing ends":
+            xs = np.linspace(-1.0, 1.0, 41)
+            vals = (1.0 - np.abs(xs)) * (1.0 + 0.3 * xs)
+        else:
+            xs = np.linspace(-2.0, 3.0, 51)
+            vals = np.exp(-(xs**2) / 4.0)
+        return xs, vals / math.sqrt(np.trapezoid(vals**2, xs))
+
+    @pytest.mark.parametrize("template", ["vanishing ends", "uneven truncated gaussian"])
+    @pytest.mark.parametrize("width", [0.5, 3.0])
+    def test_tabulated_overlaps_match_quadrature(self, template, width):
+        # both templates are uneven, so their midpoint moment D is not 0
+        profile = PointerProfile.tabulated(*self._template(template), width)
+        overlap, midpoint = quadrature_overlaps(profile)
+        for delta in (0.0, 0.013, 0.37, 1.0, 1.9, 4.9, 5.1):
+            delta *= width
+            assert profile.autocorrelation(delta) == pytest.approx(overlap(delta), abs=1e-8)
+            assert profile.autocorrelation(delta, 1) == pytest.approx(midpoint(delta), abs=1e-8 * width)
+        assert abs(midpoint(0.0)) > 0.01 * width
+
+    @pytest.mark.parametrize("template", ["vanishing ends", "uneven truncated gaussian"])
+    def test_uneven_tabulated_mean_matches_the_density(self, template):
+        profile = PointerProfile.tabulated(*self._template(template), 2.0)
+        dist = AmplitudeDistribution(np.array([0.0, 1.0, 2.5]), np.array([0.6 + 0.1j, -0.3 + 0.2j, 0.1 - 0.4j]))
+        norms, (mean,) = _moments(dist.support[:, None], dist.amplitudes, [profile])
+        # the grid's trapezoid sums are O(step) off where the template jumps to 0
+        density = pointer_distribution(dist, profile, Grid.cover(dist.support, 2.0, points_per_width=4000))
+        assert norms[0] == pytest.approx(density.norm, rel=1e-4)
+        assert mean == pytest.approx(mean_reading(density), rel=1e-4)
+        overlap, midpoint = quadrature_overlaps(profile)
+        want_norms, want_means = closed_form_moments(dist.support, dist.amplitudes, [overlap], [midpoint])
+        assert norms[0] == pytest.approx(want_norms[0], rel=1e-7)
+        assert mean == pytest.approx(want_means[0], rel=1e-7)
+
+    def test_tabulated_autocorrelation_is_not_renormalised(self):
+        # the interpolant's own integral g^2, where the knots' trapezoid gives 1
+        xs = np.linspace(-1.0, 1.0, 41)
+        vals = (1.0 - np.abs(xs)) * (1.0 + 0.3 * xs)
+        vals /= math.sqrt(np.trapezoid(vals**2, xs))
+        assert PointerProfile.tabulated(xs, vals, 2.0).autocorrelation(0.0) == pytest.approx(0.99873, abs=1e-5)
+
+    def test_pair_cap_refuses_before_allocating(self):
+        n = math.isqrt(MAX_MOMENT_PAIRS) + 1
+        keys, amps = np.arange(float(n))[:, None], np.ones(n, dtype=complex)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_MOMENT_PAIRS"):
+                _moments(keys, amps, [PointerProfile.gaussian(1.0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_zero_mass_refused(self):
+        with pytest.raises(ValueError, match="zero total mass"):
+            _moments(np.array([[0.0], [1.0]]), np.zeros(2, dtype=complex), [PointerProfile.gaussian(1.0)])
+
+
 class TestConditionalState:
     def test_requires_single_step(self):
         preset = build_difference_meter()
@@ -402,6 +484,24 @@ class TestWeakLimitReport:
         report = weak_limit_report(preset.chain, preset.meters[0].functional, (1.0, 10.0, 100.0))
         for m in report.means:
             assert m == pytest.approx(1.0, abs=1e-6)  # quadrature tolerance
+
+    @pytest.mark.parametrize("build", [build_projector_postselected, build_three_box])
+    def test_preset_sweeps_are_monotone(self, build):
+        preset = build()
+        report = weak_limit_report(preset.chain, preset.meters[0].functional, preset.sweep_widths)
+        assert report.monotone
+        if preset.name == "projector":
+            # the error falls as 1/w^2 over every width: 9.26e-5 at width 10
+            for w, e in zip(report.widths, report.errors):
+                assert e == pytest.approx(9.26e-5 * (10.0 / w) ** 2, rel=1e-3)
+        else:
+            # A(0) of the first-path indicator is exactly 0
+            assert report.errors == (0.0,) * len(report.widths)
+
+    def test_monotone_needs_a_strict_decrease_of_nonzero_errors(self):
+        assert not WeakLimitReport((1.0, 2.0), (0.5, 0.5), 0j).monotone
+        assert not WeakLimitReport((1.0, 2.0), (0.0, 0.5), 0j).monotone
+        assert WeakLimitReport((1.0, 2.0), (0.5, 0.0), 0j).monotone
 
     def test_widths_must_increase(self):
         preset = build_projector_postselected()

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_joint_density, count_grouped_amplitudes, path_amplitude_oracle, random_chain
+from helpers import (
+    brute_force_joint_density,
+    closed_form_moments,
+    count_grouped_amplitudes,
+    path_amplitude_oracle,
+    quadrature_overlaps,
+    random_chain,
+)
 from qpathnet import (
     Grid,
     MeasurementChain,
@@ -34,7 +41,7 @@ from qpathnet import (
 from qpathnet import sampling
 from qpathnet.paths import _branch_amplitudes, grouped_amplitudes
 from qpathnet.rng import CHUNK, MAX_TRIALS, THREADS_ENV, cdf_index, uniform_block, worker_count
-from qpathnet.meter import _first_axis
+from qpathnet.meter import _moments
 
 
 class TestUniformBlocks:
@@ -288,11 +295,10 @@ class TestOneWalk:
     @pytest.mark.parametrize("n_meters", [1, 2])
     def test_many_classes_take_moments_off_the_product_grid(self, n_meters):
         # 4096 distinct values per meter: with two, the class-pair forms and
-        # coefficients would hold about 7e7 cells and the product grid 71^2
-        # (one meter's coefficients alone outnumber its 71 nodes); the moment
-        # rule (as exact mode calls it) and both draws read the numbers off
-        # densities on that grid (one meter takes the chain rule, two the
-        # product grid)
+        # coefficients would hold about 7e7 cells and the product grid 71^2,
+        # so the draw takes the product grid; one meter takes the chain rule,
+        # its coefficients outnumbering its 71 nodes.  The closed-form moments
+        # (as exact mode calls them) sum the 4096^2 group pairs in blocks
         chain = random_chain(np.random.default_rng(4), 2, 12, eigenvalues=[0.0, 1.0])
         rng = np.random.default_rng(5)
         meters = [
@@ -303,16 +309,18 @@ class TestOneWalk:
         keys, amps = grouped_amplitudes(chain, [m.functional for m in meters])
         tracemalloc.start()
         try:
-            masses, means = _first_axis(keys, amps, [m.profile for m in meters], grids)
+            norms, means = _moments(keys, amps, [m.profile for m in meters])
             trials = sample_trials(chain, meters, 1000, seed=2, grids=grids)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
         joint = joint_reading_distribution(chain, meters, grids)
-        assert masses.sum() == pytest.approx(joint.norm, rel=1e-12)
+        # the grid's trapezoid sums are exact for these Gaussians up to the
+        # mass beyond its 6-width padding
+        assert norms[0] == pytest.approx(joint.norm, rel=1e-8)
         for r in range(n_meters):
-            assert means[r] == joint.marginal_mean(r)
+            assert means[r] == pytest.approx(joint.marginal_mean(r), rel=1e-8)
             assert trials.exact_means[r] == pytest.approx(joint.marginal_mean(r), rel=1e-12)
 
 
@@ -349,6 +357,13 @@ def draw(request, monkeypatch):
 _TEMPLATE_XS = np.linspace(-1.0, 1.0, 41)
 _TEMPLATE = (1.0 - np.abs(_TEMPLATE_XS)) * (1.0 + 0.3 * _TEMPLATE_XS)
 _TEMPLATE /= math.sqrt(np.trapezoid(_TEMPLATE**2, _TEMPLATE_XS))
+
+
+# the even profiles' overlaps, C(d) = integral G(u - d/2) G(u + d/2) du
+_OVERLAPS = {
+    "gaussian": lambda w: lambda d: math.exp(-(d**2) / (8.0 * w**2)),
+    "rectangular": lambda w: lambda d: max(0.0, 1.0 - abs(d) / w),
+}
 
 
 def _profile(shape, width):
@@ -405,10 +420,12 @@ class TestChainRuleLaw:
     def test_first_axis_table_is_the_marginal(self, n_meters, n_points):
         chain, meters, grids = _law_case(n_meters, n_points)
         keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
-        masses, _ = _first_axis(keys, amps, [m.profile for m in meters], grids)
+        law = sampling._ChainLaw(keys, amps, [m.profile for m in meters], grids, False)
         oracle = _oracle_masses(chain, meters, grids)
         expected = oracle.sum(axis=tuple(range(2, oracle.ndim)))
-        assert np.allclose(masses, expected, rtol=1e-12, atol=1e-12 * expected.max())
+        # the first table is held as its CDF
+        assert law.shape == expected.shape
+        assert np.allclose(law.cdf, np.cumsum(expected), rtol=1e-12, atol=1e-12 * expected.max())
 
     @pytest.mark.parametrize("n_meters, n_points, n_trials", [(2, 40, 400_000), (3, 12, 400_000)])
     def test_cell_frequencies_chi_square(self, draw, n_meters, n_points, n_trials):
@@ -458,13 +475,21 @@ class TestChainRuleLaw:
         assert trials.exact_success_probability == pytest.approx(
             first.norm / sum(j.norm for j in joints), rel=1e-12, abs=1e-12
         )
-        # the moment rule on the selected branch's own walk, as exact mode uses it
-        keys, amps = grouped_amplitudes(chain, [m.functional for m in meters])
-        masses, means = _first_axis(keys, amps, [m.profile for m in meters], grids)
-        assert masses.sum() == pytest.approx(first.norm, rel=1e-12)
         for r in range(n_meters):
             assert trials.exact_means[r] == pytest.approx(first.marginal_mean(r), rel=1e-12, abs=1e-12)
-            assert means[r] == pytest.approx(first.marginal_mean(r), rel=1e-12, abs=1e-12)
+        # the closed form on the selected branch's own walk, as exact mode uses it
+        keys, amps = grouped_amplitudes(chain, [m.functional for m in meters])
+        norms, means = _moments(keys, amps, [m.profile for m in meters])
+        if shape == "tabulated":
+            # the uneven template's overlaps by quadrature, against the lattice's
+            overlaps, midpoints = zip(*(quadrature_overlaps(m.profile) for m in meters))
+            tol = 1e-7
+        else:
+            overlaps = [_OVERLAPS[shape](width)] * n_meters
+            midpoints, tol = None, 1e-12
+        oracle_norms, oracle_means = closed_form_moments(keys, amps, overlaps, midpoints)
+        assert norms[0] == pytest.approx(oracle_norms[0], rel=tol)
+        assert means == pytest.approx(oracle_means, rel=tol, abs=tol)
 
 
 class TestChunkInvariance:
