@@ -37,8 +37,8 @@ from .meter import (
     pointer_distribution,
     weak_limit_report,
 )
-from .paths import ForbiddenTransitionError, group_by_value, grouped_amplitudes
-from .sampling import sample_trials
+from .paths import ForbiddenTransitionError, _branch_amplitudes, group_by_value, grouped_amplitudes
+from .sampling import _draw_trials
 from .scenarios import build_preset
 
 DIGITS = 12  # significant digits in rendered reports
@@ -158,10 +158,11 @@ def _run_sweep(config: ScenarioConfig, out: Path) -> dict:
 
 def _run_sample(config: ScenarioConfig, out: Path) -> dict:
     chain, meters = config.chain, list(config.meters)
-    keys, _ = grouped_amplitudes(chain, [m.functional for m in meters])
+    # one walk onto every branch: its keys place the grids, its columns are drawn
+    keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
     grids = [_grid(config, keys[:, r], m.profile.width) for r, m in enumerate(meters)]
     try:
-        trials = sample_trials(chain, meters, config.run.trials, config.run.seed, grids=grids)
+        trials = _draw_trials(keys, amps, [m.profile for m in meters], config.run.trials, config.run.seed, grids)
     except GridCapError as exc:
         raise exc.for_meter(0) from None
     trials.write_csv(out / "trials.csv")

@@ -579,5 +579,9 @@ def weak_limit_report(chain: MeasurementChain, functional: PathFunctional, width
         raise ValueError("widths must be strictly increasing")
     dist = amplitude_distribution(chain, functional)
     weak = dist.weak_value()
-    means = tuple(_moments(dist.support[:, None], dist.amplitudes, [PointerProfile.gaussian(w)])[1][0] for w in widths)
-    return WeakLimitReport(widths, means, weak)
+    return WeakLimitReport(widths, _sweep_means(dist, widths), weak)
+
+
+def _sweep_means(dist: AmplitudeDistribution, widths) -> tuple[float, ...]:
+    """Mean reading of a Gaussian meter on A(f) at each width, in closed form."""
+    return tuple(_moments(dist.support[:, None], dist.amplitudes, [PointerProfile.gaussian(w)])[1][0] for w in widths)

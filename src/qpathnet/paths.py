@@ -32,12 +32,6 @@ from .core import (
 # Cap on listed virtual paths, and on the rows of one step of the walk.
 MAX_PATHS = 10**6
 
-# The walk stops merging after a step whose merge joins none of at least this
-# many rows, on a chain within MAX_PATHS.  Sums of rounded +-1 eigenvalues
-# join at every step of 32 rows or more (600 random 15-step spin chains);
-# sums with random real weights, and table indices, never join.
-TABLE_JOIN_ROWS = 64
-
 # Below this total transition amplitude, relative amplitudes are meaningless.
 FORBIDDEN_TOL = 1e-14
 
@@ -493,11 +487,9 @@ def grouped_amplitudes(chain: MeasurementChain, functionals) -> tuple[np.ndarray
 
     No path is listed: the amplitudes walk the chain's edges over rows
     (eigenstate, accumulated step_terms of each functional), and rows that
-    agree exactly are merged after each step.  Once a step's merge joins
-    none of TABLE_JOIN_ROWS or more rows on a chain within MAX_PATHS, the
-    walk stops merging and carries on as a plain product, one trailing axis
-    per step.  Each functional's final is applied at the end.  A step
-    whose rows x dim would exceed MAX_PATHS is refused before it is built.
+    agree exactly are merged after each step.  Each functional's final is
+    applied at the end.  A step whose rows x dim would exceed MAX_PATHS is
+    refused before it is built.
     """
     keys, amps = _branch_amplitudes(chain, functionals, (chain,))
     return keys, amps[:, 0]
@@ -514,8 +506,7 @@ def _branch_amplitudes(chain: MeasurementChain, functionals, branches) -> tuple[
     dim = chain.dim
     accs = [np.array([offset]) for _, offset, _ in rules]
     amps = np.ones(1, dtype=complex)
-    # state[r] is the eigenstate of row r; once merging stops it is None and
-    # every further step adds a trailing axis, like the path tensor
+    # state[r] is the eigenstate of row r
     state = np.zeros(1, dtype=np.intp)
     for k, hop in enumerate(hops):
         if amps.size * dim > MAX_PATHS:
@@ -524,20 +515,16 @@ def _branch_amplitudes(chain: MeasurementChain, functionals, branches) -> tuple[
                 f"above the cap MAX_PATHS = {MAX_PATHS}: the functionals give too "
                 "many distinct partial sums; use commensurate weights or shorten steps"
             )
-        amps = amps[..., None] * (hop.T if state is None else hop.T[state])
+        amps = amps[:, None] * hop.T[state]
         accs = [
-            np.repeat(acc[..., None], dim, axis=-1) if terms[k] is None else acc[..., None] + terms[k]
+            np.repeat(acc, dim) if terms[k] is None else (acc[:, None] + terms[k]).reshape(-1)
             for acc, (terms, _, _) in zip(accs, rules)
         ]
-        if state is not None:
-            cols = [np.tile(np.arange(dim), state.size), *(acc.reshape(-1) for acc in accs)]
-            (merged_state, *merged_accs), merged = _merge_rows(cols, amps.reshape(-1))
-            if merged.size == amps.size >= TABLE_JOIN_ROWS and chain.n_paths <= MAX_PATHS:
-                state = None
-            else:
-                state, accs, amps = merged_state, merged_accs, merged
-    amps = (amps[..., None] * (closing.T if state is None else closing.T[state])).reshape(-1, len(branches))
-    values = [acc.reshape(-1) if final is None else final(acc.reshape(-1)) for acc, (_, _, final) in zip(accs, rules)]
+        (state, *accs), amps = _merge_rows([np.tile(np.arange(dim), state.size), *accs], amps.reshape(-1))
+    # column by column: each is then the same contiguous product as in a walk
+    # closed onto its branch alone (a broadcast product can round differently)
+    amps = np.stack([amps * row[state] for row in closing], axis=1)
+    values = [acc if final is None else final(acc) for acc, (_, _, final) in zip(accs, rules)]
     cols, amps = _merge_clusters(*_merge_rows(values, amps))
     return np.stack(cols, axis=1), amps
 

@@ -170,7 +170,12 @@ def sample_trials(
     """
     check_trials(n_trials)
     keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
-    profiles = [m.profile for m in meters]
+    return _draw_trials(keys, amps, [m.profile for m in meters], n_trials, seed, grids, max_workers)
+
+
+def _draw_trials(keys, amps, profiles, n_trials, seed, grids, max_workers=None) -> TrialSet:
+    """sample_trials of the walk (keys, amps) onto every branch, one
+    amplitude column per branch in chain.branches() order."""
     grids = _place_grids(keys, profiles, grids)
     # rows that vanish on every branch are neither drawn nor counted as classes
     keep = np.any(amps != 0, axis=1)

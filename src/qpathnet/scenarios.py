@@ -24,7 +24,7 @@ from .meter import (
     MeterSpec,
     PointerProfile,
     _moments,
-    weak_limit_report,
+    _sweep_means,
 )
 from .paths import (
     AmplitudeDistribution,
@@ -331,8 +331,7 @@ def _compute_check(preset: ScenarioPreset, name: str, mc_trials: int, seed: int,
     if name == "strong_third_indicator_at_1":
         return dist(PathFunctional.path_indicator((2,))).strong_probabilities().get(1.0, 0.0)
     if name == "sweep_limit":
-        report = weak_limit_report(chain, functional, preset.sweep_widths)
-        return report.means[-1]
+        return _sweep_means(dist(functional), preset.sweep_widths[-1:])[0]
     if name == "mc_success_fraction":
         trials = sample_trials(chain, [preset.meters[0]], mc_trials, seed)
         return trials.summary().success_rate

@@ -180,22 +180,50 @@ def brute_force_joint_density(amps, value_table, profiles, axes):
     return np.abs(pointer) ** 2
 
 
-def count_grouped_amplitudes(monkeypatch):
-    """Count A(f) walks, i.e. calls of paths._branch_amplitudes, which every
-    grouping runs; it is patched in every qpathnet module that binds it, and
-    the returned one-element list holds the running count."""
+def _watch_walks(monkeypatch, seen):
+    """Call seen(chain, functionals, branches) at every A(f) walk, i.e. call
+    of paths._branch_amplitudes, which every grouping runs; it is patched in
+    every qpathnet module that binds it."""
     import sys
 
     import qpathnet.paths
 
     original = qpathnet.paths._branch_amplitudes
-    calls = [0]
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
+    def watched(chain, functionals, branches):
+        functionals = list(functionals)
+        seen(chain, functionals, branches)
+        return original(chain, functionals, branches)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "qpathnet" and vars(module).get("_branch_amplitudes") is original:
-            monkeypatch.setattr(module, "_branch_amplitudes", counted)
+            monkeypatch.setattr(module, "_branch_amplitudes", watched)
+
+
+def count_grouped_amplitudes(monkeypatch):
+    """Count A(f) walks; the returned one-element list holds the running count."""
+    calls = [0]
+
+    def seen(chain, functionals, branches):
+        calls[0] += 1
+
+    _watch_walks(monkeypatch, seen)
     return calls
+
+
+def record_walks(monkeypatch):
+    """Record A(f) walks: the returned list gains one (functionals, branches)
+    pair per walk, each functional as (rule, params) and each branch as the
+    bytes of its post_state."""
+    walks = []
+
+    def seen(chain, functionals, branches):
+        walks.append(
+            (
+                tuple((f.rule, repr(sorted(f.params.items()))) for f in functionals),
+                tuple(b.post_state.amplitudes.tobytes() for b in branches),
+            )
+        )
+
+    _watch_walks(monkeypatch, seen)
+    return walks

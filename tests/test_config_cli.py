@@ -480,10 +480,10 @@ class TestCliEntryPoint:
         assert summary["weak_marginals"] == pytest.approx([1.0, 1.0], abs=1e-3)
 
     def test_sample_run_groups_once_for_its_grids(self, tmp_path, monkeypatch):
-        # one A(f) of both meters places the grids, one walk feeds the sampler
+        # one walk onto every branch places the grids and feeds the sampler
         calls = count_grouped_amplitudes(monkeypatch)
         assert main(["run", "preset:three-box", str(tmp_path), "--mode", "sample", "--trials", "200"]) == 0
-        assert calls == [2]
+        assert calls == [1]
 
     @pytest.mark.parametrize("step", ["3", "0.0251"])
     def test_grid_step_that_cannot_resolve_a_meter_is_refused(self, tmp_path, capsys, step):

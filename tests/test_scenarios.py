@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import count_grouped_amplitudes
+from helpers import count_grouped_amplitudes, record_walks
 from qpathnet import meter
 from qpathnet.cli import main
 from qpathnet import (
@@ -220,6 +220,17 @@ class TestVerificationBuildsOnce:
         assert report.passed, "\n".join(report.lines())
         assert calls[0] <= groupings
         assert joints == []
+
+    @pytest.mark.parametrize(
+        "name, walks_taken",
+        [("projector", 2), ("minus-hundred", 2), ("difference", 1), ("three-box", 4)],
+    )
+    def test_each_walk_is_taken_once(self, monkeypatch, name, walks_taken):
+        # each functional's A(f) serves every check on it, the sweep's
+        # included; the sampler walks onto every branch, so its pair differs
+        walks = record_walks(monkeypatch)
+        assert verify_preset(build_preset(name), mc_trials=2000).passed
+        assert len(walks) == len(set(walks)) == walks_taken
 
     def test_three_box_builds_no_grid_of_two_axes(self, monkeypatch, tmp_path):
         # the weak marginals come from the moment rule, so the kernel only

@@ -195,9 +195,9 @@ def test_a_cluster_sums_its_rows_in_value_order():
 
 class TestMergeStop:
     """Weights 1/2, 1/4, ..., 1/64 on the first six steps keep the partial
-    sums distinct (and exact), so the walk stops merging; equal sums of later
-    unit weights must still group, and beyond MAX_PATHS the walk must keep
-    merging."""
+    sums distinct (and exact), so those merges join no row; the walk merges
+    at every step all the same, so equal sums of later unit weights group,
+    within MAX_PATHS and beyond it."""
 
     FIRST = [0.5**j for j in range(1, 7)]
 
@@ -219,8 +219,10 @@ class TestMergeStop:
         functionals = [PathFunctional.weighted_steps(weights), PathFunctional.step_eigenvalue(9)]
         calls = self.count_merges(monkeypatch)
         keys, amps = grouped_amplitudes(chain, functionals)
-        # steps 0 to 5, the last joining none of its 64 rows, then one merge of the 1024 paths
-        assert calls == [2, 4, 8, 16, 32, 64, 1024]
+        # one merge per step, then one of the final rows: steps 0 to 7 join
+        # nothing (a row's eigenstate fixes its last unit term), steps 8 and 9
+        # join equal unit sums, so 512 rows remain of the 1024 paths
+        assert calls == [2, 4, 8, 16, 32, 64, 128, 256, 512, 768, 512]
         want_keys, want_amps = dense_grouping(chain, functionals)
         assert len(np.unique(keys[:, 0])) == 64 * 5
         assert keys.tobytes() == want_keys.tobytes()
@@ -383,8 +385,8 @@ def test_each_branch_column_is_its_own_walk(seed, dim, n_steps, n_functionals, i
 
 
 def test_branch_columns_where_the_walk_stops_merging_and_clusters(monkeypatch):
-    # random weights never join, so merging stops at 64 rows; the rounded
-    # spin sums of the first column then cluster at the end
+    # random weights never join, so no merge joins a row; the rounded spin
+    # sums of the first column then cluster at the end
     rng = np.random.default_rng(51)
     chain = random_spin_chain(rng, 15)
     functionals = [PathFunctional.weighted_steps([1.0] * 15), PathFunctional.weighted_steps(rng.normal(size=15))]
@@ -397,8 +399,46 @@ def test_branch_columns_where_the_walk_stops_merging_and_clusters(monkeypatch):
 
     monkeypatch.setattr(paths, "_merge_rows", counted)
     paths._branch_amplitudes(chain, functionals, chain.branches())
-    # steps 0 to 5, the last joining none of its 64 rows; then all 2^15
-    # paths once exactly and once after clustering
-    assert rows == [2, 4, 8, 16, 32, 64, 2**15, 2**15]
+    # one merge per step, each of 2^(k+1) rows; then all 2^15 paths once
+    # exactly and once after clustering
+    assert rows == [2 ** (k + 1) for k in range(15)] + [2**15, 2**15]
     assert_columns_are_branch_walks(chain, functionals)
     assert_columns_are_branch_walks(chain, functionals[:1])
+
+
+@pytest.mark.parametrize(
+    "dim, n_steps, functional",
+    [
+        (2, 12, lambda rng, chain: PathFunctional.weighted_steps(rng.normal(size=chain.n_steps))),
+        (3, 6, lambda rng, chain: PathFunctional.from_table(rng.normal(size=chain.n_paths))),
+    ],
+)
+def test_a_walk_that_joins_no_row_groups_like_np_unique_on_every_branch(dim, n_steps, functional):
+    # real weights and table indices keep every partial sum distinct, so the
+    # walk's last steps hold hundreds of rows and no merge joins any of them
+    rng = np.random.default_rng(17)
+    chain = random_chain(rng, dim, n_steps)
+    functionals = [functional(rng, chain)]
+    branches = chain.branches()
+    keys, amps = paths._branch_amplitudes(chain, functionals, branches)
+    assert len(keys) == chain.n_paths > 64
+    for b, branch in enumerate(branches):
+        want_keys, want_amps = dense_grouping(branch, functionals)
+        assert keys.tobytes() == want_keys.tobytes()
+        assert np.max(np.abs(amps[:, b] - want_amps)) <= 1e-12
+
+
+def test_a_table_of_2_19_paths_groups_under_the_row_cap():
+    # the walk's last step holds 2^19 rows of MAX_PATHS = 10^6; the table's
+    # values are distinct integers, so every path is its own group
+    chain = long_chain(19)
+    functional = PathFunctional.from_table(np.random.default_rng(6).permutation(chain.n_paths))
+    tracemalloc.start()
+    try:
+        keys, amps = grouped_amplitudes(chain, [functional])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == chain.n_paths == 2**19
+    assert abs(amps.sum() - chain.transition_amplitude()) <= 1e-10
+    assert peak < 100 << 20
