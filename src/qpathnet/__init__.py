@@ -12,8 +12,6 @@ from .classical import (
     classical_sample,
     comparator_path_key,
     label_values,
-    two_layer_network,
-    uniform_two_layer_network,
 )
 from .config import ConfigError, RunSettings, ScenarioConfig, export_config, load_config, parse_config
 from .core import (
@@ -21,7 +19,6 @@ from .core import (
     Propagator,
     StateVector,
     basis_state,
-    disturbance_gap,
     evolve,
     orthonormal_completion,
     robertson_check,
@@ -51,11 +48,9 @@ from .paths import (
     ForbiddenTransitionError,
     MeasurementChain,
     MeasurementStep,
-    PathBundle,
     PathCapError,
     PathFunctional,
     amplitude_distribution,
-    combine_paths,
     enumerate_paths,
     grouped_amplitudes,
     path_amplitude,
@@ -64,7 +59,7 @@ from .paths import (
     strong_mean,
     weak_value,
 )
-from .sampling import TrialRecord, TrialSet, TrialSummary, sample_trials
+from .sampling import TrialSet, TrialSummary, sample_trials
 from .scenarios import (
     PRESETS,
     ScenarioPreset,

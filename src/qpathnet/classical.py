@@ -236,47 +236,6 @@ def classical_sample(
     return np.bincount(idx, minlength=cdf.size)
 
 
-def two_layer_network(
-    entry_weights: np.ndarray,
-    first_layer: dict[str, np.ndarray],
-    second_layer: dict[str, np.ndarray],
-    labels: dict[str, float] | None = None,
-) -> ClassicalNetwork:
-    """The reference two-layer topology with crossed second-layer wiring.
-
-    The entry connector feeds first-layer connectors a0 (outlet 0) and a1
-    (outlet 1).  a0 sends outlet 0 to b0 inlet 0 and outlet 1 to b1 inlet 1;
-    a1 sends outlet 0 to b1 inlet 0 and outlet 1 to b0 inlet 1.  b0 drops
-    outlet 0 into receptacle f0 and outlet 1 into f1; b1 does the opposite.
-    """
-    connectors = {
-        "in": ClassicalConnector("in", entry_weights),
-        "a0": ClassicalConnector("a0", first_layer["a0"]),
-        "a1": ClassicalConnector("a1", first_layer["a1"]),
-        "b0": ClassicalConnector("b0", second_layer["b0"]),
-        "b1": ClassicalConnector("b1", second_layer["b1"]),
-    }
-    wiring = {
-        ("in", 0): to_connector("a0", 0),
-        ("in", 1): to_connector("a1", 0),
-        ("a0", 0): to_connector("b0", 0),
-        ("a0", 1): to_connector("b1", 1),
-        ("a1", 0): to_connector("b1", 0),
-        ("a1", 1): to_connector("b0", 1),
-        ("b0", 0): to_receptacle("f0"),
-        ("b0", 1): to_receptacle("f1"),
-        ("b1", 0): to_receptacle("f1"),
-        ("b1", 1): to_receptacle("f0"),
-    }
-    return ClassicalNetwork(connectors, wiring, ("in", 0), labels or {})
-
-
-def uniform_two_layer_network() -> ClassicalNetwork:
-    """All connectors fifty-fifty: eight equally likely paths."""
-    half = np.full((2, 2), 0.5)
-    return two_layer_network(half, {"a0": half, "a1": half}, {"b0": half, "b1": half})
-
-
 def chain_comparator(chain) -> list[ClassicalPath]:
     """Distinguishable-path twin of a quantum chain: one entry per (final
     branch b, virtual path), travelled with probability |A_{path, b}|^2.

@@ -281,12 +281,32 @@ _METRIC_ORDER = (
 )
 
 
+def _load_summary(path: Path) -> dict:
+    """A run summary, refused with a ValueError that names the file and the
+    key when it lacks one that report reads."""
+    with open(path) as fh:
+        s = json.load(fh)
+    if not isinstance(s, dict):
+        raise ValueError(f"{path}: a summary must be a JSON object")
+    # the fields the plot files of a sweep or exact summary are written from
+    mode = s.get("mode")
+    if mode == "sweep":
+        fields = {"name": (s.get("name"), str), "widths": (s.get("widths"), list), "means": (s.get("means"), list)}
+    elif mode == "exact":
+        meters = s.get("meters")
+        head = meters[0] if isinstance(meters, list) and meters and isinstance(meters[0], dict) else {}
+        fields = {"name": (s.get("name"), str), "meters[0].distribution_csv": (head.get("distribution_csv"), str)}
+    else:
+        fields = {}
+    missing = [key for key, (value, kind) in fields.items() if not isinstance(value, kind)]
+    if missing:
+        raise ValueError(f"{path}: {mode} summary needs {', '.join(missing)}")
+    return s
+
+
 def report(summary_paths, out_dir=None) -> str:
     """Consolidate run summaries into one table (and plot-ready CSV files)."""
-    summaries = []
-    for path in summary_paths:
-        with open(path) as fh:
-            summaries.append((Path(path), json.load(fh)))
+    summaries = [(Path(path), _load_summary(Path(path))) for path in summary_paths]
     dims = {s.get("dim") for _, s in summaries if s.get("dim") is not None}
     if len(dims) > 1:
         raise ValueError(f"refusing to mix summaries of different dimensions: {sorted(dims)}")

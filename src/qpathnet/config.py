@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -216,13 +216,14 @@ def _parse_classical(doc, where: str) -> ClassicalSettings:
     for name, body in conn_doc.items():
         w = f"{where}.connectors.{name}"
         _require("." not in name, w, "connector names must not contain '.'")
-        _require(isinstance(body, dict) and "weights" in body, w, "needs a weights matrix")
-        weights = np.array(
-            [
-                [_real(body["weights"][r][c], f"{w}.weights[{r}][{c}]") for c in (0, 1)]
-                for r in (0, 1)
-            ]
+        _require(isinstance(body, dict), w, "expected an object")
+        rows = body.get("weights")
+        _require(
+            isinstance(rows, list) and len(rows) == 2 and all(isinstance(r, list) and len(r) == 2 for r in rows),
+            f"{w}.weights",
+            "needs a 2x2 matrix of numbers",
         )
+        weights = np.array([[_real(rows[r][c], f"{w}.weights[{r}][{c}]") for c in (0, 1)] for r in (0, 1)])
         blocked = body.get("blocked", [])
         _require(isinstance(blocked, list), f"{w}.blocked", "expected a list of outlets")
         blocked = frozenset(_integer(b, f"{w}.blocked[{i}]", 0, 1) for i, b in enumerate(blocked))
@@ -248,8 +249,10 @@ def _parse_classical(doc, where: str) -> ClassicalSettings:
     entry_name, entry_port = _parse_wire_end(doc.get("entry", ""), f"{where}.entry")
     _require(entry_port is not None, f"{where}.entry", "entry is 'connector.inlet'")
 
+    labels_doc = doc.get("labels", {})
+    _require(isinstance(labels_doc, dict), f"{where}.labels", "expected an object")
     labels = {}
-    for name, value in doc.get("labels", {}).items():
+    for name, value in labels_doc.items():
         _require(name in connectors, f"{where}.labels.{name}", "labels an unknown connector")
         labels[name] = _real(value, f"{where}.labels.{name}")
 
@@ -269,7 +272,14 @@ def _parse_classical(doc, where: str) -> ClassicalSettings:
     condition = doc.get("condition")
     if condition is not None:
         _require(isinstance(condition, list) and condition, f"{where}.condition", "expected a nonempty list")
-        condition = frozenset(str(c) for c in condition)
+        receptacles = {target[1] for target in wiring.values() if target[0] == "receptacle"}
+        for i, c in enumerate(condition):
+            _require(
+                isinstance(c, str) and c in receptacles,
+                f"{where}.condition[{i}]",
+                f"must name a receptacle of the wiring, one of {sorted(receptacles)}",
+            )
+        condition = frozenset(condition)
     return ClassicalSettings(tuple(paths), values, condition)
 
 
@@ -355,23 +365,25 @@ def parse_config(doc: dict) -> ScenarioConfig:
     times = [s.time for s in steps]
     _require(all(t2 > t1 for t1, t2 in zip(times, times[1:])), "steps", "times must be strictly increasing")
 
-    complement = None
+    try:
+        chain = MeasurementChain(StateVector(pre), tuple(steps), prop, StateVector(post), total_time)
+    except ValueError as exc:
+        _fail("steps", str(exc))
     if "post_complement" in doc:
         comp_doc = doc["post_complement"]
         _require(isinstance(comp_doc, list), "post_complement", "expected a list of states")
         complement = tuple(
             StateVector(_as_vector(v, f"post_complement[{i}]")) for i, v in enumerate(comp_doc)
         )
-
-    try:
-        chain = MeasurementChain(
-            StateVector(pre), tuple(steps), prop, StateVector(post), total_time, complement
-        )
-    except ValueError as exc:
-        _fail("steps", str(exc))
+        try:
+            chain = replace(chain, post_complement=complement)
+        except ValueError as exc:
+            _fail("post_complement", str(exc))
 
     functionals: dict[str, PathFunctional] = {}
-    for i, fdoc in enumerate(doc.get("functionals", [])):
+    functionals_doc = doc.get("functionals", [])
+    _require(isinstance(functionals_doc, list), "functionals", "expected a list")
+    for i, fdoc in enumerate(functionals_doc):
         fname, functional = _parse_functional(fdoc, f"functionals[{i}]")
         _require(fname not in functionals, f"functionals[{i}].name", "duplicate functional name")
         # fail fast on rules inconsistent with the chain
@@ -382,11 +394,15 @@ def parse_config(doc: dict) -> ScenarioConfig:
         functionals[fname] = functional
 
     meters = []
-    for i, mdoc in enumerate(doc.get("meters", [])):
+    meters_doc = doc.get("meters", [])
+    _require(isinstance(meters_doc, list), "meters", "expected a list")
+    for i, mdoc in enumerate(meters_doc):
         w = f"meters[{i}]"
         _require(isinstance(mdoc, dict), w, "expected an object")
         fname = mdoc.get("functional")
-        _require(fname in functionals, f"{w}.functional", "references an undefined functional")
+        _require(
+            isinstance(fname, str) and fname in functionals, f"{w}.functional", "references an undefined functional"
+        )
         profile = _parse_profile(mdoc.get("profile"), f"{w}.profile")
         meters.append(MeterSpec(functionals[fname], profile))
     if mode != "classical":
@@ -448,7 +464,6 @@ def export_config(
     chain: MeasurementChain,
     meters,
     run: RunSettings = RunSettings(),
-    functional_names=None,
 ) -> dict:
     """Serialize a chain and meters into the scenario document format.
 
@@ -456,8 +471,6 @@ def export_config(
     the document rebuilds identical engine inputs.
     """
     meters = list(meters)
-    if functional_names is None:
-        functional_names = [f"f{i}" for i in range(len(meters))]
     doc: dict = {
         "name": name,
         "system": {
@@ -480,12 +493,9 @@ def export_config(
             }
             for step in chain.steps
         ],
-        "functionals": [
-            _functional_doc(fname, m.functional) for fname, m in zip(functional_names, meters)
-        ],
+        "functionals": [_functional_doc(f"f{i}", m.functional) for i, m in enumerate(meters)],
         "meters": [
-            {"functional": fname, "profile": _profile_doc(m.profile)}
-            for fname, m in zip(functional_names, meters)
+            {"functional": f"f{i}", "profile": _profile_doc(m.profile)} for i, m in enumerate(meters)
         ],
         "run": {
             "mode": run.mode,

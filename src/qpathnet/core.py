@@ -238,40 +238,3 @@ def robertson_check(state: StateVector, a: Observable, b: Observable) -> tuple[f
     rhs = float(abs(np.vdot(psi, comm @ psi)) / 2.0)
     return lhs, rhs
 
-
-def disturbance_gap(
-    psi: StateVector,
-    a: Observable,
-    b: Observable,
-    prop: Propagator,
-    t_mid: float,
-    total_time: float,
-) -> dict[int, tuple[float, float]]:
-    """Outcome statistics of a final measurement, with and without an
-    intermediate projective measurement.
-
-    For each final eigenstate index i_b the returned pair holds
-    (probability after an intermediate measurement of `a` at t_mid,
-    probability with no intermediate measurement).  The two columns each sum
-    to one; they coincide exactly when the intermediate measurement cannot
-    destroy any interference.
-    """
-    if not 0.0 < t_mid < total_time:
-        raise ValueError(f"need 0 < t_mid < total_time, got t_mid={t_mid}, total_time={total_time}")
-    if not (psi.dim == a.dim == b.dim == prop.dim):
-        raise ValueError("all inputs must share one dimension")
-
-    mid = prop.unitary(t_mid) @ psi.amplitudes
-    late = prop.unitary(total_time - t_mid)
-    full = prop.unitary(total_time) @ psi.amplitudes
-
-    out: dict[int, tuple[float, float]] = {}
-    for i_b in range(b.dim):
-        final = b.eigenvectors[:, i_b]
-        undisturbed = abs(np.vdot(final, full)) ** 2
-        disturbed = 0.0
-        for i_a in range(a.dim):
-            eig = a.eigenvectors[:, i_a]
-            disturbed += abs(np.vdot(final, late @ eig) * np.vdot(eig, mid)) ** 2
-        out[i_b] = (float(disturbed), float(undisturbed))
-    return out

@@ -80,9 +80,9 @@ class MeasurementStep:
 class MeasurementChain:
     """Pre-selected state, intermediate steps, evolution and final selection.
 
-    `post_complement` optionally lists states completing `post_state` to an
-    orthonormal basis; they describe the branches where the final selection
-    fails.
+    `post_complement` optionally lists the dim - 1 states completing
+    `post_state` to an orthonormal basis; they describe the branches where
+    the final selection fails.
     """
 
     pre_state: StateVector
@@ -112,11 +112,14 @@ class MeasurementChain:
         if self.post_complement is not None:
             comp = tuple(self.post_complement)
             object.__setattr__(self, "post_complement", comp)
-            vecs = [self.post_state.amplitudes] + [c.amplitudes for c in comp]
-            basis = np.column_stack(vecs)
-            gram = basis.conj().T @ basis
-            if np.linalg.norm(gram - np.eye(len(vecs))) > TOL_DERIVED:
-                raise ValueError("post_state and its completion must be orthonormal")
+            if len(comp) != dim - 1 or any(c.dim != dim for c in comp):
+                raise ValueError(
+                    f"post_complement must hold dim - 1 = {dim - 1} states of dimension {dim}, "
+                    f"orthonormal to post_state; got dimensions {[c.dim for c in comp]}"
+                )
+            basis = np.column_stack([self.post_state.amplitudes] + [c.amplitudes for c in comp])
+            if np.linalg.norm(basis.conj().T @ basis - np.eye(dim)) > TOL_DERIVED:
+                raise ValueError("post_state and post_complement must be orthonormal")
 
     @property
     def dim(self) -> int:
@@ -533,51 +536,6 @@ def amplitude_distribution(chain: MeasurementChain, functional: PathFunctional) 
     """Group path amplitudes by the functional's value on each path."""
     keys, amps = grouped_amplitudes(chain, [functional])
     return AmplitudeDistribution(keys[:, 0], amps)
-
-
-@dataclass(frozen=True, eq=False)
-class PathBundle:
-    """Weighted superposition of virtual paths of one chain."""
-
-    chain: MeasurementChain
-    terms: tuple[tuple[complex, VirtualPath], ...]
-
-    @classmethod
-    def from_path(cls, chain: MeasurementChain, path: VirtualPath) -> "PathBundle":
-        return cls(chain, ((1.0 + 0.0j, tuple(path)),))
-
-    @property
-    def amplitude(self) -> complex:
-        return sum(
-            (w * path_amplitude(self.chain, p) for w, p in self.terms), start=0.0 + 0.0j
-        )
-
-    def value(self, functional: PathFunctional) -> tuple[float | None, bool]:
-        """(value, determinate) of the functional on this bundle.
-
-        The value exists only when every constituent path with nonzero weight
-        agrees; otherwise (None, False).
-        """
-        vals = [functional.value(self.chain, p) for w, p in self.terms if w != 0]
-        if not vals:
-            return None, False
-        if max(vals) - min(vals) <= MERGE_TOL:
-            return vals[0], True
-        return None, False
-
-
-def combine_paths(
-    alpha: complex, p: PathBundle, beta: complex, q: PathBundle
-) -> PathBundle:
-    """New bundle alpha*p + beta*q; its amplitude is the same combination of
-    the constituent amplitudes."""
-    if p.chain is not q.chain:
-        raise ValueError("cannot combine paths from different chains")
-    terms: dict[VirtualPath, complex] = {}
-    for scale, bundle in ((complex(alpha), p), (complex(beta), q)):
-        for w, path in bundle.terms:
-            terms[path] = terms.get(path, 0.0 + 0.0j) + scale * w
-    return PathBundle(p.chain, tuple((w, path) for path, w in terms.items()))
 
 
 def relative_amplitudes(chain: MeasurementChain, functional: PathFunctional) -> dict[float, complex]:

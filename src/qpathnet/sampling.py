@@ -58,20 +58,6 @@ _NOTHING_TO_SAMPLE = "total probability of all branches is zero; nothing to samp
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """One sampled run: grid readings per meter and the selection branch
-    (0 = selection succeeded, k >= 1 = k-th completion state)."""
-
-    trial_id: int
-    readings: tuple[float, ...]
-    branch: int
-
-    @property
-    def postselected(self) -> bool:
-        return self.branch == 0
-
-
-@dataclass(frozen=True)
 class MeterSummary:
     conditional_mean: float
     standard_error: float
@@ -100,7 +86,7 @@ class TrialSet:
 
     seed: int
     readings: np.ndarray  # shape (n_trials, n_meters)
-    branches: np.ndarray  # shape (n_trials,)
+    branches: np.ndarray  # shape (n_trials,): 0 = selection succeeded, k >= 1 = k-th completion state
     exact_success_probability: float
     exact_means: tuple[float, ...]
 
@@ -111,15 +97,6 @@ class TrialSet:
     @property
     def n_meters(self) -> int:
         return self.readings.shape[1]
-
-    def records(self) -> list[TrialRecord]:
-        return [
-            TrialRecord(i, tuple(readings), branch)
-            for i, (readings, branch) in enumerate(zip(self.readings.tolist(), self.branches.tolist()))
-        ]
-
-    def __iter__(self):
-        return iter(self.records())
 
     def summary(self) -> TrialSummary:
         success = self.branches == 0

@@ -3,7 +3,9 @@
 The oracles deliberately avoid the package's own code paths: the matrix
 exponential check and single path amplitudes go through scipy, mean
 readings through the overlap closed form summed pair by pair, and joint
-densities through plain nested loops.
+densities through plain nested loops.  The fixtures at the end (the
+reference two-layer network, the one-step chain's outcome table) are built
+from the package's own code and are not oracles.
 """
 
 import numpy as np
@@ -11,12 +13,16 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from qpathnet import (
+    ClassicalConnector,
+    ClassicalNetwork,
     MeasurementChain,
     MeasurementStep,
     Observable,
     Propagator,
     StateVector,
+    chain_comparator,
 )
+from qpathnet.classical import to_connector, to_receptacle
 
 
 def random_state_vector(rng, dim):
@@ -227,3 +233,58 @@ def record_walks(monkeypatch):
 
     _watch_walks(monkeypatch, seen)
     return walks
+
+
+def two_layer_network(entry_weights, first_layer, second_layer, labels=None):
+    """The reference two-layer topology with crossed second-layer wiring.
+
+    The entry connector feeds first-layer connectors a0 (outlet 0) and a1
+    (outlet 1).  a0 sends outlet 0 to b0 inlet 0 and outlet 1 to b1 inlet 1;
+    a1 sends outlet 0 to b1 inlet 0 and outlet 1 to b0 inlet 1.  b0 drops
+    outlet 0 into receptacle f0 and outlet 1 into f1; b1 does the opposite.
+    """
+    connectors = {
+        "in": ClassicalConnector("in", entry_weights),
+        "a0": ClassicalConnector("a0", first_layer["a0"]),
+        "a1": ClassicalConnector("a1", first_layer["a1"]),
+        "b0": ClassicalConnector("b0", second_layer["b0"]),
+        "b1": ClassicalConnector("b1", second_layer["b1"]),
+    }
+    wiring = {
+        ("in", 0): to_connector("a0", 0),
+        ("in", 1): to_connector("a1", 0),
+        ("a0", 0): to_connector("b0", 0),
+        ("a0", 1): to_connector("b1", 1),
+        ("a1", 0): to_connector("b1", 0),
+        ("a1", 1): to_connector("b0", 1),
+        ("b0", 0): to_receptacle("f0"),
+        ("b0", 1): to_receptacle("f1"),
+        ("b1", 0): to_receptacle("f1"),
+        ("b1", 1): to_receptacle("f0"),
+    }
+    return ClassicalNetwork(connectors, wiring, ("in", 0), labels or {})
+
+
+def uniform_two_layer_network():
+    """All connectors fifty-fifty: eight equally likely paths."""
+    half = np.full((2, 2), 0.5)
+    return two_layer_network(half, {"a0": half, "a1": half}, {"b0": half, "b1": half})
+
+
+def disturbance_table(psi, a, b, prop, t_mid, total_time):
+    """{k: (disturbed, undisturbed)} for each eigenstate k of b measured at
+    total_time: with a projective measurement of a at t_mid, the sum of
+    chain_comparator's distinguishable-path probabilities over receptacle
+    f{k}; without it, |<b_k|U(total_time)|psi>|^2."""
+    chain = MeasurementChain(
+        psi,
+        (MeasurementStep(t_mid, a),),
+        prop,
+        b.eigenstate(0),
+        total_time,
+        post_complement=tuple(b.eigenstate(k) for k in range(1, b.dim)),
+    )
+    disturbed = [0.0] * b.dim
+    for path in chain_comparator(chain):
+        disturbed[int(path.receptacle[1:])] += path.probability
+    return {k: (disturbed[k], abs(branch.transition_amplitude()) ** 2) for k, branch in enumerate(chain.branches())}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    disturbance_table,
     gaussian_overlap_mean,
     random_chain,
     random_hermitian,
@@ -32,7 +33,6 @@ from qpathnet import (
     chain_comparator,
     classical_mean,
     comparator_path_key,
-    disturbance_gap,
     final_pointer_state,
     joint_reading_distribution,
     mean_reading,
@@ -255,7 +255,7 @@ def test_criterion_8_uncertainty_suite():
         basis = random_unitary(rng, 2)
         a = Observable.from_eigensystem(rng.normal(size=2), basis)
         b = Observable.from_eigensystem(rng.normal(size=2), basis)
-        table = disturbance_gap(random_state_vector(rng, 2), a, b, prop, 0.5, 1.0)
+        table = disturbance_table(random_state_vector(rng, 2), a, b, prop, 0.5, 1.0)
         if max(abs(d - u) for d, u in table.values()) > 1e-10:
             commuting_ok = False
             break
@@ -267,7 +267,7 @@ def test_criterion_8_uncertainty_suite():
         comm = a.matrix @ b.matrix - b.matrix @ a.matrix
         if np.linalg.norm(comm) < 0.1:
             continue
-        table = disturbance_gap(random_state_vector(rng, 2), a, b, prop, 0.5, 1.0)
+        table = disturbance_table(random_state_vector(rng, 2), a, b, prop, 0.5, 1.0)
         if max(abs(d - u) for d, u in table.values()) <= 1e-10:
             non_commuting_ok = False
             break

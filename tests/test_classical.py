@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import path_amplitude_oracle, random_chain
+from helpers import path_amplitude_oracle, random_chain, two_layer_network, uniform_two_layer_network
 from qpathnet import (
     ClassicalConnector,
     ClassicalNetwork,
@@ -16,8 +16,6 @@ from qpathnet import (
     classical_sample,
     comparator_path_key,
     strong_mean,
-    two_layer_network,
-    uniform_two_layer_network,
 )
 from qpathnet.classical import to_connector, to_receptacle
 

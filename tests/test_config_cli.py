@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -42,6 +43,55 @@ def sample_config(mode="exact"):
         "meters": [{"functional": "first", "profile": {"shape": "rectangular", "width": 0.5}}],
         "run": {"mode": mode, "seed": 3, "trials": 2000, "widths": [5.0, 50.0]},
     }
+
+
+def two_layer_config():
+    """A classical-only document: the labelled two-layer network,
+    conditioned on receptacle f0."""
+    half = [[0.5, 0.5], [0.5, 0.5]]
+    return {
+        "name": "labelled",
+        "run": {"mode": "classical"},
+        "classical": {
+            "connectors": {name: {"weights": half} for name in ("in", "a0", "a1", "b0", "b1")},
+            "wiring": {
+                "in.0": "a0.0",
+                "in.1": "a1.0",
+                "a0.0": "b0.0",
+                "a0.1": "b1.1",
+                "a1.0": "b1.0",
+                "a1.1": "b0.1",
+                "b0.0": "f0",
+                "b0.1": "f1",
+                "b1.0": "f1",
+                "b1.1": "f0",
+            },
+            "entry": "in.0",
+            "labels": {"a0": 1.0, "a1": -1.0, "b0": -1.0, "b1": 1.0},
+            "condition": ["f0"],
+        },
+    }
+
+
+def document_fields(node, path=()):
+    """The path of every object member and list entry, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from document_fields(child, path + (key,))
+
+
+def with_field(doc, path, value):
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+# one value of each JSON type, and a few shapes a field might wrongly take
+JSON_VALUES = (None, True, False, 0, 1, -1, 0.5, "", "x", [], [0], [[0, 0]], {}, {"x": 0})
 
 
 class TestParsing:
@@ -119,6 +169,76 @@ class TestParsing:
         doc["post_complement"] = [[[1.0, 0.0], [0.0, 0.0]]]
         with pytest.raises(ConfigError, match="orthonormal"):
             parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "complement",
+        [
+            [],
+            [[[0.6, 0.0], [-0.8, 0.0]], [[0.8, 0.0], [0.6, 0.0]]],
+            [[[math.sqrt(0.5), 0.0], [-math.sqrt(0.5), 0.0], [0.0, 0.0]]],
+        ],
+    )
+    def test_completion_must_hold_dim_minus_one_states_of_the_dimension(self, complement):
+        doc = sample_config()
+        doc["post_complement"] = complement
+        with pytest.raises(ConfigError, match=r"^post_complement: .*orthonormal"):
+            parse_config(doc)
+
+    def test_empty_completion_is_refused_before_a_run(self, tmp_path, capsys):
+        # accepted, it made the success branch the only one: success
+        # probability 1.0 where it is 0.5, and half the reading law missing
+        preset = build_projector_postselected()
+        doc = export_config(preset.name, preset.chain, preset.meters)
+        doc["post_complement"] = []
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out"), "--mode", "sample"]) == 2
+        assert "post_complement" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_malformed_field_is_a_config_error(self):
+        docs = []
+        for name in ("projector", "difference", "three-box"):
+            preset = build_preset(name)
+            settings = RunSettings(widths=preset.sweep_widths)
+            docs.append(json.loads(json.dumps(export_config(preset.name, preset.chain, preset.meters, settings))))
+        docs.append(two_layer_config())
+        crashes = []
+        for doc in docs:
+            for path in document_fields(doc):
+                for value in JSON_VALUES:
+                    try:
+                        parse_config(with_field(doc, path, value))
+                    except ConfigError:
+                        pass
+                    except Exception as exc:  # anything else reaches the user as a traceback
+                        crashes.append((doc["name"], path, value, type(exc).__name__))
+        assert crashes == []
+
+    def test_condition_on_a_receptacle_the_wiring_lacks_is_refused(self, tmp_path, capsys):
+        doc = two_layer_config()
+        doc["classical"]["condition"] = ["f0", "f9"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out")]) == 2
+        assert "classical.condition[1]" in capsys.readouterr().err
+
+    def test_condition_on_a_receptacle_of_zero_probability_is_an_engine_error(self, tmp_path, capsys):
+        doc = {
+            "name": "never-right",
+            "run": {"mode": "classical"},
+            "classical": {
+                "connectors": {"in": {"weights": [[1.0, 0.0], [0.0, 1.0]]}},
+                "wiring": {"in.0": "left", "in.1": "right"},
+                "entry": "in.0",
+                "values": [1.0],
+                "condition": ["right"],
+            },
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out")]) == 3
+        assert "zero probability" in capsys.readouterr().err
 
 
 class TestRoundTrip:
@@ -247,29 +367,7 @@ class TestRunModes:
     def test_classical_labels_induce_layer_difference(self, tmp_path):
         # two layers labelled -/+ the layer quantity: the path value is the
         # second-layer label minus the first-layer one
-        half = [[0.5, 0.5], [0.5, 0.5]]
-        doc = {
-            "name": "labelled",
-            "run": {"mode": "classical"},
-            "classical": {
-                "connectors": {name: {"weights": half} for name in ("in", "a0", "a1", "b0", "b1")},
-                "wiring": {
-                    "in.0": "a0.0",
-                    "in.1": "a1.0",
-                    "a0.0": "b0.0",
-                    "a0.1": "b1.1",
-                    "a1.0": "b1.0",
-                    "a1.1": "b0.1",
-                    "b0.0": "f0",
-                    "b0.1": "f1",
-                    "b1.0": "f1",
-                    "b1.1": "f0",
-                },
-                "entry": "in.0",
-                "labels": {"a0": 1.0, "a1": -1.0, "b0": -1.0, "b1": 1.0},
-                "condition": ["f0"],
-            },
-        }
+        doc = two_layer_config()
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         summary = run(str(path), tmp_path / "out")
@@ -617,6 +715,25 @@ class TestReport:
         run("preset:three-box", tmp_path / "b")
         with pytest.raises(ValueError, match="different dimensions"):
             report([tmp_path / "a" / "summary.json", tmp_path / "b" / "summary.json"])
+
+    @pytest.mark.parametrize(
+        "summary, key",
+        [
+            ([1, 2], "JSON object"),
+            ({"name": "s", "mode": "sweep", "dim": 2, "limit": 1.0}, "widths, means"),
+            ({"name": "s", "mode": "sweep", "dim": 2, "widths": [1.0]}, "means"),
+            ({"name": "e", "mode": "exact", "dim": 2, "norm": 1.0, "meters": [{"index": 0}]}, "meters[0].distribution_csv"),
+            ({"name": "e", "mode": "exact", "dim": 2, "norm": 1.0}, "meters[0].distribution_csv"),
+        ],
+    )
+    def test_malformed_summary_is_refused_before_writing(self, tmp_path, capsys, summary, key):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(summary))
+        out = tmp_path / "rep"
+        assert main(["report", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err
+        assert not out.exists()
 
     def test_sweep_plot_csv(self, tmp_path):
         summary = run("preset:minus-hundred", tmp_path / "s", _Args(mode="sweep"))

@@ -4,13 +4,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian, random_observable, random_state_vector
+from helpers import disturbance_table, random_hermitian, random_observable, random_state_vector
 from qpathnet import (
     Observable,
     Propagator,
     StateVector,
     basis_state,
-    disturbance_gap,
     evolve,
     orthonormal_completion,
     robertson_check,
@@ -172,14 +171,14 @@ class TestDisturbanceGap:
         a = Observable.from_eigensystem([1.0, 2.0, 3.0], basis)
         b = Observable.from_eigensystem([-1.0, 0.5, 2.0], basis)
         psi = random_state_vector(rng, 3)
-        table = disturbance_gap(psi, a, b, Propagator.free(3), 0.5, 1.0)
+        table = disturbance_table(psi, a, b, Propagator.free(3), 0.5, 1.0)
         for disturbed, undisturbed in table.values():
             assert disturbed == pytest.approx(undisturbed, abs=1e-12)
 
     def test_symmetric_case_agrees(self):
         z = Observable.from_matrix(SIGMA_Z)
         x = Observable.from_matrix(SIGMA_X)
-        table = disturbance_gap(basis_state(2, 0), z, x, Propagator.free(2), 0.5, 1.0)
+        table = disturbance_table(basis_state(2, 0), z, x, Propagator.free(2), 0.5, 1.0)
         for disturbed, undisturbed in table.values():
             assert disturbed == pytest.approx(0.5, abs=1e-12)
             assert undisturbed == pytest.approx(0.5, abs=1e-12)
@@ -188,7 +187,7 @@ class TestDisturbanceGap:
         z = Observable.from_matrix(SIGMA_Z)
         x = Observable.from_matrix(SIGMA_X)
         plus = StateVector.from_components([1.0, 1.0]).normalized()
-        table = disturbance_gap(plus, z, x, Propagator.free(2), 0.5, 1.0)
+        table = disturbance_table(plus, z, x, Propagator.free(2), 0.5, 1.0)
         # index 1 is the +1 eigenvector (1,1)/sqrt(2) of sx
         assert table[1] == (pytest.approx(0.5, abs=1e-12), pytest.approx(1.0, abs=1e-12))
         assert table[0] == (pytest.approx(0.5, abs=1e-12), pytest.approx(0.0, abs=1e-12))
@@ -197,7 +196,7 @@ class TestDisturbanceGap:
         rng = np.random.default_rng(17)
         for _ in range(20):
             dim = int(rng.integers(2, 5))
-            table = disturbance_gap(
+            table = disturbance_table(
                 random_state_vector(rng, dim),
                 random_observable(rng, dim),
                 random_observable(rng, dim),
@@ -213,5 +212,5 @@ class TestDisturbanceGap:
 
     def test_invalid_time_ordering(self):
         z = Observable.from_matrix(SIGMA_Z)
-        with pytest.raises(ValueError, match="t_mid"):
-            disturbance_gap(basis_state(2, 0), z, z, Propagator.free(2), 1.5, 1.0)
+        with pytest.raises(ValueError, match="step times must lie strictly inside"):
+            disturbance_table(basis_state(2, 0), z, z, Propagator.free(2), 1.5, 1.0)

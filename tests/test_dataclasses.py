@@ -15,10 +15,10 @@ import pkgutil
 import numpy as np
 import pytest
 
+from helpers import uniform_two_layer_network
 import qpathnet
 from qpathnet import (
     MeterSpec,
-    PathBundle,
     PathFunctional,
     PointerProfile,
     RunSettings,
@@ -31,7 +31,6 @@ from qpathnet import (
     parse_config,
     reading_distribution,
     sample_trials,
-    uniform_two_layer_network,
     weak_limit_report,
 )
 from qpathnet.config import ClassicalSettings
@@ -63,7 +62,6 @@ def instances():
         "paths.MeasurementStep": chain.steps[0],
         "paths.MeasurementChain": chain,
         "paths.AmplitudeDistribution": amplitude_distribution(chain, meter.functional),
-        "paths.PathBundle": PathBundle.from_path(chain, (0, 1)),
         "meter.PointerProfile": PointerProfile.tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]),
         "meter.MeterSpec": meter,
         "meter.Grid": reading_distribution(chain, meter).grids[0],
@@ -80,7 +78,6 @@ def instances():
         "scenarios.ScenarioPreset": preset,
         "scenarios.CheckResult": check,
         "scenarios.VerificationReport": VerificationReport("difference", (check,)),
-        "sampling.TrialRecord": trials.records()[0],
         "sampling.MeterSummary": trials.summary().meters[0],
         "sampling.TrialSummary": trials.summary(),
         "sampling.TrialSet": trials,

@@ -11,7 +11,6 @@ from qpathnet import (
     MeasurementChain,
     MeasurementStep,
     Observable,
-    PathBundle,
     PathFunctional,
     Propagator,
     StateVector,
@@ -20,7 +19,6 @@ from qpathnet import (
     build_minus_hundred,
     build_three_box,
     chain_comparator,
-    combine_paths,
     enumerate_paths,
     path_amplitude,
     path_amplitudes,
@@ -102,6 +100,19 @@ class TestEnumeration:
                 1.0,
             )
 
+    @pytest.mark.parametrize("complement", [(), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0), (0, 1))])
+    def test_completion_holds_dim_minus_one_states_of_the_dimension(self, complement):
+        chain = build_three_box().chain
+        with pytest.raises(ValueError, match="post_complement must hold dim - 1 = 2 states of dimension 3"):
+            MeasurementChain(
+                chain.pre_state,
+                chain.steps,
+                chain.propagator,
+                chain.post_state,
+                chain.total_time,
+                tuple(StateVector.from_components(c) for c in complement),
+            )
+
 
 class TestAmplitudes:
     def test_orthogonality_kills_other_path(self):
@@ -170,48 +181,6 @@ class TestAmplitudeDistribution:
         dist = amplitude_distribution(chain, PathFunctional.constant(3.5))
         assert dist.support.tolist() == [3.5]
         assert dist.total() == pytest.approx(chain.transition_amplitude(), abs=1e-12)
-
-
-class TestPathBundles:
-    def test_identity_weights(self):
-        chain = build_difference_meter().chain
-        f = PathFunctional.step_difference()
-        p = PathBundle.from_path(chain, (0, 0))
-        q = PathBundle.from_path(chain, (1, 1))
-        combined = combine_paths(1.0, p, 0.0, q)
-        assert combined.amplitude == pytest.approx(path_amplitude(chain, (0, 0)), abs=1e-14)
-        value, determinate = combined.value(f)
-        assert determinate and value == 0.0
-
-    def test_grouped_pair_stays_determinate(self):
-        chain = build_difference_meter().chain
-        f = PathFunctional.step_difference()
-        bundle = combine_paths(
-            1.0, PathBundle.from_path(chain, (0, 0)), 1.0, PathBundle.from_path(chain, (1, 1))
-        )
-        assert bundle.amplitude == pytest.approx(
-            path_amplitude(chain, (0, 0)) + path_amplitude(chain, (1, 1)), abs=1e-14
-        )
-        value, determinate = bundle.value(f)
-        assert determinate and value == 0.0
-
-    def test_mixed_values_become_indeterminate(self):
-        chain = build_difference_meter().chain
-        f = PathFunctional.step_difference()
-        bundle = combine_paths(
-            1.0, PathBundle.from_path(chain, (0, 0)), 1.0, PathBundle.from_path(chain, (0, 1))
-        )
-        value, determinate = bundle.value(f)
-        assert not determinate and value is None
-        assert bundle.amplitude == pytest.approx(
-            path_amplitude(chain, (0, 0)) + path_amplitude(chain, (0, 1)), abs=1e-14
-        )
-
-    def test_rejects_chain_mixing(self):
-        a = build_difference_meter().chain
-        b = build_difference_meter().chain
-        with pytest.raises(ValueError, match="different chains"):
-            combine_paths(1.0, PathBundle.from_path(a, (0, 0)), 1.0, PathBundle.from_path(b, (0, 0)))
 
 
 class TestRelativeAmplitudes:

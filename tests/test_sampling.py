@@ -17,6 +17,7 @@ from helpers import (
     path_amplitude_oracle,
     quadrature_overlaps,
     random_chain,
+    uniform_two_layer_network,
 )
 from qpathnet import (
     Grid,
@@ -36,7 +37,6 @@ from qpathnet import (
     joint_reading_distribution,
     mean_reading,
     sample_trials,
-    uniform_two_layer_network,
 )
 from qpathnet import sampling
 from qpathnet.paths import _branch_amplitudes, grouped_amplitudes
@@ -147,15 +147,15 @@ class TestSampleTrials:
     def test_records_and_csv(self, tmp_path):
         preset = build_projector_postselected()
         trials = sample_trials(preset.chain, list(preset.meters), 50, seed=2)
-        records = trials.records()
-        assert len(records) == 50
-        assert records[7].trial_id == 7
-        assert records[7].readings[0] == trials.readings[7, 0]
+        assert trials.n_trials == 50
         out = tmp_path / "trials.csv"
         trials.write_csv(out)
         lines = out.read_text().splitlines()
         assert lines[0] == "trial_id,reading_0,branch"
         assert len(lines) == 51
+        trial_id, reading, _ = lines[8].split(",")
+        assert trial_id == "7"
+        assert float(reading) == trials.readings[7, 0]
 
     def test_csv_bytes_match_row_by_row_formatting(self, tmp_path):
         preset = build_three_box()
@@ -169,9 +169,10 @@ class TestSampleTrials:
         out = tmp_path / "trials.csv"
         trials.write_csv(out)
         assert out.read_bytes() == rows.read_bytes()
-        records = trials.records()
-        assert [r.readings for r in records] == [tuple(map(float, row)) for row in trials.readings]
-        assert [r.branch for r in records] == [int(b) for b in trials.branches]
+        with open(out, newline="") as fh:
+            records = list(csv.reader(fh))[1:]
+        assert [tuple(map(float, r[1:-1])) for r in records] == [tuple(map(float, row)) for row in trials.readings]
+        assert [int(r[-1]) for r in records] == [int(b) for b in trials.branches]
 
     def test_rejects_empty_run(self):
         preset = build_projector_postselected()

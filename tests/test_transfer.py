@@ -26,7 +26,6 @@ from qpathnet import (
     MeasurementChain,
     MeasurementStep,
     Observable,
-    PathBundle,
     PathCapError,
     PathFunctional,
     Propagator,
@@ -281,7 +280,7 @@ class TestLongChain:
         chain = long_chain()
         path = tuple(int(i) for i in np.random.default_rng(2).integers(2, size=60))
         want = float(sum(chain.steps[k].observable.eigenvalues[i] for k, i in enumerate(path)))
-        assert PathBundle.from_path(chain, path).value(PathFunctional.weighted_steps([1.0] * 60)) == (want, True)
+        assert PathFunctional.weighted_steps([1.0] * 60).value(chain, path) == want
 
     def test_path_listing_is_refused_before_allocating(self):
         chain = long_chain()
