@@ -38,7 +38,7 @@ from .meter import (
     weak_limit_report,
 )
 from .paths import ForbiddenTransitionError, _branch_amplitudes, group_by_value, grouped_amplitudes
-from .sampling import _draw_trials
+from .sampling import sample_trials
 from .scenarios import build_preset
 
 DIGITS = 12  # significant digits in rendered reports
@@ -158,11 +158,12 @@ def _run_sweep(config: ScenarioConfig, out: Path) -> dict:
 
 def _run_sample(config: ScenarioConfig, out: Path) -> dict:
     chain, meters = config.chain, list(config.meters)
-    # one walk onto every branch: its keys place the grids, its columns are drawn
-    keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
+    # the walk onto every branch places the grids; sample_trials draws from
+    # the same walk, kept on the chain
+    keys, _ = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
     grids = [_grid(config, keys[:, r], m.profile.width) for r, m in enumerate(meters)]
     try:
-        trials = _draw_trials(keys, amps, [m.profile for m in meters], config.run.trials, config.run.seed, grids)
+        trials = sample_trials(chain, meters, config.run.trials, config.run.seed, grids)
     except GridCapError as exc:
         raise exc.for_meter(0) from None
     trials.write_csv(out / "trials.csv")
@@ -288,13 +289,19 @@ def _load_summary(path: Path) -> dict:
         s = json.load(fh)
     if not isinstance(s, dict):
         raise ValueError(f"{path}: a summary must be a JSON object")
+    # the fields every summary's rows are read from
+    meters = s.get("meters", [])
+    if not isinstance(meters, list) or not all(isinstance(m, dict) for m in meters):
+        raise ValueError(f"{path}: meters must be a list of objects")
+    dim = s.get("dim")
+    if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool)):
+        raise ValueError(f"{path}: dim must be an integer")
     # the fields the plot files of a sweep or exact summary are written from
     mode = s.get("mode")
     if mode == "sweep":
         fields = {"name": (s.get("name"), str), "widths": (s.get("widths"), list), "means": (s.get("means"), list)}
     elif mode == "exact":
-        meters = s.get("meters")
-        head = meters[0] if isinstance(meters, list) and meters and isinstance(meters[0], dict) else {}
+        head = meters[0] if meters else {}
         fields = {"name": (s.get("name"), str), "meters[0].distribution_csv": (head.get("distribution_csv"), str)}
     else:
         fields = {}

@@ -7,6 +7,7 @@ offending field and the violated constraint.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -42,6 +43,17 @@ def _fail(where: str, constraint: str):
 def _require(cond: bool, where: str, constraint: str):
     if not cond:
         _fail(where, constraint)
+
+
+@contextlib.contextmanager
+def _finite_arithmetic(where: str):
+    """Run a field's numeric checks with floating-point overflow refused as
+    a ConfigError: finite numbers of huge magnitude overflow in the norms."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        _fail(where, f"magnitudes too large to check ({exc})")
 
 
 def _as_complex(value, where: str) -> complex:
@@ -335,16 +347,18 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if "hamiltonian" in system:
         h = _as_matrix(system["hamiltonian"], "system.hamiltonian")
         _require(h.shape == (dim, dim), "system.hamiltonian", f"must be {dim}x{dim}")
-        scale = max(np.linalg.norm(h), 1.0)
-        _require(np.linalg.norm(h - h.conj().T) <= 1e-12 * scale, "system.hamiltonian", "matrix not Hermitian")
-        prop = Propagator(h)
+        with _finite_arithmetic("system.hamiltonian"):
+            scale = max(np.linalg.norm(h), 1.0)
+            _require(np.linalg.norm(h - h.conj().T) <= 1e-12 * scale, "system.hamiltonian", "matrix not Hermitian")
+            prop = Propagator(h)
     else:
         prop = Propagator.free(dim)
 
     def state_field(key: str) -> np.ndarray:
         vec = _as_vector(doc.get(key), key)
         _require(vec.size == dim, key, f"needs {dim} components")
-        norm = np.linalg.norm(vec)
+        with _finite_arithmetic(key):
+            norm = np.linalg.norm(vec)
         _require(abs(norm - 1.0) <= 1e-6, key, "must be normalized")
         # renormalize only when needed, so exact documents round-trip bit-for-bit
         return vec if abs(norm**2 - 1.0) <= 1e-12 else vec / norm
@@ -360,7 +374,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
         _require(isinstance(step_doc, dict), w, "expected an object")
         t = _real(step_doc.get("time", None), f"{w}.time")
         _require(0.0 < t < total_time, f"{w}.time", f"must lie strictly inside (0, {total_time})")
-        obs = _parse_observable(step_doc.get("observable"), f"{w}.observable", dim)
+        with _finite_arithmetic(f"{w}.observable"):
+            obs = _parse_observable(step_doc.get("observable"), f"{w}.observable", dim)
         steps.append(MeasurementStep(t, obs))
     times = [s.time for s in steps]
     _require(all(t2 > t1 for t1, t2 in zip(times, times[1:])), "steps", "times must be strictly increasing")

@@ -118,9 +118,11 @@ class PointerProfile:
         if self.shape == "rectangular":
             half = w / 2.0
             edge_tol = 1e-9 * w
-            out = np.where(np.abs(xi) < half - edge_tol, w**-0.5, 0.0)
+            a = np.abs(xi, out=np.empty_like(xi))  # an array even for a 0-d xi
+            out = np.where(a < half - edge_tol, w**-0.5, 0.0)
             # half of the squared jump at the edges keeps trapezoid sums exact
-            out = np.where(np.abs(np.abs(xi) - half) <= edge_tol, (2.0 * w) ** -0.5, out)
+            a -= half
+            np.copyto(out, (2.0 * w) ** -0.5, where=np.abs(a, out=a) <= edge_tol)
             return out
         scaled = xi / w
         return w**-0.5 * np.interp(scaled, self.template_xs, self.template_values, left=0.0, right=0.0)

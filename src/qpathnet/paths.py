@@ -17,7 +17,7 @@ that coincide exactly.  Values closer than MERGE_TOL are then joined into one.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,10 @@ FORBIDDEN_TOL = 1e-14
 # Functional values closer than this are one value: grouped_amplitudes joins
 # them (eigenvalues from a diagonalisation carry rounding of a few ulps).
 MERGE_TOL = 1e-9
+
+# A(f) walks kept per chain, least recently used dropped first: the most
+# distinct walks one caller takes on one chain (verify_preset on three-box).
+WALK_CACHE_SIZE = 4
 
 VirtualPath = tuple[int, ...]
 
@@ -76,6 +80,14 @@ class MeasurementStep:
     observable: Observable
 
 
+class _Walks(dict):
+    """A chain's memo of walks.  A deep copy starts empty: it would copy the
+    read-only arrays as writable ones."""
+
+    def __deepcopy__(self, memo):
+        return _Walks()
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementChain:
     """Pre-selected state, intermediate steps, evolution and final selection.
@@ -91,6 +103,8 @@ class MeasurementChain:
     post_state: StateVector
     total_time: float
     post_complement: tuple[StateVector, ...] | None = None
+    # the memo of _branch_amplitudes; every field above is immutable
+    _walks: dict = field(init=False, repr=False, compare=False, default_factory=_Walks)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -500,8 +514,44 @@ def grouped_amplitudes(chain: MeasurementChain, functionals) -> tuple[np.ndarray
 
 def _branch_amplitudes(chain: MeasurementChain, functionals, branches) -> tuple[np.ndarray, np.ndarray]:
     """The walk of grouped_amplitudes closed onto every chain of branches:
-    shared keys, and amps[:, b] bit for bit grouped_amplitudes(branches[b])."""
-    functionals = list(functionals)
+    shared keys, and amps[:, b] bit for bit grouped_amplitudes(branches[b]).
+
+    Walks are memoised on the chain, keyed by each functional's rule and
+    parameters and each branch's post_state, so a repeated call returns the
+    first walk's (read-only) arrays; a refused walk is not kept."""
+    functionals, branches = list(functionals), tuple(branches)
+    key = (
+        tuple((f.rule, tuple((name, _param_key(v)) for name, v in sorted(f.params.items()))) for f in functionals),
+        tuple(b.post_state.amplitudes.tobytes() for b in branches),
+    )
+    # single dict operations only, each atomic, so threads sharing the chain
+    # can at worst walk twice
+    walks = chain._walks
+    result = walks.pop(key, None)
+    if result is None:
+        result = _walk(chain, functionals, branches)
+        for a in result:  # both are fresh arrays of this walk
+            a.flags.writeable = False
+    walks[key] = result  # the most recently used last
+    for old in list(walks)[:-WALK_CACHE_SIZE]:
+        walks.pop(old, None)
+    return result
+
+
+def _param_key(value):
+    """A hashable form of a functional's parameter that tells apart any two
+    the walk tells apart: its repr (-0.0 is not 0.0; a list is held as
+    text), except that an array, whose repr rounds and elides, goes by its
+    bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)) and any(isinstance(v, (np.ndarray, list, tuple)) for v in value):
+        return type(value).__name__, tuple(_param_key(v) for v in value)
+    return repr(value)
+
+
+def _walk(chain: MeasurementChain, functionals: list, branches) -> tuple[np.ndarray, np.ndarray]:
+    """_branch_amplitudes without its memo."""
     if not functionals:
         raise ValueError("need at least one functional")
     rules = [f.step_terms(chain) for f in functionals]

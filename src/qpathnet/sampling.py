@@ -119,16 +119,17 @@ class TrialSet:
         )
 
     def write_csv(self, path) -> None:
+        # the rows csv.writer would write: each Python float as its repr,
+        # formatted once per distinct bit pattern, as readings lie on grid nodes
+        columns = []
+        for r in range(self.n_meters):
+            bits, inverse = np.unique(self.readings[:, r].view(np.int64), return_inverse=True)
+            text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+            columns.append(text[inverse].tolist())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["trial_id"] + [f"reading_{r}" for r in range(self.n_meters)] + ["branch"]
-            )
-            # csv writes each Python float as its repr
-            writer.writerows(
-                [i, *readings, branch]
-                for i, (readings, branch) in enumerate(zip(self.readings.tolist(), self.branches.tolist()))
-            )
+            csv.writer(fh).writerow(["trial_id"] + [f"reading_{r}" for r in range(self.n_meters)] + ["branch"])
+            rows = zip(map(str, range(self.n_trials)), *columns, map(str, self.branches.tolist()))
+            fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def sample_trials(
@@ -147,12 +148,7 @@ def sample_trials(
     """
     check_trials(n_trials)
     keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
-    return _draw_trials(keys, amps, [m.profile for m in meters], n_trials, seed, grids, max_workers)
-
-
-def _draw_trials(keys, amps, profiles, n_trials, seed, grids, max_workers=None) -> TrialSet:
-    """sample_trials of the walk (keys, amps) onto every branch, one
-    amplitude column per branch in chain.branches() order."""
+    profiles = [m.profile for m in meters]
     grids = _place_grids(keys, profiles, grids)
     # rows that vanish on every branch are neither drawn nor counted as classes
     keep = np.any(amps != 0, axis=1)

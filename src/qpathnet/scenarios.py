@@ -12,7 +12,6 @@ constants labelled by tolerance class:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,7 +26,6 @@ from .meter import (
     _sweep_means,
 )
 from .paths import (
-    AmplitudeDistribution,
     ForbiddenTransitionError,
     MeasurementChain,
     MeasurementStep,
@@ -299,39 +297,39 @@ class VerificationReport:
         return out
 
 
-def _compute_check(preset: ScenarioPreset, name: str, mc_trials: int, seed: int, dist, marginals) -> float:
-    """One expected constant recomputed; dist(functional) and marginals() are
-    the call's A(f) of a functional and mean readings of the preset's meters."""
+def _compute_check(preset: ScenarioPreset, name: str, mc_trials: int, seed: int) -> float:
+    """One expected constant recomputed."""
     chain = preset.chain
     functional = preset.meters[0].functional
     if name == "forbidden_transition":
         try:
-            dist(functional).weak_value()
+            amplitude_distribution(chain, functional).weak_value()
         except ForbiddenTransitionError:
             return 1.0
         return 0.0
     if name == "strong_mean":
-        return dist(functional).strong_mean()
+        return amplitude_distribution(chain, functional).strong_mean()
     if name in ("weak_value_re", "weak_from_relative"):
-        return dist(functional).weak_value().real
+        return amplitude_distribution(chain, functional).weak_value().real
     if name == "weak_value_im":
-        return dist(functional).weak_value().imag
+        return amplitude_distribution(chain, functional).weak_value().imag
     if name.startswith("strong_bin_"):
         target = float(name.removeprefix("strong_bin_"))
-        probs = dist(functional).strong_probabilities()
+        probs = amplitude_distribution(chain, functional).strong_probabilities()
         return min(probs.items(), key=lambda kv: abs(kv[0] - target))[1]
     if name.startswith("relative_amplitude_"):
         index = int(name.removeprefix("relative_amplitude_"))
-        rel = dist(PathFunctional.step_eigenvalue(0)).relative()
+        rel = amplitude_distribution(chain, PathFunctional.step_eigenvalue(0)).relative()
         return sorted(rel.items())[index][1].real
     if name.startswith("weak_marginal_"):
-        return marginals()[int(name.removeprefix("weak_marginal_"))]
+        keys, amps = grouped_amplitudes(chain, [m.functional for m in preset.meters])
+        return _moments(keys, amps, [m.profile for m in preset.meters])[1][int(name.removeprefix("weak_marginal_"))]
     if name == "strong_first_indicator_at_1":
-        return dist(PathFunctional.path_indicator((0,))).strong_probabilities().get(1.0, 0.0)
+        return amplitude_distribution(chain, PathFunctional.path_indicator((0,))).strong_probabilities().get(1.0, 0.0)
     if name == "strong_third_indicator_at_1":
-        return dist(PathFunctional.path_indicator((2,))).strong_probabilities().get(1.0, 0.0)
+        return amplitude_distribution(chain, PathFunctional.path_indicator((2,))).strong_probabilities().get(1.0, 0.0)
     if name == "sweep_limit":
-        return _sweep_means(dist(functional), preset.sweep_widths[-1:])[0]
+        return _sweep_means(amplitude_distribution(chain, functional), preset.sweep_widths[-1:])[0]
     if name == "mc_success_fraction":
         trials = sample_trials(chain, [preset.meters[0]], mc_trials, seed)
         return trials.summary().success_rate
@@ -348,23 +346,9 @@ def verify_preset(
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
-    # each functional's A(f), keyed by its rule and parameters, and the
-    # meters' mean readings are computed at most once per call
-    dists: dict = {}
-
-    def dist(functional: PathFunctional) -> AmplitudeDistribution:
-        key = (functional.rule, tuple(sorted(functional.params.items())))
-        if key not in dists:
-            dists[key] = amplitude_distribution(preset.chain, functional)
-        return dists[key]
-
-    profiles = [m.profile for m in preset.meters]
-    marginals = functools.cache(
-        lambda: _moments(*grouped_amplitudes(preset.chain, [m.functional for m in preset.meters]), profiles)[1]
-    )
     checks = []
     for name, exp in preset.expected.items():
-        computed = _compute_check(preset, name, mc_trials, seed, dist, marginals)
+        computed = _compute_check(preset, name, mc_trials, seed)
         if exp.kind == "sweep":
             delta = abs(computed - exp.value) / max(abs(exp.value), 1e-30)
             bound = tol["sweep"]

@@ -188,22 +188,17 @@ def brute_force_joint_density(amps, value_table, profiles, axes):
 
 def _watch_walks(monkeypatch, seen):
     """Call seen(chain, functionals, branches) at every A(f) walk, i.e. call
-    of paths._branch_amplitudes, which every grouping runs; it is patched in
-    every qpathnet module that binds it."""
-    import sys
-
+    of paths._walk, which every grouping runs unless the chain's memo of
+    paths._branch_amplitudes already holds its result."""
     import qpathnet.paths
 
-    original = qpathnet.paths._branch_amplitudes
+    original = qpathnet.paths._walk
 
     def watched(chain, functionals, branches):
-        functionals = list(functionals)
         seen(chain, functionals, branches)
         return original(chain, functionals, branches)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qpathnet" and vars(module).get("_branch_amplitudes") is original:
-            monkeypatch.setattr(module, "_branch_amplitudes", watched)
+    monkeypatch.setattr(qpathnet.paths, "_walk", watched)
 
 
 def count_grouped_amplitudes(monkeypatch):

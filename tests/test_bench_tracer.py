@@ -7,8 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import qpathnet
-
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -26,7 +24,7 @@ def _traced():
 
 @pytest.mark.parametrize("layer, attr", _traced())
 def test_traced_name_resolves(layer, attr):
-    owner = getattr(qpathnet, layer)
+    owner = importlib.import_module(f"qpathnet.{layer}")
     if "." in attr:
         cls_name, method = attr.split(".")
         assert method in getattr(owner, cls_name).__dict__

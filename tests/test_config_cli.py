@@ -91,7 +91,7 @@ def with_field(doc, path, value):
 
 
 # one value of each JSON type, and a few shapes a field might wrongly take
-JSON_VALUES = (None, True, False, 0, 1, -1, 0.5, "", "x", [], [0], [[0, 0]], {}, {"x": 0})
+JSON_VALUES = (None, True, False, 0, 1, -1, 0.5, 1e300, "", "x", [], [0], [[0, 0]], {}, {"x": 0})
 
 
 class TestParsing:
@@ -214,6 +214,30 @@ class TestParsing:
                     except Exception as exc:  # anything else reaches the user as a traceback
                         crashes.append((doc["name"], path, value, type(exc).__name__))
         assert crashes == []
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("pre_state", 0, 0), "pre_state"),
+            (("post_state", 1, 1), "post_state"),
+            (("system", "hamiltonian", 0, 1, 0), "system.hamiltonian"),
+            (("steps", 0, "observable", "eigenvalues", 0), "steps[0].observable"),
+            (("steps", 0, "observable", "basis", 1, 0, 0), "steps[0].observable"),
+            (("steps", 0, "observable"), "steps[0].observable"),
+        ],
+    )
+    def test_huge_finite_magnitude_is_refused_by_field(self, tmp_path, capsys, path, field):
+        # the suite runs with warnings as errors, so an overflow warning in a
+        # norm would surface here as a RuntimeWarning instead of exit code 2
+        preset = build_preset("three-box")
+        doc = json.loads(json.dumps(export_config(preset.name, preset.chain, preset.meters)))
+        huge = {"matrix": [[[1e300, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}
+        doc = with_field(doc, path, huge if path[-1] == "observable" else 1e300)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), str(tmp_path / "out")]) == 2
+        assert f"{field}: magnitudes too large" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_condition_on_a_receptacle_the_wiring_lacks_is_refused(self, tmp_path, capsys):
         doc = two_layer_config()
@@ -724,6 +748,8 @@ class TestReport:
             ({"name": "s", "mode": "sweep", "dim": 2, "widths": [1.0]}, "means"),
             ({"name": "e", "mode": "exact", "dim": 2, "norm": 1.0, "meters": [{"index": 0}]}, "meters[0].distribution_csv"),
             ({"name": "e", "mode": "exact", "dim": 2, "norm": 1.0}, "meters[0].distribution_csv"),
+            ({"mode": "sample", "meters": [1]}, "meters"),
+            ({"name": "s", "mode": "sample", "dim": [2], "meters": []}, "dim"),
         ],
     )
     def test_malformed_summary_is_refused_before_writing(self, tmp_path, capsys, summary, key):

@@ -1,17 +1,30 @@
+import copy
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import path_amplitude_oracle, random_chain, random_state_vector
+import qpathnet.paths
+from helpers import (
+    count_grouped_amplitudes,
+    path_amplitude_oracle,
+    random_chain,
+    random_spin_chain,
+    random_state_vector,
+)
 from qpathnet import (
     ForbiddenTransitionError,
     MeasurementChain,
     MeasurementStep,
+    MeterSpec,
     Observable,
     PathFunctional,
+    PathCapError,
+    PointerProfile,
     Propagator,
     StateVector,
     amplitude_distribution,
@@ -20,13 +33,18 @@ from qpathnet import (
     build_three_box,
     chain_comparator,
     enumerate_paths,
+    grouped_amplitudes,
+    mean_reading,
     path_amplitude,
     path_amplitudes,
+    reading_distribution,
     relative_amplitudes,
+    strong_limit_bins,
     strong_mean,
+    weak_limit_report,
     weak_value,
 )
-from qpathnet.paths import FUNCTIONAL_RULES
+from qpathnet.paths import FUNCTIONAL_RULES, WALK_CACHE_SIZE, _branch_amplitudes
 
 IDENTITY_PROJECTOR = Observable.from_eigensystem([1.0, 0.0], np.eye(2, dtype=complex))
 SPIN = Observable.from_eigensystem([1.0, -1.0], np.eye(2, dtype=complex))
@@ -328,3 +346,118 @@ class TestFunctionalRules:
         chain = build_three_box().chain
         with pytest.raises(ValueError, match="out of range"):
             PathFunctional.step_eigenvalue(1).values(chain)
+
+
+class TestWalkMemo:
+    """A chain keeps its A(f) walks, keyed by value: a repeated call is a
+    lookup that returns the first walk's own read-only arrays."""
+
+    def test_a_new_functional_of_the_same_value_is_a_hit(self, monkeypatch):
+        chain = random_chain(np.random.default_rng(1), 3, 2)
+        calls = count_grouped_amplitudes(monkeypatch)
+        first = _branch_amplitudes(chain, [PathFunctional.weighted_steps([1.0, 2.0])], chain.branches())
+        again = _branch_amplitudes(chain, [PathFunctional.weighted_steps([1.0, 2.0])], chain.branches())
+        assert calls == [1]
+        assert all(a is b for a, b in zip(first, again))
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (PathFunctional.weighted_steps([1.0, 2.0]), PathFunctional.weighted_steps([1.0, 3.0])),
+            (PathFunctional.constant(-0.0), PathFunctional.constant(0.0)),
+            # equal to 8 digits, the precision of an array's repr
+            (PathFunctional("table", values=np.full(9, 0.1)), PathFunctional("table", values=np.full(9, 0.1 + 1e-10))),
+        ],
+    )
+    def test_different_parameters_miss(self, monkeypatch, first, second):
+        chain = random_chain(np.random.default_rng(2), 3, 2)
+        calls = count_grouped_amplitudes(monkeypatch)
+        keys = [grouped_amplitudes(chain, [f])[0] for f in (first, second)]
+        assert calls == [2]
+        assert keys[0].tobytes() != keys[1].tobytes()
+
+    def test_list_parameters_of_a_functional_built_directly(self, monkeypatch):
+        chain = random_chain(np.random.default_rng(3), 2, 3)
+        listed = PathFunctional("weighted_steps", weights=[1.0, -1.0, 0.5])
+        calls = count_grouped_amplitudes(monkeypatch)
+        keys, amps = grouped_amplitudes(chain, [listed])
+        assert grouped_amplitudes(chain, [PathFunctional("weighted_steps", weights=[1.0, -1.0, 0.5])])[0] is keys
+        assert calls == [1]
+        want = grouped_amplitudes(chain, [PathFunctional.weighted_steps([1.0, -1.0, 0.5])])
+        assert keys.tobytes() == want[0].tobytes() and amps.tobytes() == want[1].tobytes()
+
+    def test_returned_arrays_are_read_only(self):
+        chain = random_chain(np.random.default_rng(4), 3, 2)
+        f = PathFunctional.step_eigenvalue(1)
+        keys, amps = _branch_amplitudes(chain, [f], chain.branches())
+        dist = amplitude_distribution(chain, f)
+        # a deep copy would copy the kept arrays as writable ones
+        again = amplitude_distribution(copy.deepcopy(chain), f)
+        for a in (keys, amps, dist.support, dist.amplitudes, again.support, again.amplitudes):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_a_refused_walk_is_not_kept(self, monkeypatch):
+        chain = random_chain(np.random.default_rng(5), 3, 2)
+        calls = count_grouped_amplitudes(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out of range"):
+                grouped_amplitudes(chain, [PathFunctional.step_eigenvalue(2)])
+        f = PathFunctional.step_eigenvalue(1)
+        with monkeypatch.context() as capped:
+            capped.setattr(qpathnet.paths, "MAX_PATHS", 4)
+            with pytest.raises(PathCapError):
+                grouped_amplitudes(chain, [f])
+        grouped_amplitudes(chain, [f])
+        assert calls == [4]
+
+    def test_one_walk_above_the_bound_walks_the_oldest_again(self, monkeypatch):
+        chain = random_chain(np.random.default_rng(6), 2, 2)
+        functionals = [PathFunctional.weighted_steps([1.0, w]) for w in range(WALK_CACHE_SIZE + 1)]
+        calls = count_grouped_amplitudes(monkeypatch)
+        for f in functionals:
+            grouped_amplitudes(chain, [f])
+        grouped_amplitudes(chain, [functionals[-1]])
+        assert calls == [WALK_CACHE_SIZE + 1]
+        grouped_amplitudes(chain, [functionals[0]])
+        assert calls == [WALK_CACHE_SIZE + 2]
+
+    def test_every_statistic_of_one_functional_takes_one_walk(self, monkeypatch):
+        chain = random_spin_chain(np.random.default_rng(7), 6)
+        f = PathFunctional.weighted_steps([1.0] * 6)
+        calls = count_grouped_amplitudes(monkeypatch)
+        weak_value(chain, f)
+        strong_mean(chain, f)
+        strong_limit_bins(chain, f)
+        relative_amplitudes(chain, f)
+        mean_reading(reading_distribution(chain, MeterSpec(f, PointerProfile.rectangular(0.5))))
+        weak_limit_report(chain, f, (0.1, 1.0, 10.0))
+        assert calls == [1]
+
+    def test_threads_sharing_a_chain_get_the_walks_of_a_chain_alone(self):
+        chain, alone = (random_chain(np.random.default_rng(8), 2, 3) for _ in range(2))
+        functionals = [PathFunctional.weighted_steps([1.0, w, 0.5]) for w in range(WALK_CACHE_SIZE + 2)]
+        want = [grouped_amplitudes(alone, [f])[1].tobytes() for f in functionals]
+        errors = []
+
+        def worker(seed):
+            order = np.random.default_rng(seed).integers(len(functionals), size=300)
+            try:
+                for i in order:
+                    assert grouped_amplitudes(chain, [functionals[i]])[1].tobytes() == want[i]
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(chain._walks) <= WALK_CACHE_SIZE
