@@ -43,8 +43,8 @@ def main():
         MeterSpec(PathFunctional.path_indicator((2,)), PointerProfile.gaussian(1000.0)),
     ]
     grids = [
-        Grid.cover([0.0, 1.0], 0.5, points_per_width=50),
-        Grid.cover([0.0, 1.0], 1000.0, points_per_width=50),
+        Grid.cover([0.0, 1.0], 0.5, step=0.5 / 50),
+        Grid.cover([0.0, 1.0], 1000.0, step=1000.0 / 50),
     ]
     mixed = joint_reading_distribution(chain, meters, grids)
     kept = mixed.restricted(0, 0.75, 1.25)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paths import enumerate_paths, path_amplitudes
+from .paths import MAX_PATHS, PathCapError, enumerate_paths, path_amplitudes
 from .rng import check_trials, inverse_cdf_draws
 
 WEIGHT_TOL = 1e-12
@@ -122,6 +122,8 @@ class ClassicalNetwork:
                 _, tgt_name, tgt_inlet = target
                 if tgt_name not in self.connectors:
                     raise ValueError(f"wire into unknown connector {tgt_name!r}")
+                if tgt_inlet not in (0, 1):
+                    raise ValueError(f"inlet must be 0 or 1, got {tgt_inlet} on {tgt_name!r}")
                 key = (tgt_name, int(tgt_inlet))
                 if key in seen_inlets:
                     raise ValueError(f"inlet {key} is wired more than once")
@@ -132,64 +134,94 @@ class ClassicalNetwork:
             for outlet in (0, 1):
                 if (name, outlet) not in self.wiring:
                     raise ValueError(f"outlet ({name!r}, {outlet}) is not wired")
-        self._check_acyclic()
+        _feed_order(self)
 
-    def _check_acyclic(self):
-        # connector-level DFS over outlet wires
-        adjacency: dict[str, set[str]] = {name: set() for name in self.connectors}
-        for (name, _), target in self.wiring.items():
-            if target[0] == "connector":
-                adjacency[name].add(target[1])
-        state: dict[str, int] = {}
 
-        def visit(node: str):
-            if state.get(node) == 1:
-                raise ValueError(f"network wiring contains a cycle through {node!r}")
-            if state.get(node) == 2:
-                return
-            state[node] = 1
-            for nxt in adjacency[node]:
-                visit(nxt)
-            state[node] = 2
+def _feed_order(network: ClassicalNetwork) -> list[str]:
+    """Every connector after every connector its outlets feed, by a
+    depth-first search with its own stack; a cycle is refused."""
+    adjacency = {name: [] for name in network.connectors}
+    for (name, _), target in network.wiring.items():
+        if target[0] == "connector":
+            adjacency[name].append(target[1])
+    state: dict[str, int] = {}  # 1 while on the stack, 2 once finished
+    order: list[str] = []
+    for root in network.connectors:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(adjacency[root]))]
+        while stack:
+            node, feeds = stack[-1]
+            for nxt in feeds:
+                if state.get(nxt) == 1:
+                    raise ValueError(f"network wiring contains a cycle through {nxt!r}")
+                if nxt not in state:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(adjacency[nxt])))
+                    break
+            else:
+                state[node] = 2
+                order.append(node)
+                stack.pop()
+    return order
 
-        for name in self.connectors:
-            visit(name)
+
+def _check_path_count(network: ClassicalNetwork) -> None:
+    """Refuse a network with more than MAX_PATHS paths of nonzero weight
+    from its entry, counted per (connector, inlet) before any is listed."""
+    counts: dict[tuple[str, int], int] = {}
+    for name in _feed_order(network):
+        w = network.connectors[name].effective_weights()
+        for inlet in (0, 1):
+            n = 0
+            for outlet in (0, 1):
+                target = network.wiring[name, outlet]
+                if w[outlet, inlet] != 0.0:
+                    n += 1 if target[0] == "receptacle" else counts[target[1], target[2]]
+            counts[name, inlet] = n
+    entry_name, entry_inlet = network.entry
+    n = counts[entry_name, entry_inlet]
+    if n > MAX_PATHS:
+        raise PathCapError(
+            f"the network has {n} paths from its entry, above the cap MAX_PATHS = {MAX_PATHS}: "
+            "use fewer connectors in series"
+        )
 
 
 def classical_paths(network: ClassicalNetwork) -> list[ClassicalPath]:
-    """Every entry-to-receptacle path with its product probability.
+    """Every entry-to-receptacle path with its product probability, outlet 0
+    before outlet 1 at each connector.
 
-    Probabilities over all paths sum to one.
+    Probabilities over all paths sum to one.  More than MAX_PATHS paths
+    raise PathCapError before any is listed.
     """
+    _check_path_count(network)
     out: list[ClassicalPath] = []
-
-    def walk(name: str, inlet: int, hops: list, prob: float):
-        conn = network.connectors[name]
-        w = conn.effective_weights()
-        for outlet in (0, 1):
+    # (where the ball is, hops so far, probability); popped depth first
+    stack = [(to_connector(*network.entry), (), 1.0)]
+    while stack:
+        target, hops, prob = stack.pop()
+        if target[0] == "receptacle":
+            out.append(ClassicalPath(hops, target[1], prob))
+            continue
+        _, name, inlet = target
+        w = network.connectors[name].effective_weights()
+        for outlet in (1, 0):  # pushed last, outlet 0 is listed first
             p = prob * w[outlet, inlet]
-            if p == 0.0:
-                continue
-            target = network.wiring[(name, outlet)]
-            step = hops + [(name, inlet, outlet)]
-            if target[0] == "receptacle":
-                out.append(ClassicalPath(tuple(step), target[1], p))
-            else:
-                walk(target[1], target[2], step, p)
-
-    walk(network.entry[0], network.entry[1], [], 1.0)
+            if p != 0.0:
+                stack.append((network.wiring[name, outlet], hops + ((name, inlet, outlet),), p))
     return out
 
 
-def label_values(network: ClassicalNetwork, paths: list[ClassicalPath] | None = None) -> list[float]:
-    """Per-path values from connector labels: the sum of the labels of the
-    connectors a path traverses (unlabelled connectors contribute zero).
+def label_values(network: ClassicalNetwork, paths: list[ClassicalPath]) -> list[float]:
+    """Per-path values from connector labels, aligned with paths (those of
+    classical_paths): the sum of the labels of the connectors a path
+    traverses (unlabelled connectors contribute zero).
 
     Differences of layer quantities are expressed by giving the earlier
     layer negated labels.
     """
-    if paths is None:
-        paths = classical_paths(network)
     return [
         float(sum(network.labels.get(name, 0.0) for name, _, _ in path.hops)) for path in paths
     ]

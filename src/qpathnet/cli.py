@@ -10,8 +10,11 @@ forbidden transition where a weak mean is requested).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
+import math
 import os
 import shutil
 import sys
@@ -242,9 +245,19 @@ def run(source: str, out_dir, args=None) -> dict:
         "sample": _run_sample,
         "classical": _run_classical,
     }[mode]
-    # artifacts are staged in a hidden directory inside the output, on its
-    # own filesystem, and move up only once the whole run has succeeded; a
-    # failed run removes them and every directory it created
+    with _staged(out_dir) as staging:
+        summary = runner(config, staging)
+        with open(staging / "summary.json", "w") as fh:
+            json.dump(summary, fh, indent=2, allow_nan=False)
+    return summary
+
+
+@contextlib.contextmanager
+def _staged(out_dir):
+    """A hidden directory inside out_dir, on the output's own filesystem,
+    to write artifacts into; they move up into out_dir only once the block
+    has succeeded.  A failed block removes them and every directory it
+    created."""
     out = Path(out_dir).resolve()
     created = None
     for directory in (out, *out.parents):
@@ -255,9 +268,7 @@ def run(source: str, out_dir, args=None) -> dict:
     staging = out / f".partial-{os.urandom(4).hex()}"
     staging.mkdir()
     try:
-        summary = runner(config, staging)
-        with open(staging / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, allow_nan=False)
+        yield staging
         for artifact in staging.iterdir():
             os.replace(artifact, out / artifact.name)
     except BaseException:
@@ -266,7 +277,6 @@ def run(source: str, out_dir, args=None) -> dict:
         raise
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    return summary
 
 
 _METRIC_ORDER = (
@@ -282,33 +292,89 @@ _METRIC_ORDER = (
 )
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number that is not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _is_file_name(x) -> bool:
+    """A string that names one entry of a directory: one path component."""
+    return isinstance(x, str) and x not in ("", ".", "..") and Path(x).name == x
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_str(x) -> bool:
+    return isinstance(x, str)
+
+
+def _or_null(test):
+    return lambda x: x is None or test(x)
+
+
+def _list_of(test):
+    return lambda x: isinstance(x, list) and all(map(test, x))
+
+
 def _load_summary(path: Path) -> dict:
     """A run summary, refused with a ValueError that names the file and the
-    key when it lacks one that report reads."""
+    keys when a value that report prints, pairs or names a file by is
+    malformed.  A number may be null, as _finite writes a non-finite one,
+    or absent; report skips it."""
     with open(path) as fh:
         s = json.load(fh)
     if not isinstance(s, dict):
         raise ValueError(f"{path}: a summary must be a JSON object")
-    # the fields every summary's rows are read from
     meters = s.get("meters", [])
     if not isinstance(meters, list) or not all(isinstance(m, dict) for m in meters):
         raise ValueError(f"{path}: meters must be a list of objects")
-    dim = s.get("dim")
-    if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool)):
-        raise ValueError(f"{path}: dim must be an integer")
-    # the fields the plot files of a sweep or exact summary are written from
     mode = s.get("mode")
+    number = _or_null(_is_number)
+    # (key, value, test, what the test asks for)
+    fields = [
+        ("mode", s.get("mode", ""), _is_str, "a string"),
+        ("dim", s.get("dim"), _or_null(_is_int), "an integer"),
+        ("weak_marginals", s.get("weak_marginals", []), _list_of(number), "a list of numbers or nulls"),
+    ]
+    if mode in ("sweep", "exact"):
+        # the plot files of these modes are named after the scenario
+        fields.append(("name", s.get("name"), _is_file_name, "a file name"))
+    else:
+        fields.append(("name", s.get("name", ""), _is_str, "a string"))
+    fields += [(key, s.get(key), number, "a number or null") for key in _METRIC_ORDER]
+    for i, m in enumerate(meters):
+        fields.append((f"meters[{i}].index", m.get("index"), _is_int, "an integer"))
+        for key in ("mean_reading", "empirical_mean", "standard_error", "z_score"):
+            fields.append((f"meters[{i}].{key}", m.get(key), number, "a number or null"))
     if mode == "sweep":
-        fields = {"name": (s.get("name"), str), "widths": (s.get("widths"), list), "means": (s.get("means"), list)}
+        fields += [(key, s.get(key), _list_of(_is_number), "a list of numbers") for key in ("widths", "means")]
     elif mode == "exact":
         head = meters[0] if meters else {}
-        fields = {"name": (s.get("name"), str), "meters[0].distribution_csv": (head.get("distribution_csv"), str)}
-    else:
-        fields = {}
-    missing = [key for key, (value, kind) in fields.items() if not isinstance(value, kind)]
-    if missing:
-        raise ValueError(f"{path}: {mode} summary needs {', '.join(missing)}")
+        fields.append(("meters[0].distribution_csv", head.get("distribution_csv"), _is_file_name, "a file name"))
+    bad: dict[str, list[str]] = {}
+    for key, value, test, what in fields:
+        if not test(value):
+            bad.setdefault(what, []).append(key)
+    if bad:
+        raise ValueError(f"{path}: " + "; ".join(f"{', '.join(keys)}: expected {what}" for what, keys in bad.items()))
     return s
+
+
+def _drawn_means(exact: dict) -> list:
+    """Each meter's exact mean under the law that a sample of the same
+    scenario draws: one meter reads mean_reading, while two or more are
+    drawn jointly, and meter i reads weak_marginals[i]."""
+    meters = exact.get("meters", [])
+    if len(meters) >= 2:
+        return exact.get("weak_marginals", [])
+    return [m.get("mean_reading") for m in meters]
 
 
 def report(summary_paths, out_dir=None) -> str:
@@ -322,31 +388,28 @@ def report(summary_paths, out_dir=None) -> str:
     for path, s in summaries:
         label = f"{s.get('name', path.stem)}/{s.get('mode', '?')}"
         for metric in _METRIC_ORDER:
-            if metric in s and isinstance(s[metric], (int, float)):
+            if s.get(metric) is not None:
                 rows.append((label, metric, _fmt(s[metric])))
-        if "weak_marginals" in s:
-            for i, v in enumerate(s["weak_marginals"]):
+        for i, v in enumerate(s.get("weak_marginals", [])):
+            if v is not None:
                 rows.append((label, f"weak_marginal_{i}", _fmt(v)))
         for m in s.get("meters", []):
             for metric in ("empirical_mean", "standard_error", "z_score"):
                 if m.get(metric) is not None:
                     rows.append((label, f"meter{m['index']}_{metric}", _fmt(m[metric])))
 
-    # pair empirical and exact runs of one scenario: z-score of the sampled
-    # conditional mean against the exact mean reading
+    # pair empirical and exact runs of one scenario: z-score of each sampled
+    # conditional mean against the exact mean of the law it was drawn from
     by_name: dict[str, dict[str, dict]] = {}
     for _, s in summaries:
         by_name.setdefault(s.get("name", ""), {})[s.get("mode", "")] = s
     for name, modes in sorted(by_name.items()):
         if "sample" in modes and "exact" in modes:
-            sample, exact = modes["sample"], modes["exact"]
-            for m_s, m_e in zip(sample.get("meters", []), exact.get("meters", [])):
-                se = m_s.get("standard_error") or 0.0
-                if se:
-                    z = (m_s["empirical_mean"] - m_e["mean_reading"]) / se
-                    rows.append(
-                        (f"{name}/sample-vs-exact", f"meter{m_s['index']}_z_score", _fmt(z))
-                    )
+            for m_s, exact_mean in zip(modes["sample"].get("meters", []), _drawn_means(modes["exact"])):
+                mean, se = m_s.get("empirical_mean"), m_s.get("standard_error")
+                if mean is not None and exact_mean is not None and se:
+                    z = (mean - exact_mean) / se
+                    rows.append((f"{name}/sample-vs-exact", f"meter{m_s['index']}_z_score", _fmt(z)))
 
     width_a = max((len(r[0]) for r in rows), default=6)
     width_b = max((len(r[1]) for r in rows), default=6)
@@ -355,27 +418,27 @@ def report(summary_paths, out_dir=None) -> str:
     table = "\n".join(lines)
 
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "report.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["source", "metric", "value"])
-            writer.writerows(rows)
-        for path, s in summaries:
-            if s.get("mode") == "sweep":
-                with open(out / f"plot_{s['name']}_sweep.csv", "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["width", "mean"])
-                    for w, m in zip(s["widths"], s["means"]):
-                        writer.writerow([repr(w), repr(m)])
-            elif s.get("mode") == "exact":
-                src = path.parent / s["meters"][0]["distribution_csv"]
-                if src.exists():
-                    (out / f"plot_{s['name']}_distribution.csv").write_text(src.read_text())
-        (out / "report.txt").write_text(table + "\n")
+        with _staged(out_dir) as out:
+            with open(out / "report.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["source", "metric", "value"])
+                writer.writerows(rows)
+            for path, s in summaries:
+                if s.get("mode") == "sweep":
+                    with open(out / f"plot_{s['name']}_sweep.csv", "w", newline="") as fh:
+                        writer = csv.writer(fh)
+                        writer.writerow(["width", "mean"])
+                        for w, m in zip(s["widths"], s["means"]):
+                            writer.writerow([repr(w), repr(m)])
+                elif s.get("mode") == "exact":
+                    src = path.parent / s["meters"][0]["distribution_csv"]
+                    if src.exists():
+                        (out / f"plot_{s['name']}_distribution.csv").write_text(src.read_text())
+            (out / "report.txt").write_text(table + "\n")
     return table
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpathnet",

@@ -270,10 +270,9 @@ def _parse_classical(doc, where: str) -> ClassicalSettings:
 
     try:
         network = ClassicalNetwork(connectors, wiring, (entry_name, entry_port), labels)
+        paths = classical_paths(network)
     except ValueError as exc:
         _fail(where, str(exc))
-
-    paths = classical_paths(network)
     values = doc.get("values")
     if values is not None:
         _require(isinstance(values, list), f"{where}.values", "expected a list")

@@ -10,7 +10,6 @@ and raise.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +17,6 @@ import numpy as np
 # Construction-time tolerances vs tolerances on derived identities.
 TOL_CONSTRUCT = 1e-12
 TOL_DERIVED = 1e-10
-# U(t) matrices kept per propagator, least recently used dropped first; well
-# above the distinct times one chain asks for.
-UNITARY_CACHE_SIZE = 256
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -179,7 +175,6 @@ class Propagator:
     hamiltonian: np.ndarray
     _eigenvalues: np.ndarray = field(init=False, repr=False)
     _eigenvectors: np.ndarray = field(init=False, repr=False)
-    _cache: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = _check_hermitian(self.hamiltonian, "hamiltonian")
@@ -187,8 +182,6 @@ class Propagator:
         vals, vecs = np.linalg.eigh(h)
         object.__setattr__(self, "_eigenvalues", vals)
         object.__setattr__(self, "_eigenvectors", vecs)
-        compute = functools.partial(_spectral_unitary, vals, vecs)
-        object.__setattr__(self, "_cache", functools.lru_cache(UNITARY_CACHE_SIZE)(compute))
 
     @property
     def dim(self) -> int:
@@ -203,7 +196,7 @@ class Propagator:
         t = float(t)
         if not np.isfinite(t):
             raise ValueError("time must be finite")
-        return self._cache(t)
+        return _spectral_unitary(self._eigenvalues, self._eigenvectors, t)
 
 
 def _spectral_unitary(eigenvalues: np.ndarray, eigenvectors: np.ndarray, t: float) -> np.ndarray:

@@ -221,10 +221,10 @@ class Grid:
         support,
         width: float,
         pad: float = GRID_PAD_WIDTHS,
-        points_per_width: float = GRID_POINTS_PER_WIDTH,
         step: float | None = None,
     ) -> "Grid":
-        """Grid anchored at the lowest support point, padded by pad widths.
+        """Grid anchored at the lowest support point, padded by pad widths,
+        with nodes step apart (default width / GRID_POINTS_PER_WIDTH).
 
         Anchoring keeps support points (and rectangular window edges) on
         grid nodes whenever their spacing is commensurate with the step.
@@ -232,7 +232,7 @@ class Grid:
         support = np.asarray(support, dtype=float)
         lo, hi = float(support.min()), float(support.max())
         if step is None:
-            step = width / points_per_width
+            step = width / GRID_POINTS_PER_WIDTH
         n_pad = math.ceil(pad * width / step)
         start = lo - n_pad * step
         n = n_pad + math.ceil((hi - lo) / step - 1e-12) + n_pad + 1

@@ -16,6 +16,7 @@ that coincide exactly.  Values closer than MERGE_TOL are then joined into one.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -407,8 +408,9 @@ def _edges(chain: MeasurementChain, branches=None) -> tuple[list, np.ndarray]:
     eigenstate i of step k-1 to eigenstate j of step k, where step -1 is the
     prepared state alone (one column) at time 0; closing[b, i] =
     <post_b| U(T - t_K) |i_K> for each chain b of branches (default: chain).
+    Each distinct interval is exponentiated once.
     """
-    u = chain.propagator.unitary
+    u = functools.cache(chain.propagator.unitary)
     into, prev_time = chain.pre_state.amplitudes[:, None], 0.0
     hops = []
     for step in chain.steps:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class ScenarioPreset:
     meters: tuple[MeterSpec, ...]
     expected: dict[str, Expected]
     sweep_widths: tuple[float, ...] = ()
-    notes: dict = field(default_factory=dict)
 
 
 def _chain(pre, steps, post, total_time=1.0, hamiltonian=None) -> MeasurementChain:
@@ -101,14 +100,7 @@ def build_projector_postselected(
     expected["strong_bin_0"] = Expected(p[1] / (p[0] + p[1]), "analytic")
     if strong_width < 1.0:  # disjoint windows: selection succeeds with mass p0 + p1
         expected["mc_success_fraction"] = Expected(p[0] + p[1], "mc")
-    return ScenarioPreset(
-        "projector",
-        chain,
-        meters,
-        expected,
-        sweep_widths=tuple(widths),
-        notes={"strong_width": strong_width},
-    )
+    return ScenarioPreset("projector", chain, meters, expected, sweep_widths=tuple(widths))
 
 
 def build_minus_hundred(widths=(10.0, 100.0, 1000.0, 10000.0)) -> ScenarioPreset:
@@ -125,14 +117,7 @@ def build_minus_hundred(widths=(10.0, 100.0, 1000.0, 10000.0)) -> ScenarioPreset
     expected["weak_value_re"] = Expected(-100.0, "analytic")
     expected["weak_value_im"] = Expected(0.0, "analytic")
     expected["sweep_limit"] = Expected(-100.0, "sweep")
-    return ScenarioPreset(
-        "minus-hundred",
-        preset.chain,
-        preset.meters,
-        expected,
-        sweep_widths=preset.sweep_widths,
-        notes=preset.notes,
-    )
+    return ScenarioPreset("minus-hundred", preset.chain, preset.meters, expected, sweep_widths=preset.sweep_widths)
 
 
 def build_difference_meter(
@@ -183,14 +168,7 @@ def build_difference_meter(
         )
     else:
         expected["forbidden_transition"] = Expected(1.0, "analytic")
-    return ScenarioPreset(
-        "difference",
-        chain,
-        meters,
-        expected,
-        sweep_widths=tuple(widths),
-        notes={"strong_width": strong_width, "support": (-2.0, 0.0, 2.0)},
-    )
+    return ScenarioPreset("difference", chain, meters, expected, sweep_widths=tuple(widths))
 
 
 def build_three_box(c: complex = 1.0 / 3.0) -> ScenarioPreset:
@@ -229,7 +207,7 @@ def build_three_box(c: complex = 1.0 / 3.0) -> ScenarioPreset:
         "sweep_limit": Expected(1.0, "sweep"),
     }
     widths = (10.0, 100.0, 1000.0, 10000.0)
-    return ScenarioPreset("three-box", chain, meters, expected, widths, notes={"width": width})
+    return ScenarioPreset("three-box", chain, meters, expected, widths)
 
 
 def states_for_target_weak_value(target: float) -> tuple[StateVector, StateVector]:
@@ -309,8 +287,13 @@ def _compute_check(preset: ScenarioPreset, name: str, mc_trials: int, seed: int)
         return 0.0
     if name == "strong_mean":
         return amplitude_distribution(chain, functional).strong_mean()
-    if name in ("weak_value_re", "weak_from_relative"):
+    if name == "weak_value_re":
         return amplitude_distribution(chain, functional).weak_value().real
+    if name == "weak_from_relative":
+        # 2 Re(alpha(+2) - alpha(-2)) from relative(), at the values the
+        # expected constant rounds to
+        rel = {round(f, 9): a for f, a in amplitude_distribution(chain, functional).relative().items()}
+        return 2.0 * (rel.get(2.0, 0j) - rel.get(-2.0, 0j)).real
     if name == "weak_value_im":
         return amplitude_distribution(chain, functional).weak_value().imag
     if name.startswith("strong_bin_"):
@@ -336,16 +319,10 @@ def _compute_check(preset: ScenarioPreset, name: str, mc_trials: int, seed: int)
     raise ValueError(f"no computation defined for expected value {name!r}")
 
 
-def verify_preset(
-    preset: ScenarioPreset,
-    tolerances: dict[str, float] | None = None,
-    mc_trials: int = 100_000,
-    seed: int = 20_260_810,
-) -> VerificationReport:
-    """Recompute every expected constant and compare at its tolerance class."""
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+def verify_preset(preset: ScenarioPreset, mc_trials: int = 100_000, seed: int = 20_260_810) -> VerificationReport:
+    """Recompute every expected constant and compare at its tolerance class
+    (DEFAULT_TOLERANCES)."""
+    tol = DEFAULT_TOLERANCES
     checks = []
     for name, exp in preset.expected.items():
         computed = _compute_check(preset, name, mc_trials, seed)

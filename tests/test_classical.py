@@ -1,14 +1,17 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpathnet.classical
 from helpers import path_amplitude_oracle, random_chain, two_layer_network, uniform_two_layer_network
 from qpathnet import (
     ClassicalConnector,
     ClassicalNetwork,
+    PathCapError,
     build_difference_meter,
     chain_comparator,
     classical_mean,
@@ -24,6 +27,15 @@ def simple_network(weights, blocked=frozenset()):
     conn = ClassicalConnector("in", weights, blocked)
     wiring = {("in", 0): to_receptacle("f0"), ("in", 1): to_receptacle("f1")}
     return ClassicalNetwork({"in": conn}, wiring, ("in", 0))
+
+
+def series_network(connectors):
+    """Connectors in series, outlet o of each into inlet o of the next;
+    the last drops outlet o into receptacle f{o}."""
+    names = [c.name for c in connectors]
+    wiring = {(a, o): to_connector(b, o) for a, b in zip(names, names[1:]) for o in (0, 1)}
+    wiring.update({(names[-1], o): to_receptacle(f"f{o}") for o in (0, 1)})
+    return ClassicalNetwork({c.name: c for c in connectors}, wiring, (names[0], 0))
 
 
 class TestConnector:
@@ -64,6 +76,17 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match="more than once"):
             ClassicalNetwork({"a": a, "b": b}, wiring, ("a", 0))
 
+    def test_wire_into_an_inlet_outside_zero_one(self):
+        a, b = ClassicalConnector.uniform("a"), ClassicalConnector.uniform("b")
+        wiring = {
+            ("a", 0): to_connector("b", 2),
+            ("a", 1): to_receptacle("f0"),
+            ("b", 0): to_receptacle("f0"),
+            ("b", 1): to_receptacle("f1"),
+        }
+        with pytest.raises(ValueError, match="inlet must be 0 or 1, got 2 on 'b'"):
+            ClassicalNetwork({"a": a, "b": b}, wiring, ("a", 0))
+
     def test_cycle_detected(self):
         a = ClassicalConnector("a", np.full((2, 2), 0.5))
         b = ClassicalConnector("b", np.full((2, 2), 0.5))
@@ -78,6 +101,23 @@ class TestNetworkValidation:
 
 
 class TestClassicalPaths:
+    def test_paths_above_the_cap_are_refused_before_any_is_listed(self, monkeypatch):
+        def listed(*args):
+            raise AssertionError("a path was listed")
+
+        monkeypatch.setattr(qpathnet.classical, "ClassicalPath", listed)
+        net = series_network([ClassicalConnector.uniform(f"c{i}") for i in range(40)])
+        start = time.perf_counter()
+        with pytest.raises(PathCapError, match=f"{2**40} paths.*MAX_PATHS"):
+            classical_paths(net)
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_long_series_is_checked_and_listed_without_recursion(self):
+        n = 1200
+        (path,) = classical_paths(series_network([ClassicalConnector.deterministic(f"c{i}") for i in range(n)]))
+        assert path.hops == tuple((f"c{i}", 0, 0) for i in range(n))
+        assert path.receptacle == "f0" and path.probability == 1.0
+
     def test_deterministic_connectors_single_path(self):
         net = simple_network(np.eye(2))
         paths = classical_paths(net)

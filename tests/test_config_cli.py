@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qpathnet import (
     export_config,
     parse_config,
 )
-from qpathnet import cli, sampling, strong_mean
+from qpathnet import classical, cli, sampling, strong_mean
 from qpathnet.cli import main, report, run
 from qpathnet.config import RunSettings
 from qpathnet.rng import MAX_TRIALS
@@ -448,6 +449,28 @@ class TestRunModes:
         with pytest.raises(ConfigError, match="labels.ghost"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("mode", ["exact", "classical"])
+    def test_classical_paths_above_the_cap_exit_2_in_any_mode(self, tmp_path, capsys, monkeypatch, mode):
+        def listed(*args):
+            raise AssertionError("a path was listed")
+
+        monkeypatch.setattr(classical, "ClassicalPath", listed)
+        n, half = 40, [[0.5, 0.5], [0.5, 0.5]]
+        doc = {
+            "name": "series",
+            "run": {"mode": mode},
+            "classical": {
+                "connectors": {f"c{i}": {"weights": half} for i in range(n)},
+                "wiring": {f"c{i}.{o}": f"c{i + 1}.{o}" if i + 1 < n else f"f{o}" for i in range(n) for o in (0, 1)},
+                "entry": "c0.0",
+            },
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out")]) == 2
+        assert f"classical: the network has {2**40} paths" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class _Args:
     mode = None
@@ -464,6 +487,9 @@ class _Args:
 class TestCliEntryPoint:
     def test_success_exit_code(self, tmp_path):
         assert main(["run", "preset:projector", str(tmp_path)]) == 0
+
+    def test_the_parser_is_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -734,6 +760,21 @@ class TestReport:
         assert (out / "report.csv").exists()
         assert (out / "report.txt").exists()
 
+    def test_multi_meter_sample_is_paired_with_the_joint_marginals(self, tmp_path):
+        # narrow meters: each meter's mean_reading alone (1.0) is far from
+        # its mean under the joint law that the sample draws (about 0.382)
+        preset = build_preset("three-box")
+        meters = tuple(MeterSpec(m.functional, PointerProfile.gaussian(0.3)) for m in preset.meters)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(export_config(preset.name, preset.chain, meters)))
+        run(str(cfg), tmp_path / "exact")
+        sample = run(str(cfg), tmp_path / "sample", _Args(mode="sample", trials=200_000, seed=3))
+        table = report([tmp_path / "exact" / "summary.json", tmp_path / "sample" / "summary.json"])
+        pairs = [line.split() for line in table.splitlines() if "sample-vs-exact" in line]
+        assert [metric for _, metric, _ in pairs] == ["meter0_z_score", "meter1_z_score"]
+        for (_, _, z), meter in zip(pairs, sample["meters"]):
+            assert float(z) == pytest.approx(meter["z_score"], abs=1e-3)
+
     def test_mixed_dimensions_rejected(self, tmp_path):
         run("preset:projector", tmp_path / "a")
         run("preset:three-box", tmp_path / "b")
@@ -750,6 +791,10 @@ class TestReport:
             ({"name": "e", "mode": "exact", "dim": 2, "norm": 1.0}, "meters[0].distribution_csv"),
             ({"mode": "sample", "meters": [1]}, "meters"),
             ({"name": "s", "mode": "sample", "dim": [2], "meters": []}, "dim"),
+            ({"mode": "sample", "meters": [{"empirical_mean": 1.0}]}, "meters[0].index"),
+            ({"mode": "sample", "meters": [{"index": 0, "z_score": "1"}]}, "meters[0].z_score"),
+            ({"name": "s", "mode": "sweep", "widths": [1.0], "means": [1.0], "limit": True}, "limit"),
+            ({"name": "a/b", "mode": "sweep", "widths": [1.0], "means": [1.0]}, "name"),
         ],
     )
     def test_malformed_summary_is_refused_before_writing(self, tmp_path, capsys, summary, key):
@@ -760,6 +805,72 @@ class TestReport:
         err = capsys.readouterr().err
         assert str(path) in err and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("outside", ["absolute", "../secret.csv"])
+    def test_distribution_csv_outside_the_summary_directory_is_refused(self, tmp_path, capsys, outside):
+        secret = tmp_path / "secret.csv"
+        secret.write_text("secret\n")
+        run("preset:projector", tmp_path / "a")
+        path = tmp_path / "a" / "summary.json"
+        summary = json.loads(path.read_text())
+        summary["meters"][0]["distribution_csv"] = str(secret) if outside == "absolute" else outside
+        path.write_text(json.dumps(summary))
+        out = tmp_path / "rep"
+        assert main(["report", str(path), "--out", str(out)]) == 3
+        assert "meters[0].distribution_csv: expected a file name" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_failed_report_leaves_nothing_behind(self, tmp_path, capsys):
+        # the distribution file named by the summary is a directory, so the
+        # copy fails after report.csv has been written
+        run("preset:projector", tmp_path / "a")
+        (tmp_path / "a" / "distribution_m0.csv").unlink()
+        (tmp_path / "a" / "distribution_m0.csv").mkdir()
+        for out in (tmp_path / "rep", tmp_path / "rep" / "nested", tmp_path / "a"):
+            before = sorted(p.name for p in out.iterdir()) if out.exists() else None
+            assert main(["report", str(tmp_path / "a" / "summary.json"), "--out", str(out)]) == 3
+            assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == before
+        assert not (tmp_path / "rep").exists()
+
+    def test_null_and_absent_numbers_are_skipped(self, tmp_path):
+        # a null weak marginal, and an exact meter without mean_reading
+        exact = {"name": "e", "mode": "exact", "meters": [{"index": 0, "distribution_csv": "d.csv"}]}
+        exact["weak_marginals"] = [None]
+        sample = {"name": "e", "mode": "sample", "meters": [{"index": 0, "empirical_mean": 1.0, "standard_error": 0.1}]}
+        paths = []
+        for s in (exact, sample):
+            paths.append(tmp_path / f"{s['mode']}.json")
+            paths[-1].write_text(json.dumps(s))
+        table = report(paths)
+        assert "weak_marginal" not in table and "sample-vs-exact" not in table
+        assert "meter0_empirical_mean" in table
+
+    def test_every_malformed_summary_field_exits_0_or_3(self, tmp_path, capsys):
+        # every field of real summaries of one scenario, reported together
+        # so that the sample and exact runs are paired, set to each JSON value
+        runs = tmp_path / "runs"
+        paths = []
+        for mode in ("exact", "sweep", "sample", "classical"):
+            run("preset:three-box", runs / mode, _Args(mode=mode, trials=200))
+            paths.append(runs / mode / "summary.json")
+        docs = [json.loads(p.read_text()) for p in paths]
+        crashes = []
+        for path, doc in zip(paths, docs):
+            for field in document_fields(doc):
+                for value in JSON_VALUES:
+                    path.write_text(json.dumps(with_field(doc, field, value)))
+                    out = tmp_path / "rep"
+                    try:
+                        code = main(["report", *map(str, paths), "--out", str(out)])
+                    except Exception as exc:  # a traceback for the user
+                        crashes.append((doc["mode"], field, value, type(exc).__name__))
+                        continue
+                    if code not in (0, 3) or (code == 3 and out.exists()):
+                        crashes.append((doc["mode"], field, value, code))
+                    shutil.rmtree(out, ignore_errors=True)
+            path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert crashes == []
 
     def test_sweep_plot_csv(self, tmp_path):
         summary = run("preset:minus-hundred", tmp_path / "s", _Args(mode="sweep"))

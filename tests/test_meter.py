@@ -273,7 +273,7 @@ class TestClosedFormMoments:
         dist = AmplitudeDistribution(np.array([0.0, 1.0, 2.5]), np.array([0.6 + 0.1j, -0.3 + 0.2j, 0.1 - 0.4j]))
         norms, (mean,) = _moments(dist.support[:, None], dist.amplitudes, [profile])
         # the grid's trapezoid sums are O(step) off where the template jumps to 0
-        density = pointer_distribution(dist, profile, Grid.cover(dist.support, 2.0, points_per_width=4000))
+        density = pointer_distribution(dist, profile, Grid.cover(dist.support, 2.0, step=2.0 / 4000))
         assert norms[0] == pytest.approx(density.norm, rel=1e-4)
         assert mean == pytest.approx(mean_reading(density), rel=1e-4)
         overlap, midpoint = quadrature_overlaps(profile)
@@ -413,8 +413,8 @@ class TestJointDistribution:
             MeterSpec(PathFunctional.path_indicator((2,)), PointerProfile.gaussian(1000.0)),
         ]
         grids = [
-            Grid.cover([0.0, 1.0], 0.5, points_per_width=50),
-            Grid.cover([0.0, 1.0], 1000.0, points_per_width=50),
+            Grid.cover([0.0, 1.0], 0.5, step=0.5 / 50),
+            Grid.cover([0.0, 1.0], 1000.0, step=1000.0 / 50),
         ]
         joint = joint_reading_distribution(chain, meters, grids)
         conditioned = joint.restricted(0, 0.75, 1.25)

@@ -13,6 +13,8 @@ from helpers import (
     count_grouped_amplitudes,
     path_amplitude_oracle,
     random_chain,
+    random_hermitian,
+    random_observable,
     random_spin_chain,
     random_state_vector,
 )
@@ -421,6 +423,22 @@ class TestWalkMemo:
         assert calls == [WALK_CACHE_SIZE + 1]
         grouped_amplitudes(chain, [functionals[0]])
         assert calls == [WALK_CACHE_SIZE + 2]
+
+    def test_a_walk_exponentiates_each_distinct_interval_once(self, monkeypatch):
+        # seven steps 1/8 apart: all eight hops span one interval
+        rng = np.random.default_rng(9)
+        steps = tuple(MeasurementStep(k / 8, random_observable(rng, 2)) for k in range(1, 8))
+        prop = Propagator(random_hermitian(rng, 2))
+        chain = MeasurementChain(random_state_vector(rng, 2), steps, prop, random_state_vector(rng, 2), 1.0)
+        times, unitary = [], Propagator.unitary
+
+        def counted(self, t):
+            times.append(t)
+            return unitary(self, t)
+
+        monkeypatch.setattr(Propagator, "unitary", counted)
+        grouped_amplitudes(chain, [PathFunctional.weighted_steps([1.0] * 7)])
+        assert times == [0.125]
 
     def test_every_statistic_of_one_functional_takes_one_walk(self, monkeypatch):
         chain = random_spin_chain(np.random.default_rng(7), 6)

@@ -469,7 +469,7 @@ class TestChainRuleLaw:
     def test_exact_numbers_match_the_joint_density(self, seed, dim, n_meters, width, shape):
         chain = random_chain(np.random.default_rng(seed), dim, 3, eigenvalues=np.linspace(-1.0, 1.0, dim))
         meters = [MeterSpec(PathFunctional.step_eigenvalue(k), _profile(shape, width)) for k in range(n_meters)]
-        grids = [Grid.cover([-1.0, 1.0], width, points_per_width=4)] * n_meters
+        grids = [Grid.cover([-1.0, 1.0], width, step=width / 4)] * n_meters
         trials = sample_trials(chain, meters, 10, seed=seed, grids=grids)
         joints = [joint_reading_distribution(b, meters, grids) for b in chain.branches()]
         first = joints[0]

@@ -8,6 +8,7 @@ from helpers import count_grouped_amplitudes, record_walks
 from qpathnet import meter
 from qpathnet.cli import main
 from qpathnet import (
+    AmplitudeDistribution,
     MeasurementChain,
     MeasurementStep,
     MeterSpec,
@@ -124,6 +125,16 @@ class TestDifferencePreset:
     def test_verification_passes(self):
         report = verify_preset(build_difference_meter())
         assert report.passed, "\n".join(report.lines())
+
+    def test_weak_from_relative_is_checked_through_relative(self, monkeypatch):
+        relative = AmplitudeDistribution.relative
+
+        def doubled(self):
+            return {f: 2 * a for f, a in relative(self).items()}
+
+        monkeypatch.setattr(AmplitudeDistribution, "relative", doubled)
+        report = verify_preset(build_difference_meter())
+        assert [c.name for c in report.checks if not c.passed] == ["weak_from_relative"]
 
 
 class TestThreeBoxPreset:
