@@ -278,13 +278,19 @@ def chain_comparator(chain) -> list[ClassicalPath]:
     that differ only by interference-grouped values stay distinct here,
     which is exactly the point of the comparison.
     """
+    # one tuple per (step, inlet, outlet) and one hops tuple per path, shared
+    # by every branch: a long chain holds millions of entries
+    dims = range(chain.dim)
+    table = [[[(f"s{k}", i, j) for j in dims] for i in dims] for k in range(chain.n_steps)]
+    hops = [
+        tuple(table[k][i][j] for k, (i, j) in enumerate(zip((0,) + indices, indices)))
+        for indices in enumerate_paths(chain)
+    ]
     out: list[ClassicalPath] = []
-    paths = enumerate_paths(chain)
     for b, branch in enumerate(chain.branches()):
         probs = np.abs(path_amplitudes(branch)) ** 2
-        for indices, p in zip(paths, probs):
-            hops = tuple((f"s{k}", i, j) for k, (i, j) in enumerate(zip((0,) + indices, indices)))
-            out.append(ClassicalPath(hops, f"f{b}", float(p)))
+        receptacle = f"f{b}"
+        out.extend(ClassicalPath(h, receptacle, float(p)) for h, p in zip(hops, probs))
     return out
 
 

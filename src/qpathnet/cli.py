@@ -14,7 +14,6 @@ import contextlib
 import csv
 import functools
 import json
-import math
 import os
 import shutil
 import sys
@@ -28,6 +27,7 @@ from .config import (
     ConfigError,
     RunSettings,
     ScenarioConfig,
+    _is_number,
     export_config,
     parse_config,
     read_document,
@@ -135,10 +135,7 @@ def _run_exact(config: ScenarioConfig, out: Path) -> dict:
 
 
 def _run_sweep(config: ScenarioConfig, out: Path) -> dict:
-    widths = config.run.widths
-    if not widths:
-        raise ConfigError("run.widths: sweep mode needs a list of widths")
-    report = weak_limit_report(config.chain, config.meters[0].functional, widths)
+    report = weak_limit_report(config.chain, config.meters[0].functional, config.run.widths)
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["width", "mean", "abs_error"])
@@ -236,15 +233,12 @@ def _run_classical(config: ScenarioConfig, out: Path) -> dict:
 def run(source: str, out_dir, args=None) -> dict:
     """Execute one scenario and write its artifacts; returns the summary."""
     config = _load(source, args)
-    mode = config.run.mode
-    if mode != "classical" and config.chain is None:
-        raise ConfigError(f"run.mode: mode {mode!r} needs a quantum system section")
     runner = {
         "exact": _run_exact,
         "sweep": _run_sweep,
         "sample": _run_sample,
         "classical": _run_classical,
-    }[mode]
+    }[config.run.mode]
     with _staged(out_dir) as staging:
         summary = runner(config, staging)
         with open(staging / "summary.json", "w") as fh:
@@ -290,16 +284,6 @@ _METRIC_ORDER = (
     "exact_success_probability",
     "conditional_mean",
 )
-
-
-def _is_number(x) -> bool:
-    """A finite JSON number that is not a bool."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _is_file_name(x) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,14 +46,29 @@ def _require(cond: bool, where: str, constraint: str):
 
 
 @contextlib.contextmanager
-def _finite_arithmetic(where: str):
-    """Run a field's numeric checks with floating-point overflow refused as
-    a ConfigError: finite numbers of huge magnitude overflow in the norms."""
+def _field(where: str):
+    """Refuse what the engine's constructors raise in the block as a
+    ConfigError naming the field; a ConfigError passes unchanged.  Overflow
+    is refused too: finite numbers of huge magnitude overflow in the norms."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
+    except ConfigError:
+        raise
     except FloatingPointError as exc:
         _fail(where, f"magnitudes too large to check ({exc})")
+    except ValueError as exc:
+        _fail(where, str(exc))
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number that is not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _as_complex(value, where: str) -> complex:
@@ -66,7 +81,7 @@ def _as_complex(value, where: str) -> complex:
     _require(
         _is_number(re) and _is_number(im),
         where,
-        "complex parts must be numbers",
+        "complex parts must be finite numbers",
     )
     return complex(re, im)
 
@@ -84,23 +99,19 @@ def _as_matrix(value, where: str) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _is_number(value) -> bool:
-    """An int or float of JSON; true and false are not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _real(value, where: str, *, positive: bool = False) -> float:
-    _require(_is_number(value) and math.isfinite(value), where, "expected a finite number")
+    _require(_is_number(value), where, "expected a finite number")
     if positive:
         _require(value > 0, where, "must be positive")
     return float(value)
 
 
 def _integer(value, where: str, lo: int, hi: float = math.inf) -> int:
-    number = _real(value, where)
+    """An int kept exactly as it is, or an integral float."""
+    _real(value, where)
     span = f"from {lo} to {hi}" if hi < math.inf else f"of at least {lo}"
-    _require(number == int(number) and lo <= number <= hi, where, f"must be an integer {span}")
-    return int(number)
+    _require(value == int(value) and lo <= value <= hi, where, f"must be an integer {span}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -124,7 +135,6 @@ class ClassicalSettings:
 class ScenarioConfig:
     name: str
     chain: MeasurementChain | None
-    functionals: dict[str, PathFunctional] = field(default_factory=dict)
     meters: tuple[MeterSpec, ...] = ()
     run: RunSettings = RunSettings()
     classical: ClassicalSettings | None = None
@@ -138,10 +148,6 @@ def _parse_observable(doc, where: str, dim: int) -> Observable:
     if "matrix" in doc:
         m = _as_matrix(doc["matrix"], f"{where}.matrix")
         _require(m.shape == (dim, dim), f"{where}.matrix", f"must be {dim}x{dim}")
-        scale = max(np.linalg.norm(m), 1.0)
-        _require(
-            np.linalg.norm(m - m.conj().T) <= 1e-12 * scale, f"{where}", "matrix not Hermitian"
-        )
         return Observable.from_matrix(m)
     if "eigenvalues" in doc or "basis" in doc:
         _require("eigenvalues" in doc and "basis" in doc, where, "needs both eigenvalues and basis")
@@ -151,10 +157,7 @@ def _parse_observable(doc, where: str, dim: int) -> Observable:
         basis_doc = doc["basis"]
         _require(isinstance(basis_doc, list) and len(basis_doc) == dim, f"{where}.basis", f"needs {dim} column vectors")
         columns = [_as_vector(col, f"{where}.basis[{i}]") for i, col in enumerate(basis_doc)]
-        basis = np.column_stack(columns)
-        gram = basis.conj().T @ basis
-        _require(np.linalg.norm(gram - np.eye(dim)) <= 1e-10, f"{where}.basis", "columns not orthonormal")
-        return Observable.from_eigensystem(eigenvalues, basis)
+        return Observable.from_eigensystem(eigenvalues, np.column_stack(columns))
     _fail(where, "needs either matrix or eigenvalues+basis")
 
 
@@ -201,14 +204,12 @@ def _parse_profile(doc, where: str) -> PointerProfile:
     xs = doc.get("xs")
     values = doc.get("values")
     _require(isinstance(xs, list) and isinstance(values, list), f"{where}", "tabulated profiles need xs and values")
-    try:
+    with _field(where):
         return PointerProfile.tabulated(
             [_real(x, f"{where}.xs[{i}]") for i, x in enumerate(xs)],
             [_real(v, f"{where}.values[{i}]") for i, v in enumerate(values)],
             width,
         )
-    except ValueError as exc:
-        _fail(where, str(exc))
 
 
 def _parse_wire_end(text, where: str):
@@ -239,10 +240,8 @@ def _parse_classical(doc, where: str) -> ClassicalSettings:
         blocked = body.get("blocked", [])
         _require(isinstance(blocked, list), f"{w}.blocked", "expected a list of outlets")
         blocked = frozenset(_integer(b, f"{w}.blocked[{i}]", 0, 1) for i, b in enumerate(blocked))
-        try:
+        with _field(w):
             connectors[name] = ClassicalConnector(name, weights, blocked)
-        except ValueError as exc:
-            _fail(w, str(exc))
 
     wiring_doc = doc.get("wiring")
     _require(isinstance(wiring_doc, dict) and wiring_doc, f"{where}.wiring", "needs outlet wires")
@@ -268,11 +267,9 @@ def _parse_classical(doc, where: str) -> ClassicalSettings:
         _require(name in connectors, f"{where}.labels.{name}", "labels an unknown connector")
         labels[name] = _real(value, f"{where}.labels.{name}")
 
-    try:
+    with _field(where):
         network = ClassicalNetwork(connectors, wiring, (entry_name, entry_port), labels)
         paths = classical_paths(network)
-    except ValueError as exc:
-        _fail(where, str(exc))
     values = doc.get("values")
     if values is not None:
         _require(isinstance(values, list), f"{where}.values", "expected a list")
@@ -308,6 +305,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     _require(isinstance(widths, list), "run.widths", "expected a list")
     widths = tuple(_real(w, f"run.widths[{i}]", positive=True) for i, w in enumerate(widths))
     _require(all(a < b for a, b in zip(widths, widths[1:])), "run.widths", "must be strictly increasing")
+    _require(mode != "sweep" or bool(widths), "run.widths", "sweep mode needs a list of widths")
     grid_doc = run_doc.get("grid", {})
     _require(isinstance(grid_doc, dict), "run.grid", "expected an object")
     grid_step = grid_doc.get("step")
@@ -336,27 +334,17 @@ def parse_config(doc: dict) -> ScenarioConfig:
             "system",
             "required unless run.mode is classical with a classical section",
         )
-        return ScenarioConfig(name, None, {}, (), run, classical)
+        return ScenarioConfig(name, None, (), run, classical)
 
     system = doc["system"]
     _require(isinstance(system, dict), "system", "expected an object")
-    dim = system.get("dim")
-    _require(isinstance(dim, int) and dim >= 2, "system.dim", "must be an integer >= 2")
+    dim = _integer(system.get("dim"), "system.dim", 2)
     total_time = _real(system.get("total_time", 1.0), "system.total_time", positive=True)
-    if "hamiltonian" in system:
-        h = _as_matrix(system["hamiltonian"], "system.hamiltonian")
-        _require(h.shape == (dim, dim), "system.hamiltonian", f"must be {dim}x{dim}")
-        with _finite_arithmetic("system.hamiltonian"):
-            scale = max(np.linalg.norm(h), 1.0)
-            _require(np.linalg.norm(h - h.conj().T) <= 1e-12 * scale, "system.hamiltonian", "matrix not Hermitian")
-            prop = Propagator(h)
-    else:
-        prop = Propagator.free(dim)
 
     def state_field(key: str) -> np.ndarray:
         vec = _as_vector(doc.get(key), key)
         _require(vec.size == dim, key, f"needs {dim} components")
-        with _finite_arithmetic(key):
+        with _field(key):
             norm = np.linalg.norm(vec)
         _require(abs(norm - 1.0) <= 1e-6, key, "must be normalized")
         # renormalize only when needed, so exact documents round-trip bit-for-bit
@@ -364,6 +352,14 @@ def parse_config(doc: dict) -> ScenarioConfig:
 
     pre = state_field("pre_state")
     post = state_field("post_state")
+    # built after the states, whose sizes bound dim
+    if "hamiltonian" in system:
+        h = _as_matrix(system["hamiltonian"], "system.hamiltonian")
+        _require(h.shape == (dim, dim), "system.hamiltonian", f"must be {dim}x{dim}")
+        with _field("system.hamiltonian"):
+            prop = Propagator(h)
+    else:
+        prop = Propagator.free(dim)
 
     steps_doc = doc.get("steps")
     _require(isinstance(steps_doc, list) and steps_doc, "steps", "needs at least one step")
@@ -373,26 +369,22 @@ def parse_config(doc: dict) -> ScenarioConfig:
         _require(isinstance(step_doc, dict), w, "expected an object")
         t = _real(step_doc.get("time", None), f"{w}.time")
         _require(0.0 < t < total_time, f"{w}.time", f"must lie strictly inside (0, {total_time})")
-        with _finite_arithmetic(f"{w}.observable"):
+        with _field(f"{w}.observable"):
             obs = _parse_observable(step_doc.get("observable"), f"{w}.observable", dim)
         steps.append(MeasurementStep(t, obs))
     times = [s.time for s in steps]
     _require(all(t2 > t1 for t1, t2 in zip(times, times[1:])), "steps", "times must be strictly increasing")
 
-    try:
+    with _field("steps"):
         chain = MeasurementChain(StateVector(pre), tuple(steps), prop, StateVector(post), total_time)
-    except ValueError as exc:
-        _fail("steps", str(exc))
     if "post_complement" in doc:
         comp_doc = doc["post_complement"]
         _require(isinstance(comp_doc, list), "post_complement", "expected a list of states")
         complement = tuple(
             StateVector(_as_vector(v, f"post_complement[{i}]")) for i, v in enumerate(comp_doc)
         )
-        try:
+        with _field("post_complement"):
             chain = replace(chain, post_complement=complement)
-        except ValueError as exc:
-            _fail("post_complement", str(exc))
 
     functionals: dict[str, PathFunctional] = {}
     functionals_doc = doc.get("functionals", [])
@@ -401,10 +393,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
         fname, functional = _parse_functional(fdoc, f"functionals[{i}]")
         _require(fname not in functionals, f"functionals[{i}].name", "duplicate functional name")
         # fail fast on rules inconsistent with the chain
-        try:
+        with _field(f"functionals[{i}]"):
             functional.step_terms(chain)
-        except ValueError as exc:
-            _fail(f"functionals[{i}]", str(exc))
         functionals[fname] = functional
 
     meters = []
@@ -429,7 +419,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
             f"must be at most width / {MIN_POINTS_PER_WIDTH}",
         )
 
-    return ScenarioConfig(name, chain, functionals, tuple(meters), run, classical)
+    return ScenarioConfig(name, chain, tuple(meters), run, classical)
 
 
 def read_document(path):

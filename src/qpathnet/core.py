@@ -63,8 +63,8 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float = TOL_CONSTRUCT) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() ** 2 - 1.0) <= TOL_CONSTRUCT
 
     def normalized(self) -> "StateVector":
         n = self.norm()

@@ -56,7 +56,9 @@ KERNEL_BLOCK_CELLS = 1 << 15
 # Cap on the group pairs of the closed-form moments (16384 groups).
 MAX_MOMENT_PAIRS = 1 << 28
 # Lattice points of a tabulated template's autocorrelation, over the template's span.
-AUTOCORRELATION_POINTS = 1 << 14
+# The lattice error is O(step^2) and a nearly cancelling chain amplifies it
+# about 100x in its moments, so C and D are kept within about 1e-10.
+AUTOCORRELATION_POINTS = 1 << 17
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,6 @@ def _chain(pre, steps, post, total_time=1.0, hamiltonian=None) -> MeasurementCha
 def build_projector_postselected(
     psi=(math.sqrt(0.8), math.sqrt(0.2)),
     phi=(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
-    widths=(10.0, 100.0, 1000.0, 10000.0),
-    strong_width: float = 0.5,
 ) -> ScenarioPreset:
     """Single measurement of the projector on the first basis state, between
     preparation and final selection.  Eigenvalues are (1, 0), so the mean
@@ -81,7 +79,7 @@ def build_projector_postselected(
     chain = _chain(psi, [(0.5, projector)], phi)
     functional = PathFunctional.step_eigenvalue(0)
     # accurate configuration; wide (weak) meters are built per width in sweeps
-    meters = (MeterSpec(functional, PointerProfile.rectangular(strong_width)),)
+    meters = (MeterSpec(functional, PointerProfile.rectangular(0.5)),)
     amps = [
         complex(np.conj(phi[i]) * psi[i]) for i in range(2)
     ]
@@ -98,12 +96,12 @@ def build_projector_postselected(
         expected["forbidden_transition"] = Expected(1.0, "analytic")
     expected["strong_bin_1"] = Expected(p[0] / (p[0] + p[1]), "analytic")
     expected["strong_bin_0"] = Expected(p[1] / (p[0] + p[1]), "analytic")
-    if strong_width < 1.0:  # disjoint windows: selection succeeds with mass p0 + p1
-        expected["mc_success_fraction"] = Expected(p[0] + p[1], "mc")
-    return ScenarioPreset("projector", chain, meters, expected, sweep_widths=tuple(widths))
+    # the 0.5-wide windows are disjoint: selection succeeds with mass p0 + p1
+    expected["mc_success_fraction"] = Expected(p[0] + p[1], "mc")
+    return ScenarioPreset("projector", chain, meters, expected, sweep_widths=(10.0, 100.0, 1000.0, 10000.0))
 
 
-def build_minus_hundred(widths=(10.0, 100.0, 1000.0, 10000.0)) -> ScenarioPreset:
+def build_minus_hundred() -> ScenarioPreset:
     """Selection tuned so the two path amplitudes nearly cancel (ratio
     -1.01): the weak mean of the first-path indicator is -100, far outside
     the [0, 1] range an accurate measurement would report."""
@@ -111,7 +109,6 @@ def build_minus_hundred(widths=(10.0, 100.0, 1000.0, 10000.0)) -> ScenarioPreset
     preset = build_projector_postselected(
         psi=(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
         phi=(1.0 / norm, -1.01 / norm),
-        widths=widths,
     )
     expected = dict(preset.expected)
     expected["weak_value_re"] = Expected(-100.0, "analytic")
@@ -125,10 +122,6 @@ def build_difference_meter(
     phi=(1.0, 0.0),
     a_matrix=SIGMA_Z,
     b_matrix=SIGMA_X,
-    t1: float = 1.0 / 3.0,
-    t2: float = 2.0 / 3.0,
-    widths=(10.0, 100.0, 1000.0),
-    strong_width: float = 0.5,
 ) -> ScenarioPreset:
     """One pointer kicked by the second observable and kicked back by the
     first: its net shift is the difference of the two eigenvalues, while the
@@ -140,9 +133,9 @@ def build_difference_meter(
     """
     a_obs = Observable.from_matrix(a_matrix)
     b_obs = Observable.from_matrix(b_matrix)
-    chain = _chain(psi, [(t1, a_obs), (t2, b_obs)], phi)
+    chain = _chain(psi, [(1.0 / 3.0, a_obs), (2.0 / 3.0, b_obs)], phi)
     functional = PathFunctional.step_difference(later=1, earlier=0)
-    meters = (MeterSpec(functional, PointerProfile.rectangular(strong_width)),)
+    meters = (MeterSpec(functional, PointerProfile.rectangular(0.5)),)
     # path amplitudes <phi|b_j><b_j|a_i><a_i|psi> by hand, summed over paths
     # sharing the difference b_j - a_i (rounded: diagonalised eigenvalues
     # carry a few ulps)
@@ -168,7 +161,7 @@ def build_difference_meter(
         )
     else:
         expected["forbidden_transition"] = Expected(1.0, "analytic")
-    return ScenarioPreset("difference", chain, meters, expected, sweep_widths=tuple(widths))
+    return ScenarioPreset("difference", chain, meters, expected, sweep_widths=(10.0, 100.0, 1000.0))
 
 
 def build_three_box(c: complex = 1.0 / 3.0) -> ScenarioPreset:
@@ -237,12 +230,12 @@ PRESETS = {
 }
 
 
-def build_preset(name: str, **kwargs) -> ScenarioPreset:
+def build_preset(name: str) -> ScenarioPreset:
     try:
         builder = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
-    return builder(**kwargs)
+    return builder()
 
 
 @dataclass(frozen=True)
@@ -275,7 +268,7 @@ class VerificationReport:
         return out
 
 
-def _compute_check(preset: ScenarioPreset, name: str, mc_trials: int, seed: int) -> float:
+def _compute_check(preset: ScenarioPreset, name: str, mc_trials: int) -> float:
     """One expected constant recomputed."""
     chain = preset.chain
     functional = preset.meters[0].functional
@@ -314,18 +307,18 @@ def _compute_check(preset: ScenarioPreset, name: str, mc_trials: int, seed: int)
     if name == "sweep_limit":
         return _sweep_means(amplitude_distribution(chain, functional), preset.sweep_widths[-1:])[0]
     if name == "mc_success_fraction":
-        trials = sample_trials(chain, [preset.meters[0]], mc_trials, seed)
+        trials = sample_trials(chain, [preset.meters[0]], mc_trials, seed=20_260_810)
         return trials.summary().success_rate
     raise ValueError(f"no computation defined for expected value {name!r}")
 
 
-def verify_preset(preset: ScenarioPreset, mc_trials: int = 100_000, seed: int = 20_260_810) -> VerificationReport:
+def verify_preset(preset: ScenarioPreset, mc_trials: int = 100_000) -> VerificationReport:
     """Recompute every expected constant and compare at its tolerance class
     (DEFAULT_TOLERANCES)."""
     tol = DEFAULT_TOLERANCES
     checks = []
     for name, exp in preset.expected.items():
-        computed = _compute_check(preset, name, mc_trials, seed)
+        computed = _compute_check(preset, name, mc_trials)
         if exp.kind == "sweep":
             delta = abs(computed - exp.value) / max(abs(exp.value), 1e-30)
             bound = tol["sweep"]

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,25 @@ class TestComparator:
                 abs(path_amplitude_oracle(branches[b], indices)) ** 2, abs=1e-12
             )
         assert sum(p.probability for p in paths) == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_long_chain_shares_its_hop_tuples(self):
+        # 14 steps, 2^14 paths on each of 2 branches: a tuple per hop of
+        # every entry held 64 MB
+        chain = random_chain(np.random.default_rng(0), 2, 14)
+        chain.branches()
+        tracemalloc.start()
+        try:
+            paths = chain_comparator(chain)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 16 << 20
+        n = chain.n_paths
+        assert len(paths) == 2 * n
+        for path, twin in zip(paths[:n], paths[n:]):
+            indices, _ = comparator_path_key(path)
+            assert path.hops == tuple((f"s{k}", i, j) for k, (i, j) in enumerate(zip((0,) + indices, indices)))
+            assert twin.hops is path.hops
 
 
 class TestClassicalSampling:

@@ -91,8 +91,12 @@ def with_field(doc, path, value):
     return out
 
 
-# one value of each JSON type, and a few shapes a field might wrongly take
-JSON_VALUES = (None, True, False, 0, 1, -1, 0.5, 1e300, "", "x", [], [0], [[0, 0]], {}, {"x": 0})
+# one value of each JSON type, numbers that are not finite floats, and a few
+# shapes a field might wrongly take
+JSON_VALUES = (
+    None, True, False, 0, 1, -1, 0.5, 1e300, 10**400, float("nan"), float("inf"),
+    "", "x", [], [0], [[0, 0]], {}, {"x": 0},
+)
 
 
 class TestParsing:
@@ -727,6 +731,31 @@ class TestCliEntryPoint:
         assert [[g.step for g in grids] for grids in law_grids] == [[50.0, 50.0]]
         readings = np.loadtxt(tmp_path / "sample" / "trials.csv", delimiter=",", skiprows=1)[:, 1:3]
         assert np.all(readings % 50.0 == 0.0)
+
+    def test_an_integer_seed_is_kept_exactly(self, tmp_path):
+        doc = sample_config("sample")
+        doc["run"]["seed"] = 2**60 + 1
+        assert parse_config(doc).run.seed == 2**60 + 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out"), "--trials", "100"]) == 0
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["seed"] == 2**60 + 1
+
+    def test_a_seed_flag_beyond_the_float_range_is_refused(self, tmp_path, capsys):
+        assert main(["run", "preset:projector", str(tmp_path / "out"), "--mode", "sample", "--seed", "9" * 400]) == 2
+        assert "run.seed: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_mode_needs_widths_at_parse_time(self, tmp_path, capsys):
+        doc = sample_config()
+        del doc["run"]["widths"]
+        with pytest.raises(ConfigError, match=r"^run\.widths: sweep mode needs a list of widths"):
+            parse_config(with_field(doc, ("run", "mode"), "sweep"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out"), "--mode", "sweep"]) == 2
+        assert "run.widths" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_overrides(self, tmp_path):
         assert main(["run", "preset:projector", str(tmp_path), "--mode", "sample", "--trials", "500", "--seed", "9"]) == 0

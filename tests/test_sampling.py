@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -466,6 +466,9 @@ class TestChainRuleLaw:
         st.sampled_from(["gaussian", "rectangular", "tabulated"]),
     )
     @settings(max_examples=25, deadline=None)
+    # the worst draw of the strategies: a nearly cancelling chain (norm
+    # 0.008) whose tabulated mean a 2^14-point lattice left 1.3e-7 off
+    @example(seed=514, dim=3, n_meters=1, width=4.0, shape="tabulated")
     def test_exact_numbers_match_the_joint_density(self, seed, dim, n_meters, width, shape):
         chain = random_chain(np.random.default_rng(seed), dim, 3, eigenvalues=np.linspace(-1.0, 1.0, dim))
         meters = [MeterSpec(PathFunctional.step_eigenvalue(k), _profile(shape, width)) for k in range(n_meters)]
