@@ -85,10 +85,14 @@ def _with_flags(section: dict, **flags) -> dict:
     return {**section, **{key: value for key, value in flags.items() if value is not None}}
 
 
-def _grid(config: ScenarioConfig, support, width: float) -> Grid:
-    """A meter's reading grid under run.grid, covering the A(f) support."""
+def _grid(config: ScenarioConfig, i: int, support) -> Grid:
+    """Meter i's reading grid under run.grid, covering the A(f) support; a
+    grid above the cap names meters[i].profile.width."""
     pad = GRID_PAD_WIDTHS if config.run.grid_pad is None else config.run.grid_pad
-    return Grid.cover(support, width, pad=pad, step=config.run.grid_step)
+    try:
+        return Grid.cover(support, config.meters[i].profile.width, pad=pad, step=config.run.grid_step)
+    except GridCapError as exc:
+        raise exc.for_meter(i) from None
 
 
 def _run_exact(config: ScenarioConfig, out: Path) -> dict:
@@ -100,7 +104,7 @@ def _run_exact(config: ScenarioConfig, out: Path) -> dict:
     for i, meter in enumerate(meters):
         amps = group_by_value(keys[:, i], grouped)
         try:
-            dist = pointer_distribution(amps, meter.profile, _grid(config, amps.support, meter.profile.width))
+            dist = pointer_distribution(amps, meter.profile, _grid(config, i, amps.support))
         except GridCapError as exc:
             raise exc.for_meter(i) from None
         csv_name = f"distribution_m{i}.csv"
@@ -161,7 +165,7 @@ def _run_sample(config: ScenarioConfig, out: Path) -> dict:
     # the walk onto every branch places the grids; sample_trials draws from
     # the same walk, kept on the chain
     keys, _ = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
-    grids = [_grid(config, keys[:, r], m.profile.width) for r, m in enumerate(meters)]
+    grids = [_grid(config, i, keys[:, i]) for i in range(len(meters))]
     try:
         trials = sample_trials(chain, meters, config.run.trials, config.run.seed, grids)
     except GridCapError as exc:

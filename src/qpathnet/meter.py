@@ -11,10 +11,10 @@ between paths with different functional values (accurate limit); very wide
 profiles leave it intact, and the mean reading tends to the real part of
 the amplitude-weighted mean.
 
-Numerics: one kernel serves 1 or R meters: it takes the path amplitudes
-grouped by their tuple of values (paths.grouped_amplitudes) and
-contracts per-axis profile samples, block by block, into one float64
-density, held with its grids in one PointerDistribution for 1 or R axes.
+Numerics: one kernel serves 1 or R meters, every density and both draws: it
+contracts amplitude columns, grouped by their tuple of values, with per-axis
+profile samples, block by block, into M or, through a class-pair form, |M|^2,
+held with its grids in one PointerDistribution for 1 or R axes.
 Norms and means not taken off a held density come from one closed form,
 _moments: a pair sum over the groups weighted by the profiles' overlaps
 C_r(f - f'), with no grid.  Quadrature is composite trapezoid; the
@@ -76,8 +76,8 @@ class PointerProfile:
     template_values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("profile width must be positive")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"profile width must be positive and finite, not {self.width}")
         if self.shape not in ("gaussian", "rectangular", "tabulated"):
             raise ValueError(f"unknown profile shape {self.shape!r}")
         if self.shape == "tabulated":
@@ -196,8 +196,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.step <= 0 or self.n < 2:
-            raise ValueError("grid needs positive step and at least two points")
+        if not (math.isfinite(self.start) and math.isfinite(self.step) and self.step > 0 and self.n >= 2):
+            raise ValueError(f"grid needs a finite start ({self.start}), a positive finite step ({self.step}), n >= 2")
 
     @property
     def stop(self) -> float:
@@ -235,9 +235,13 @@ class Grid:
         lo, hi = float(support.min()), float(support.max())
         if step is None:
             step = width / GRID_POINTS_PER_WIDTH
-        n_pad = math.ceil(pad * width / step)
+        # counted in floats first, so an infinite count is refused, not rounded
+        n_pad, span = pad * width / step, (hi - lo) / step - 1e-12
+        if not 2.0 * n_pad + span < MAX_GRID_CELLS:
+            raise GridCapError(2.0 * n_pad + span, _ONE_METER_WIDTH, width, step)
+        n_pad = math.ceil(n_pad)
         start = lo - n_pad * step
-        n = n_pad + math.ceil((hi - lo) / step - 1e-12) + n_pad + 1
+        n = n_pad + math.ceil(span) + n_pad + 1
         return cls(start, step, int(n))
 
 
@@ -320,9 +324,9 @@ class GridCapError(ValueError):
     """A reading grid above MAX_GRID_CELLS, refused before anything grid-sized
     exists; the message names the width field to widen and the step to coarsen."""
 
-    def __init__(self, cells: int, field: str, width: float, step: float):
+    def __init__(self, cells: float, field: str, width: float, step: float):
         remedy = f"widen {field} ({width}) or coarsen run.grid.step ({step})"
-        super().__init__(f"reading grids holding {cells} cells exceed MAX_GRID_CELLS = {MAX_GRID_CELLS}: {remedy}")
+        super().__init__(f"reading grids holding {cells:.0f} cells exceed MAX_GRID_CELLS = {MAX_GRID_CELLS}: {remedy}")
         self.cells, self.field, self.width, self.step = cells, field, width, step
 
     def for_meter(self, index: int) -> "GridCapError":
@@ -351,33 +355,48 @@ def _check_grids(keys: np.ndarray, profiles, grids, cells: int | None = None) ->
 
 
 def _contract(weights: np.ndarray, first: np.ndarray, rest: list) -> np.ndarray:
-    """sum_g weights[g] first[g, i] prod_r rest[r][g, j_r] for one block."""
+    """sum_g weights[c, g] first[g, i] prod_r rest[r][g, j_r] for one block, by row c."""
     if not rest:
         return weights @ first
-    lead = first.T * weights
+    lead = first.T * weights[:, None, :]
     if len(rest) == 1:
         return lead @ rest[0]
     axes = "bcdefhijklmnopqrstuvwxyz"[: len(rest)]
-    return np.einsum(f"ag,{','.join('g' + c for c in axes)}->a{axes}", lead, *rest)
+    return np.einsum(f"zag,{','.join('g' + c for c in axes)}->za{axes}", lead, *rest)
 
 
-def _pointer_kernel(amps: np.ndarray, keys: np.ndarray, profiles, grids, dtype, out=None) -> np.ndarray:
-    """M(xi) = sum_g A_g prod_r G_r(xi_r - keys[g, r]) on the grids, as complex
-    M for a complex dtype or as |M|^2 for a float dtype, in blocks of axis 0 of out."""
+def _pair_form(re: np.ndarray, im: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
+    """out = sum_{k,k'} Re(M_k conj M_k') q[k, k'] over axis 0 of M = re + i im,
+    for every entry of the rows M_k (the classes, each of out's shape)."""
+    re, im = re.reshape(len(q), -1), im.reshape(len(q), -1)
+    form, im_form = np.dot(q, re), np.dot(q, im)
+    form *= re
+    im_form *= im
+    form += im_form
+    np.sum(form.reshape(len(q), *out.shape), axis=0, out=out)
+
+
+def _pointer_kernel(amps: np.ndarray, keys: np.ndarray, profiles, grids, form=None) -> np.ndarray:
+    """M_c(xi) = sum_g amps[g, c] prod_r G_r(xi_r - keys[g, r]) on the grids, in
+    blocks of axis 0: complex M, one row per column c, without a form; with a
+    K x K class-pair form q, for each of the B = C / K outputs b the row
+    sum_{k,k'} Re(M_{kB+b} conj M_{k'B+b}) q[k, k'], which is |M_b|^2 for K = 1."""
     _check_grids(keys, profiles, grids)
-    keep = amps != 0
+    keep = np.any(amps != 0, axis=1)
     amps, keys = amps[keep], keys[keep]
     rest = [p.samples(g.xs() - keys[:, r, None]) for r, (p, g) in enumerate(zip(profiles, grids)) if r]
-    out = np.empty(tuple(g.n for g in grids), dtype=dtype) if out is None else out
-    rows = max(1, KERNEL_BLOCK_CELLS // max(math.prod(out.shape[1:]), amps.size))
+    shape = tuple(g.n for g in grids)
+    n_out = amps.shape[1] if form is None else amps.shape[1] // len(form)
+    out = np.empty((n_out, *shape), dtype=complex if form is None else float)
+    rows = max(1, KERNEL_BLOCK_CELLS // max(amps.shape[1] * math.prod(shape[1:]), len(amps)))
     xs = grids[0].xs()
     for lo in range(0, xs.size, rows):
         first = profiles[0].samples(xs[lo : lo + rows] - keys[:, :1])
-        re, im = (_contract(part, first, rest) for part in (amps.real, amps.imag))
-        if out.dtype.kind == "c":
-            out.real[lo : lo + rows], out.imag[lo : lo + rows] = re, im
+        re, im = (_contract(part.T, first, rest) for part in (amps.real, amps.imag))
+        if form is None:
+            out.real[:, lo : lo + rows], out.imag[:, lo : lo + rows] = re, im
         else:
-            out[lo : lo + rows] = re * re + im * im
+            _pair_form(re, im, form, out[:, lo : lo + rows])
     return out
 
 
@@ -421,19 +440,25 @@ def _moments(keys: np.ndarray, amps: np.ndarray, profiles) -> tuple[np.ndarray, 
 
 def _place_grids(keys: np.ndarray, profiles, grids=None) -> tuple[Grid, ...]:
     """The given grids, with each missing one (None, or all when grids is None)
-    placed by Grid.cover over its column of keys."""
-    grids = [None] * len(profiles) if grids is None else grids
-    return tuple(Grid.cover(keys[:, r], profiles[r].width) if g is None else g for r, g in enumerate(grids))
+    placed by Grid.cover over its column of keys; of several meters, a grid
+    above the cap names its meter's width."""
+    grids = [None] * len(profiles) if grids is None else list(grids)
+    for r, g in enumerate(grids):
+        try:
+            grids[r] = Grid.cover(keys[:, r], profiles[r].width) if g is None else g
+        except GridCapError as exc:
+            raise exc.for_meter(r) if len(profiles) > 1 else exc from None
+    return tuple(grids)
 
 
 def _distribution(keys: np.ndarray, amps: np.ndarray, profiles, grids=None) -> PointerDistribution:
     """Reading density sum_b |sum_g amps[g, b] prod_r G_r(xi_r - keys[g, r])|^2
     over every amplitude column b (a 1-d amps is one column), on the grids."""
     grids = _place_grids(keys, profiles, grids)
-    columns = amps.reshape(len(keys), -1).T
-    density = _pointer_kernel(columns[0], keys, profiles, grids, float)
-    for column in columns[1:]:
-        density += _pointer_kernel(column, keys, profiles, grids, float)
+    columns = amps.reshape(len(keys), -1)
+    (density,) = _pointer_kernel(columns[:, :1], keys, profiles, grids, np.ones((1, 1)))
+    for b in range(1, columns.shape[1]):
+        density += _pointer_kernel(columns[:, b : b + 1], keys, profiles, grids, np.ones((1, 1)))[0]
     return PointerDistribution(grids, density)
 
 
@@ -441,7 +466,7 @@ def final_pointer_state(
     dist: AmplitudeDistribution, profile: PointerProfile, grid: Grid
 ) -> np.ndarray:
     """Pointer amplitude samples M(xi) = sum_m A_m G(xi - f_m)."""
-    return _pointer_kernel(dist.amplitudes, dist.support[:, None], [profile], [grid], complex)
+    return _pointer_kernel(dist.amplitudes[:, None], dist.support[:, None], [profile], [grid])[0]
 
 
 def pointer_distribution(

@@ -14,9 +14,9 @@ cells, not the product grid's.
 A trial pays about P_r log2(n_r) table reads on each later axis, so where
 later axes read many distinct values, or the product grid is small next to
 the trial count, the first table spans every axis instead: the B x n_0 x
-... x n_R-1 cell masses of one density per branch on the product grid, with
-no later axis left (_chain_rule_pays chooses, from the counts alone).  Either
-way one _ChainLaw builds the tables and the exact numbers of the law it draws.
+... x n_R-1 cell masses of the product grid, with no later axis left
+(_chain_rule_pays chooses, from the counts alone).  Either way one _ChainLaw
+builds its first table through the pointer kernel, with its exact numbers.
 
 Reproducibility: trial i reads the uniforms at Philox stream positions
 (1 + L) i + c, with L the axes after the first table, c = 0 for that table
@@ -33,15 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meter import (
-    KERNEL_BLOCK_CELLS,
-    Grid,
-    MeterSpec,
-    PointerDistribution,
-    _check_grids,
-    _place_grids,
-    _pointer_kernel,
-)
+from .meter import Grid, MeterSpec, _check_grids, _integrate, _place_grids, _pointer_kernel
 from .paths import MeasurementChain, _branch_amplitudes
 from .rng import CHUNK, cdf_index, check_trials, map_chunks, uniform_block
 
@@ -155,7 +147,8 @@ def sample_trials(
     if not keep.any():
         raise ValueError(_NOTHING_TO_SAMPLE)
     keys, amps = keys[keep], amps[keep]
-    law = _ChainLaw(keys, amps, profiles, grids, not _chain_rule_pays(keys, amps.shape[1], grids, n_trials))
+    first_axes = 1 if _chain_rule_pays(keys, amps.shape[1], grids, n_trials) else len(grids)
+    law = _ChainLaw(keys, amps, profiles, grids, first_axes)
     if law.total <= 0.0:
         raise ValueError(_NOTHING_TO_SAMPLE)
 
@@ -246,91 +239,65 @@ def _gram(classes: np.ndarray, first: int, tables: list) -> np.ndarray:
     return q
 
 
-def _pair_form(re: np.ndarray, im: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_{k,k'} Re(M_k conj M_k') q[k, k'] over axis 0 of M = re + i im,
-    for every column of the rows M_k (the classes, of any trailing shape)."""
-    re, im = re.reshape(len(q), -1), im.reshape(len(q), -1)
-    form, im_form = np.dot(q, re), np.dot(q, im)
-    form *= re
-    im_form *= im
-    form += im_form
-    return form.sum(axis=0)
-
-
 class _ChainLaw:
-    """The (branch, readings) law on the grid nodes, factored in reading order
-    into a first table and per-axis tables for the later axes, with its exact
-    success probability and mean readings.  The first table holds
-    masses[b, i] = w_0[i] sum_{k,k'} Re(M_bk conj M_bk') prod_{r>=1} O_r[k, k'],
-    M_bk summing amps[g, b] G_0(xi_i - keys[g, 0]) over class k (rows sharing
-    their values on axes 1..R-1), in blocks of axis 0 (a mean on axis r puts
-    (S_r w_r xi) S_r^T for O_r); with every_axis, each branch's density on the
-    product grid times its cell weights.  (branch, i_0, ...) is drawn from its
-    flat CDF, built in place, and each later axis r from F(i) = sum over pairs
-    k <= k' of classes (rows sharing their values on axes r..R-1) of
-    Re(u_k conj u_k') T_r[k, k', i]: u sums the rows' A^b_g prod_{s<r}
-    S_s[g, i_s] per class, and T_r is the cumulative sum of w_r S_r[k] S_r[k']
-    times m prod_{s>r} O_s[k, k'] (m = 1 on the diagonal, 2 off it), with
-    O_r = (S_r w_r) S_r^T; no array spans two axes.  Every array is counted
-    against the grid cap before any is built.
+    """The (branch, readings) law on the grid nodes in reading order: a first
+    table over axes 0..a-1 (a = 1 for the chain rule, R for the product
+    grid), per-axis tables for the later axes, and the exact success
+    probability and mean readings.  The first table is the pointer kernel's
+    class-pair form times the cells' trapezoid weights: its coefficients sum
+    amps[g, b] per (cell of values on axes < a, class k of rows sharing their
+    values on axes a..R-1), column k B + b, and its form is
+    prod_{r>=a} O_r[k, k'], with O_r = (S_r w_r) S_r^T.  The exact means are
+    the success row's marginals on axes < a and, on each later axis r, the
+    kernel's form of the success columns with (S_r w_r xi) S_r^T for O_r.
+    Each later axis r is drawn from F(i) = sum over pairs k <= k' of classes
+    (rows sharing their values on axes r..R-1) of Re(u_k conj u_k')
+    T_r[k, k', i]: u sums the rows' A^b_g prod_{s<r} S_s[g, i_s] per class,
+    and T_r is the cumulative sum of w_r S_r[k] S_r[k'] times
+    m prod_{s>r} O_s[k, k'] (m = 1 on the diagonal, 2 off it).  Every array
+    is counted against the grid cap before any is built.
     """
 
-    def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids, every_axis: bool):
-        n_axes, n_columns = len(grids), amps.shape[1]
+    def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids, first_axes: int):
+        n_axes, n_columns, a = len(grids), amps.shape[1], first_axes
         values, index = zip(*(np.unique(keys[:, r], return_inverse=True) for r in range(n_axes)))
         index = np.stack([i.reshape(-1) for i in index], axis=1)
-        if every_axis:
-            _check_grids(keys, profiles, grids, n_columns * math.prod(g.n for g in grids))
-            masses = np.empty((n_columns, *(g.n for g in grids)))
-            for b, density in enumerate(masses):
-                _pointer_kernel(amps[:, b], keys, profiles, grids, float, out=density)
-            dist = PointerDistribution(grids, masses[0])
-            means = tuple(dist.marginal_mean(r) if dist.norm > 0 else math.nan for r in range(n_axes))
-            masses *= grids[0].weights().reshape((-1,) + (1,) * (n_axes - 1))
-            masses *= functools.reduce(np.multiply.outer, [g.weights() for g in grids[1:]], np.ones(()))
-            levels = []
-        else:
-            # the first table's classes are those of axis 1 (one class for one meter)
-            levels = [_classes(index, r) for r in range(1, n_axes)]
-            first, of_row = (levels or [_classes(index, 1)])[0]
-            # cells of the masses, R K x K forms, complex K x B x V_0 coefficients,
-            # later samples and two overlaps each, then axis 0's samples and pair tables
-            held = n_columns * grids[0].n + n_axes * len(first) ** 2 + 2 * len(first) * n_columns * values[0].size
-            held += sum(v.size * (g.n + 2 * v.size) for v, g in zip(values[1:], grids[1:]))
-            if levels:
-                held += values[0].size * grids[0].n
-                held += sum(math.comb(len(c) + 1, 2) << (g.n - 1).bit_length() for (c, _), g in zip(levels, grids[1:]))
-            _check_grids(keys, profiles, grids, held)
-            samples = [None] + [p.samples(g.xs() - v[:, None]) for p, g, v in zip(profiles[1:], grids[1:], values[1:])]
-            overlap = [None] + [(s * g.weights()) @ s.T for s, g in zip(samples[1:], grids[1:])]
-            xs, weights = grids[0].xs(), grids[0].weights()
-            masses = np.empty((n_columns, xs.size))
-            xi_overlap = [None] + [(s * (g.weights() * g.xs())) @ s.T for s, g in zip(samples[1:], grids[1:])]
-            # row k B + b of coef: column b of amps summed over class k, by value on axis 0
-            coef = np.zeros((len(first), n_columns, values[0].size), dtype=complex)
-            np.add.at(coef, (of_row, slice(None), index[:, 0]), amps)
-            coef = coef.reshape(-1, values[0].size)
-            forms = [_gram(first, 1, overlap)] + [
-                _gram(first, 1, [xi_overlap[s] if s == r else overlap[s] for s in range(n_axes)])
-                for r in range(1, n_axes)
-            ]
-            moments = np.zeros(n_axes)
-            rows = max(1, KERNEL_BLOCK_CELLS // max(values[0].size, len(coef)))
-            for lo in range(0, xs.size, rows):
-                block = slice(lo, lo + rows)
-                s0 = profiles[0].samples(xs[block] - values[0][:, None])
-                re, im = coef.real @ s0, coef.imag @ s0
-                masses[:, block] = _pair_form(re, im, forms[0]).reshape(n_columns, -1)
-                for r in range(1, n_axes):
-                    moments[r] += _pair_form(re[::n_columns], im[::n_columns], forms[r]) @ weights[block]
-            masses *= weights
-            norm = masses[0].sum()
-            moments[0] = masses[0] @ xs
-            means = tuple(float(m / norm) if norm > 0 else math.nan for m in moments)
-        self.exact_means = means
-        self.xs = [g.xs() for g in grids]
-        self.shape = masses.shape
+        # the first table's classes are those of axis a (one class for a = R)
+        levels = [_classes(index, r) for r in range(a, n_axes)]
+        first, of_row = (levels or [_classes(index, a)])[0]
+        cells, of_cell = _classes(index[:, :a], 0)
+        # cells of the masses, K x K forms, complex K x B x V coefficients, later
+        # samples and two overlaps each, then the first axes' samples and pair tables
+        held = n_columns * math.prod(g.n for g in grids[:a]) + (1 + n_axes - a) * len(first) ** 2
+        held += 2 * len(first) * n_columns * len(cells)
+        held += sum(v.size * (g.n + 2 * v.size) for v, g in zip(values[a:], grids[a:]))
+        if levels:
+            held += sum(v.size * g.n for v, g in zip(values[:a], grids[:a]))
+            held += sum(math.comb(len(c) + 1, 2) << (g.n - 1).bit_length() for (c, _), g in zip(levels, grids[a:]))
+        _check_grids(keys, profiles, grids, held)
+        xs = [g.xs() for g in grids]
+        samples = [None] * a + [p.samples(x - v[:, None]) for p, x, v in zip(profiles[a:], xs[a:], values[a:])]
+        overlap = [None] * a + [(s * g.weights()) @ s.T for s, g in zip(samples[a:], grids[a:])]
+        xi_overlap = [None] * a + [(s * (g.weights() * x)) @ s.T for s, g, x in zip(samples[a:], grids[a:], xs[a:])]
+        # row k B + b of coef: column b of amps summed over class k, by cell of axes < a
+        coef = np.zeros((len(first), n_columns, len(cells)), dtype=complex)
+        np.add.at(coef, (of_row, slice(None), of_cell), amps)
+        coef = coef.reshape(-1, len(cells))
+        cell_keys = np.stack([v[c] for v, c in zip(values, cells.T)], axis=1)
+        table = functools.partial(_pointer_kernel, keys=cell_keys, profiles=profiles[:a], grids=grids[:a])
+        masses = table(coef.T, form=_gram(first, a, overlap))
+        first_weights = [g.weights() for g in grids[:a]]
+        for s, w in enumerate(first_weights):
+            masses *= w.reshape((-1,) + (1,) * (a - 1 - s))
         self.success = masses[0].sum()
+        # means: the success row's marginals on axes < a, then the later axes' xi forms
+        moments = [masses[0].sum(axis=tuple(s for s in range(a) if s != r)) @ x for r, x in enumerate(xs[:a])]
+        for r in range(a, n_axes):
+            form = _gram(first, a, [xi_overlap[s] if s == r else overlap[s] for s in range(n_axes)])
+            moments.append(_integrate(table(coef[::n_columns].T, form=form)[0], first_weights))
+        self.exact_means = tuple(float(m / self.success) if self.success > 0 else math.nan for m in moments)
+        self.xs = xs
+        self.shape = masses.shape
         self.total = masses.sum()
         self.cdf = masses.reshape(-1)
         np.cumsum(self.cdf, out=self.cdf)
@@ -340,11 +307,11 @@ class _ChainLaw:
         if not levels:
             return
         # the draw reads these from axis 0 to R-2
-        self.samples = [profiles[0].samples(self.xs[0] - values[0][:, None]), *samples[1:]]
+        self.samples = [p.samples(x - v[:, None]) for p, x, v in zip(profiles[:a], xs, values)] + samples[a:]
 
         # later axes: the rows of each class, and the pair tables T_r padded
         # to a power-of-two length by repeating their last node
-        for r, (classes, of_row) in enumerate(levels, start=1):
+        for r, (classes, of_row) in enumerate(levels, start=a):
             q = _gram(classes, r, [overlap[s] if s > r else None for s in range(n_axes)])
             pairs = list(zip(*np.triu_indices(len(classes))))
             n, weights = grids[r].n, grids[r].weights()
@@ -366,24 +333,24 @@ class _ChainLaw:
 
     def draw(self, u: np.ndarray, readings: np.ndarray, branches: np.ndarray) -> None:
         """Fill readings and branches for the trials whose uniforms are the
-        rows of u: column 0 for the first table, column r for later axis r;
-        every step is elementwise per trial."""
+        rows of u: column 0 for the first table, column 1 + r - a for later
+        axis r; every step is elementwise per trial."""
         branches[:], *drawn = np.unravel_index(cdf_index(self.cdf, self.total, u[:, 0]), self.shape)
         for r, i in enumerate(drawn):
             readings[:, r] = self.xs[r][i]
         if not self.axes:
             return
-        # later axes follow a table over axis 0 alone
-        (i,) = drawn
         # c_g = A^b_g prod_{s<r} S_s[g, i_s], real and imaginary parts by row
         at = self.amp_at + branches
         re, im = self.amps_re.take(at), self.amps_im.take(at)
-        for r, (members, pairs, pair_tables) in enumerate(self.axes, start=1):
-            factor = self.samples[r - 1].take(self.sample_at[r - 1] + i)
-            re *= factor
-            im *= factor
+        a = len(drawn)
+        for r, (members, pairs, pair_tables) in enumerate(self.axes, start=a):
+            for s in range(r - 1 if r > a else 0, r):
+                factor = self.samples[s].take(self.sample_at[s] + drawn[s])
+                re *= factor
+                im *= factor
             u_re = [_class_sum(re, rows) for rows in members]
             u_im = [_class_sum(im, rows) for rows in members]
             coefs = [u_re[k] * u_re[k2] + u_im[k] * u_im[k2] for k, k2 in pairs]
-            i = _bisect(pair_tables, self.xs[r].size, coefs, u[:, r])
-            readings[:, r] = self.xs[r][i]
+            drawn.append(_bisect(pair_tables, self.xs[r].size, coefs, u[:, 1 + r - a]))
+            readings[:, r] = self.xs[r][drawn[r]]

@@ -580,6 +580,27 @@ class TestCliEntryPoint:
         assert "zero total mass" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            # the support's span over a step of width / 200 overflows the node count
+            (lambda doc: doc["meters"].append(dict(doc["meters"][0], profile={"shape": "gaussian", "width": 1e-320})),
+             "meters[1].profile.width"),
+            (lambda doc: doc["run"].update(grid={"pad": 1e308}), "meters[0].profile.width"),
+        ],
+        ids=["width", "pad"],
+    )
+    def test_an_infinite_grid_is_refused_by_the_cap(self, tmp_path, capsys, mode, edit, field):
+        doc = sample_config(mode)
+        edit(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "MAX_GRID_CELLS" in err and field in err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_run_leaves_no_artifacts(self, tmp_path):
         # meter 0 succeeds and meter 1 hits the grid cap
         doc = sample_config()
@@ -717,9 +738,9 @@ class TestCliEntryPoint:
         law_grids = []
 
         class Spy(sampling._ChainLaw):
-            def __init__(self, keys, amps, profiles, grids, every_axis):
+            def __init__(self, keys, amps, profiles, grids, first_axes):
                 law_grids.append(grids)
-                super().__init__(keys, amps, profiles, grids, every_axis)
+                super().__init__(keys, amps, profiles, grids, first_axes)
 
         monkeypatch.setattr(sampling, "_ChainLaw", Spy)
         for mode in ("exact", "sample"):

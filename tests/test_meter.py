@@ -43,7 +43,7 @@ from qpathnet import (
     weak_value,
     window_masses,
 )
-from qpathnet.meter import MAX_MOMENT_PAIRS, WeakLimitReport, _moments
+from qpathnet.meter import MAX_MOMENT_PAIRS, GridCapError, WeakLimitReport, _moments
 
 
 def quad(grid, values):
@@ -87,6 +87,34 @@ class TestProfiles:
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError, match="width"):
             PointerProfile.gaussian(0.0)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_width_must_be_finite(self, width):
+        # `width <= 0` is False for NaN, which would reach a sweep as a NaN mean
+        for shape in ("gaussian", "rectangular"):
+            with pytest.raises(ValueError, match=rf"profile width must be positive and finite, not {width}"):
+                getattr(PointerProfile, shape)(width)
+
+
+class TestGrid:
+    @pytest.mark.parametrize("start, step", [(0.0, math.nan), (math.nan, 0.1), (0.0, math.inf), (-math.inf, 0.1)])
+    def test_start_and_step_must_be_finite(self, start, step):
+        with pytest.raises(ValueError, match=rf"finite start \({start}\), a positive finite step \({step}\)"):
+            Grid(start, step, 5)
+
+    @pytest.mark.parametrize("width, pad", [(1e-320, 6.0), (1.0, 1e308)])
+    def test_an_infinite_node_count_is_refused_by_the_cap(self, width, pad):
+        with pytest.raises(GridCapError, match=r"inf cells exceed MAX_GRID_CELLS.*profile\.width"):
+            Grid.cover([0.0, 1.0], width, pad=pad)
+
+    def test_a_refused_grid_of_several_names_its_meter(self):
+        chain = random_chain(np.random.default_rng(3), 2, 2, eigenvalues=[1.0, -1.0])
+        meters = [
+            MeterSpec(PathFunctional.step_eigenvalue(0), PointerProfile.gaussian(1.0)),
+            MeterSpec(PathFunctional.step_eigenvalue(1), PointerProfile.gaussian(1e-320)),
+        ]
+        with pytest.raises(GridCapError, match=r"meters\[1\]\.profile\.width \(1e-320\)"):
+            joint_reading_distribution(chain, meters)
 
 
 class TestFinalPointerState:

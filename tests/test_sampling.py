@@ -421,7 +421,7 @@ class TestChainRuleLaw:
     def test_first_axis_table_is_the_marginal(self, n_meters, n_points):
         chain, meters, grids = _law_case(n_meters, n_points)
         keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
-        law = sampling._ChainLaw(keys, amps, [m.profile for m in meters], grids, False)
+        law = sampling._ChainLaw(keys, amps, [m.profile for m in meters], grids, 1)
         oracle = _oracle_masses(chain, meters, grids)
         expected = oracle.sum(axis=tuple(range(2, oracle.ndim)))
         # the first table is held as its CDF
@@ -473,14 +473,19 @@ class TestChainRuleLaw:
         chain = random_chain(np.random.default_rng(seed), dim, 3, eigenvalues=np.linspace(-1.0, 1.0, dim))
         meters = [MeterSpec(PathFunctional.step_eigenvalue(k), _profile(shape, width)) for k in range(n_meters)]
         grids = [Grid.cover([-1.0, 1.0], width, step=width / 4)] * n_meters
-        trials = sample_trials(chain, meters, 10, seed=seed, grids=grids)
         joints = [joint_reading_distribution(b, meters, grids) for b in chain.branches()]
         first = joints[0]
-        assert trials.exact_success_probability == pytest.approx(
-            first.norm / sum(j.norm for j in joints), rel=1e-12, abs=1e-12
-        )
-        for r in range(n_meters):
-            assert trials.exact_means[r] == pytest.approx(first.marginal_mean(r), rel=1e-12, abs=1e-12)
+        # both draws, whichever _chain_rule_pays would pick (a fixture of
+        # monkeypatch's scope would outlive each example)
+        for chain_rule in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sampling, "_chain_rule_pays", lambda *args: chain_rule)
+                trials = sample_trials(chain, meters, 10, seed=seed, grids=grids)
+            assert trials.exact_success_probability == pytest.approx(
+                first.norm / sum(j.norm for j in joints), rel=1e-12, abs=1e-12
+            )
+            for r in range(n_meters):
+                assert trials.exact_means[r] == pytest.approx(first.marginal_mean(r), rel=1e-12, abs=1e-12)
         # the closed form on the selected branch's own walk, as exact mode uses it
         keys, amps = grouped_amplitudes(chain, [m.functional for m in meters])
         norms, means = _moments(keys, amps, [m.profile for m in meters])

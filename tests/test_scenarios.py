@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import count_grouped_amplitudes, record_walks
-from qpathnet import meter
+from qpathnet import meter, sampling
 from qpathnet.cli import main
 from qpathnet import (
     AmplitudeDistribution,
@@ -244,16 +244,17 @@ class TestVerificationBuildsOnce:
         assert len(walks) == len(set(walks)) == walks_taken
 
     def test_three_box_builds_no_grid_of_two_axes(self, monkeypatch, tmp_path):
-        # the weak marginals come from the moment rule, so the kernel only
-        # ever fills one meter's axis
+        # the weak marginals come from the moment rule and the draw's first
+        # table spans axis 0 alone, so the kernel only ever fills one meter's axis
         axes = []
         kernel = meter._pointer_kernel
 
-        def spy(amps, keys, profiles, grids, dtype, out=None):
+        def spy(amps, keys, profiles, grids, form=None):
             axes.append(len(grids))
-            return kernel(amps, keys, profiles, grids, dtype, out)
+            return kernel(amps, keys, profiles, grids, form)
 
         monkeypatch.setattr(meter, "_pointer_kernel", spy)
+        monkeypatch.setattr(sampling, "_pointer_kernel", spy)
         assert main(["run", "preset:three-box", str(tmp_path), "--mode", "exact"]) == 0
         assert verify_preset(build_three_box(), mc_trials=2000).passed
         assert axes and set(axes) == {1}
