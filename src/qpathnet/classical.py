@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .paths import MAX_PATHS, PathCapError, enumerate_paths, path_amplitudes
-from .rng import check_trials, inverse_cdf_draws
+from .rng import cdf_index, check_trials, map_chunks, uniform_block
 
 WEIGHT_TOL = 1e-12
 
@@ -260,12 +260,17 @@ def classical_sample(
     """Seeded trial counts per path, aligned with `paths`.
 
     Sampling is inverse CDF over the exact path distribution, which is the
-    law of a ball walking the network at random.
+    law of a ball walking the network at random: trial i takes the first path
+    whose cumulative probability exceeds the total times the stream's uniform
+    at position i, so the counts do not depend on how map_chunks splits the
+    trials.
     """
     check_trials(n_trials)
     cdf = np.cumsum([p.probability for p in paths])
-    idx = inverse_cdf_draws(cdf, cdf[-1], n_trials, seed, max_workers)
-    return np.bincount(idx, minlength=cdf.size)
+    chunks = map_chunks(
+        n_trials, lambda lo, hi: cdf_index(cdf, cdf[-1], uniform_block(seed, lo, hi - lo)), max_workers
+    )
+    return np.bincount(np.concatenate(chunks), minlength=cdf.size)
 
 
 def chain_comparator(chain) -> list[ClassicalPath]:

@@ -32,14 +32,7 @@ from .config import (
     parse_config,
     read_document,
 )
-from .meter import (
-    GRID_PAD_WIDTHS,
-    Grid,
-    GridCapError,
-    _moments,
-    pointer_distribution,
-    weak_limit_report,
-)
+from .meter import _moments, _place_grids, pointer_distribution, weak_limit_report
 from .paths import ForbiddenTransitionError, _branch_amplitudes, group_by_value, grouped_amplitudes
 from .sampling import sample_trials
 from .scenarios import build_preset
@@ -85,28 +78,17 @@ def _with_flags(section: dict, **flags) -> dict:
     return {**section, **{key: value for key, value in flags.items() if value is not None}}
 
 
-def _grid(config: ScenarioConfig, i: int, support) -> Grid:
-    """Meter i's reading grid under run.grid, covering the A(f) support; a
-    grid above the cap names meters[i].profile.width."""
-    pad = GRID_PAD_WIDTHS if config.run.grid_pad is None else config.run.grid_pad
-    try:
-        return Grid.cover(support, config.meters[i].profile.width, pad=pad, step=config.run.grid_step)
-    except GridCapError as exc:
-        raise exc.for_meter(i) from None
-
-
 def _run_exact(config: ScenarioConfig, out: Path) -> dict:
     chain = config.chain
     meters = config.meters
-    summary: dict = {"name": config.name, "mode": "exact", "dim": chain.dim, "meters": []}
-    # one walk of all meters: each meter's A(f) and the weak marginals read its keys
+    summary: dict = {"meters": []}
+    # one walk of all meters: each meter's A(f), its grid and the weak
+    # marginals read its keys, whose column i spans meter i's support
     keys, grouped = grouped_amplitudes(chain, [m.functional for m in meters])
+    grids = _place_grids(keys, [m.profile for m in meters], pad=config.run.grid_pad, step=config.run.grid_step)
     for i, meter in enumerate(meters):
         amps = group_by_value(keys[:, i], grouped)
-        try:
-            dist = pointer_distribution(amps, meter.profile, _grid(config, i, amps.support))
-        except GridCapError as exc:
-            raise exc.for_meter(i) from None
+        dist = pointer_distribution(amps, meter.profile, grids[i])
         csv_name = f"distribution_m{i}.csv"
         dist.write_csv(out / csv_name)
         norms, (mean,) = _moments(amps.support[:, None], amps.amplitudes, [meter.profile])
@@ -146,9 +128,6 @@ def _run_sweep(config: ScenarioConfig, out: Path) -> dict:
         for w, m, e in zip(report.widths, report.means, report.errors):
             writer.writerow([repr(w), repr(m), repr(e)])
     return {
-        "name": config.name,
-        "mode": "sweep",
-        "dim": config.chain.dim,
         "widths": list(report.widths),
         "means": list(report.means),
         "errors": list(report.errors),
@@ -165,17 +144,11 @@ def _run_sample(config: ScenarioConfig, out: Path) -> dict:
     # the walk onto every branch places the grids; sample_trials draws from
     # the same walk, kept on the chain
     keys, _ = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
-    grids = [_grid(config, i, keys[:, i]) for i in range(len(meters))]
-    try:
-        trials = sample_trials(chain, meters, config.run.trials, config.run.seed, grids)
-    except GridCapError as exc:
-        raise exc.for_meter(0) from None
+    grids = _place_grids(keys, [m.profile for m in meters], pad=config.run.grid_pad, step=config.run.grid_step)
+    trials = sample_trials(chain, meters, config.run.trials, config.run.seed, grids)
     trials.write_csv(out / "trials.csv")
     s = trials.summary()
     return {
-        "name": config.name,
-        "mode": "sample",
-        "dim": config.chain.dim,
         "seed": config.run.seed,
         "trials": s.n_trials,
         "success_count": s.n_success,
@@ -219,9 +192,6 @@ def _run_classical(config: ScenarioConfig, out: Path) -> dict:
             value = settings.values[i] if settings.values is not None else ""
             writer.writerow([hops, p.receptacle, repr(p.probability), value])
     summary = {
-        "name": config.name,
-        "mode": "classical",
-        "dim": config.chain.dim if config.chain is not None else None,
         "n_paths": len(paths),
         "probabilities": [p.probability for p in paths],
         "receptacles": sorted({p.receptacle for p in paths}),
@@ -243,8 +213,9 @@ def run(source: str, out_dir, args=None) -> dict:
         "sample": _run_sample,
         "classical": _run_classical,
     }[config.run.mode]
+    dim = config.chain.dim if config.chain is not None else None
     with _staged(out_dir) as staging:
-        summary = runner(config, staging)
+        summary = {"name": config.name, "mode": config.run.mode, "dim": dim, **runner(config, staging)}
         with open(staging / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, allow_nan=False)
     return summary

@@ -196,12 +196,8 @@ class Propagator:
         t = float(t)
         if not np.isfinite(t):
             raise ValueError("time must be finite")
-        return _spectral_unitary(self._eigenvalues, self._eigenvectors, t)
-
-
-def _spectral_unitary(eigenvalues: np.ndarray, eigenvectors: np.ndarray, t: float) -> np.ndarray:
-    v = eigenvectors
-    return _readonly((v * np.exp(-1j * eigenvalues * t)) @ v.conj().T)
+        v = self._eigenvectors
+        return _readonly((v * np.exp(-1j * self._eigenvalues * t)) @ v.conj().T)
 
 
 def evolve(state: StateVector, prop: Propagator, t: float) -> StateVector:

@@ -87,6 +87,9 @@ class PointerProfile:
             vals = np.asarray(self.template_values, dtype=float)
             if xs.ndim != 1 or xs.shape != vals.shape or xs.size < 2:
                 raise ValueError("tabulated profile needs matching 1-d xs and values")
+            for name, a in (("xs", xs), ("values", vals)):
+                if not np.all(np.isfinite(a)):
+                    raise ValueError(f"tabulated template_{name} must be finite")
             if np.any(np.diff(xs) <= 0):
                 raise ValueError("tabulated xs must be strictly increasing")
             norm = np.trapezoid(vals**2, xs)
@@ -222,27 +225,31 @@ class Grid:
         cls,
         support,
         width: float,
-        pad: float = GRID_PAD_WIDTHS,
+        pad: float | None = None,
         step: float | None = None,
     ) -> "Grid":
-        """Grid anchored at the lowest support point, padded by pad widths,
-        with nodes step apart (default width / GRID_POINTS_PER_WIDTH).
+        """Grid anchored at the lowest support point, padded by pad widths
+        (default GRID_PAD_WIDTHS), with nodes step apart (default
+        width / GRID_POINTS_PER_WIDTH); refused, as _check_grids refuses it,
+        with a pad below MIN_PAD_WIDTHS or above MAX_GRID_CELLS nodes.
 
         Anchoring keeps support points (and rectangular window edges) on
         grid nodes whenever their spacing is commensurate with the step.
         """
         support = np.asarray(support, dtype=float)
         lo, hi = float(support.min()), float(support.max())
-        if step is None:
-            step = width / GRID_POINTS_PER_WIDTH
+        pad = GRID_PAD_WIDTHS if pad is None else pad
+        if not pad >= MIN_PAD_WIDTHS:
+            raise ValueError(f"grid pad ({pad}) must be at least MIN_PAD_WIDTHS = {MIN_PAD_WIDTHS} profile widths")
+        step = width / GRID_POINTS_PER_WIDTH if step is None else step
         # counted in floats first, so an infinite count is refused, not rounded
         n_pad, span = pad * width / step, (hi - lo) / step - 1e-12
-        if not 2.0 * n_pad + span < MAX_GRID_CELLS:
-            raise GridCapError(2.0 * n_pad + span, _ONE_METER_WIDTH, width, step)
-        n_pad = math.ceil(n_pad)
-        start = lo - n_pad * step
-        n = n_pad + math.ceil(span) + n_pad + 1
-        return cls(start, step, int(n))
+        n = 2.0 * n_pad + span
+        if math.isfinite(n):
+            n = 2 * math.ceil(n_pad) + math.ceil(span) + 1
+        if not n <= MAX_GRID_CELLS:
+            raise GridCapError(n, width, step, pad if 2.0 * n_pad > span else None)
+        return cls(lo - math.ceil(n_pad) * step, step, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,22 +324,17 @@ class PointerDistribution:
 JointDistribution = PointerDistribution
 
 
-_ONE_METER_WIDTH = "the meter's profile.width"
-
-
 class GridCapError(ValueError):
     """A reading grid above MAX_GRID_CELLS, refused before anything grid-sized
-    exists; the message names the width field to widen and the step to coarsen."""
+    exists; the message names the width of meter `axis` to widen, the step to
+    coarsen and, where the pad holds most of the nodes, the pad to narrow."""
 
-    def __init__(self, cells: float, field: str, width: float, step: float):
-        remedy = f"widen {field} ({width}) or coarsen run.grid.step ({step})"
+    def __init__(self, cells: float, width: float, step: float, pad: float | None = None, axis: int = 0):
+        remedy = f"widen meters[{axis}].profile.width ({width}) or coarsen run.grid.step ({step})"
+        if pad is not None:
+            remedy += f" or narrow run.grid.pad ({pad})"
         super().__init__(f"reading grids holding {cells:.0f} cells exceed MAX_GRID_CELLS = {MAX_GRID_CELLS}: {remedy}")
-        self.cells, self.field, self.width, self.step = cells, field, width, step
-
-    def for_meter(self, index: int) -> "GridCapError":
-        """The same error, naming the width field of meter `index` of a config."""
-        field = f"meters[{index}].profile.width" if self.field == _ONE_METER_WIDTH else self.field
-        return GridCapError(self.cells, field, self.width, self.step)
+        self.cells, self.width, self.step, self.pad, self.axis = cells, width, step, pad, axis
 
 
 def _check_grids(keys: np.ndarray, profiles, grids, cells: int | None = None) -> None:
@@ -344,8 +346,7 @@ def _check_grids(keys: np.ndarray, profiles, grids, cells: int | None = None) ->
     cells = math.prod(g.n for g in grids) if cells is None else cells
     if cells > MAX_GRID_CELLS:
         r = max(range(len(grids)), key=lambda i: grids[i].n)
-        field = f"meters[{r}].profile.width" if len(grids) > 1 else _ONE_METER_WIDTH
-        raise GridCapError(cells, field, profiles[r].width, grids[r].step)
+        raise GridCapError(cells, profiles[r].width, grids[r].step, axis=r)
     for r, (profile, grid) in enumerate(zip(profiles, grids)):
         lo = keys[:, r].min() - MIN_PAD_WIDTHS * profile.width
         hi = keys[:, r].max() + MIN_PAD_WIDTHS * profile.width
@@ -438,16 +439,16 @@ def _moments(keys: np.ndarray, amps: np.ndarray, profiles) -> tuple[np.ndarray, 
     return norms, tuple(float(m / norms[0]) for m in moments)
 
 
-def _place_grids(keys: np.ndarray, profiles, grids=None) -> tuple[Grid, ...]:
+def _place_grids(keys: np.ndarray, profiles, grids=None, pad=None, step=None) -> tuple[Grid, ...]:
     """The given grids, with each missing one (None, or all when grids is None)
-    placed by Grid.cover over its column of keys; of several meters, a grid
-    above the cap names its meter's width."""
+    placed by Grid.cover over its column of keys with the given pad and step;
+    a grid above the cap names its meter."""
     grids = [None] * len(profiles) if grids is None else list(grids)
     for r, g in enumerate(grids):
         try:
-            grids[r] = Grid.cover(keys[:, r], profiles[r].width) if g is None else g
+            grids[r] = Grid.cover(keys[:, r], profiles[r].width, pad, step) if g is None else g
         except GridCapError as exc:
-            raise exc.for_meter(r) if len(profiles) > 1 else exc from None
+            raise GridCapError(exc.cells, exc.width, exc.step, exc.pad, axis=r) from None
     return tuple(grids)
 
 

@@ -82,16 +82,3 @@ def cdf_index(cdf: np.ndarray, total: float, u: np.ndarray) -> np.ndarray:
     idx[order] = np.searchsorted(cdf, u[order] * total, side="right")
     return np.minimum(idx, cdf.size - 1)
 
-
-def inverse_cdf_draws(
-    cdf: np.ndarray, total: float, n_trials: int, seed: int, max_workers: int | None = None
-) -> np.ndarray:
-    """Indices into cdf drawn for trials 0..n_trials-1: trial i takes the
-    first entry above total times the stream's uniform at position i.
-
-    The chunks run through map_chunks; the indices do not depend on the split.
-    """
-    chunks = map_chunks(
-        n_trials, lambda lo, hi: cdf_index(cdf, total, uniform_block(seed, lo, hi - lo)), max_workers
-    )
-    return np.concatenate(chunks)

@@ -582,16 +582,17 @@ class TestCliEntryPoint:
 
     @pytest.mark.parametrize("mode", ["exact", "sample"])
     @pytest.mark.parametrize(
-        "edit, field",
+        "edit, field, pad_named",
         [
             # the support's span over a step of width / 200 overflows the node count
             (lambda doc: doc["meters"].append(dict(doc["meters"][0], profile={"shape": "gaussian", "width": 1e-320})),
-             "meters[1].profile.width"),
-            (lambda doc: doc["run"].update(grid={"pad": 1e308}), "meters[0].profile.width"),
+             "meters[1].profile.width", False),
+            # no width brings the pad's nodes back under the cap
+            (lambda doc: doc["run"].update(grid={"pad": 1e308}), "meters[0].profile.width", True),
         ],
         ids=["width", "pad"],
     )
-    def test_an_infinite_grid_is_refused_by_the_cap(self, tmp_path, capsys, mode, edit, field):
+    def test_an_infinite_grid_is_refused_by_the_cap(self, tmp_path, capsys, mode, edit, field, pad_named):
         doc = sample_config(mode)
         edit(doc)
         path = tmp_path / "cfg.json"
@@ -599,6 +600,7 @@ class TestCliEntryPoint:
         assert main(["run", str(path), str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert "MAX_GRID_CELLS" in err and field in err
+        assert ("run.grid.pad (1e+308)" in err) == pad_named
         assert not (tmp_path / "out").exists()
 
     def test_failed_run_leaves_no_artifacts(self, tmp_path):

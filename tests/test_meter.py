@@ -43,7 +43,7 @@ from qpathnet import (
     weak_value,
     window_masses,
 )
-from qpathnet.meter import MAX_MOMENT_PAIRS, GridCapError, WeakLimitReport, _moments
+from qpathnet.meter import MAX_GRID_CELLS, MAX_MOMENT_PAIRS, GridCapError, WeakLimitReport, _check_grids, _moments
 
 
 def quad(grid, values):
@@ -71,6 +71,15 @@ class TestProfiles:
         xs = np.linspace(-1, 1, 101)
         with pytest.raises(ValueError, match="integral"):
             PointerProfile.tabulated(xs, np.ones_like(xs))
+
+    @pytest.mark.parametrize("table", ["xs", "values"])
+    def test_tabulated_rejects_non_finite_templates(self, table):
+        # NaN passes both `abs(norm - 1) > 1e-8` and `diff(xs) <= 0` unrefused
+        xs = np.linspace(-1, 1, 101)
+        vals = np.full_like(xs, 2.0**-0.5)
+        (xs if table == "xs" else vals)[50] = math.nan
+        with pytest.raises(ValueError, match=rf"template_{table} must be finite"):
+            PointerProfile.tabulated(xs, vals)
 
     def test_rejects_complex_values(self):
         xs = np.linspace(-1, 1, 101)
@@ -106,6 +115,43 @@ class TestGrid:
     def test_an_infinite_node_count_is_refused_by_the_cap(self, width, pad):
         with pytest.raises(GridCapError, match=r"inf cells exceed MAX_GRID_CELLS.*profile\.width"):
             Grid.cover([0.0, 1.0], width, pad=pad)
+
+    def test_the_cap_counts_the_nodes_the_grid_holds(self):
+        # pad 6.000005 at step 0.005 rounds up to 1201 nodes a side, so a float
+        # count of MAX_GRID_CELLS - 0.5 is a grid of 33554435 nodes
+        step, pad = 0.005, 6.000005
+        hi = (MAX_GRID_CELLS - 0.5 - 2.0 * pad / step + 1e-12) * step
+        with pytest.raises(GridCapError, match="33554435 cells"):
+            Grid.cover([0.0, hi], 1.0, pad=pad, step=step)
+
+    def test_a_covering_grid_passes_the_kernel_check(self):
+        rng = np.random.default_rng(20)
+        refused = 0
+        for _ in range(300):
+            width = 10.0 ** rng.uniform(-3.0, 3.0)
+            step = width / rng.integers(2, 400)
+            pad = rng.uniform(5.0, 9.0)
+            hi = (MAX_GRID_CELLS + rng.uniform(-4.0, 2.0) - 2.0 * pad * width / step) * step
+            keys = np.array([[-hi], [0.0]])
+            try:
+                grid = Grid.cover(keys[:, 0], width, pad=pad, step=step)
+            except GridCapError as exc:
+                assert exc.cells > MAX_GRID_CELLS
+                refused += 1
+                continue
+            _check_grids(keys, [PointerProfile.gaussian(width)], [grid])
+        assert 0 < refused < 300
+
+    @pytest.mark.parametrize("pad", [4.9, math.nan])
+    def test_a_pad_the_kernel_refuses_is_refused(self, pad):
+        with pytest.raises(ValueError, match=rf"grid pad \({pad}\) must be at least MIN_PAD_WIDTHS"):
+            Grid.cover([0.0, 1.0], 1.0, pad=pad)
+
+    def test_a_refused_grid_of_one_meter_names_meter_zero(self):
+        chain = random_chain(np.random.default_rng(3), 2, 2, eigenvalues=[1.0, -1.0])
+        meter = MeterSpec(PathFunctional.step_eigenvalue(0), PointerProfile.gaussian(1e-320))
+        with pytest.raises(GridCapError, match=r"meters\[0\]\.profile\.width \(1e-320\)"):
+            reading_distribution(chain, meter)
 
     def test_a_refused_grid_of_several_names_its_meter(self):
         chain = random_chain(np.random.default_rng(3), 2, 2, eigenvalues=[1.0, -1.0])
