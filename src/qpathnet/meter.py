@@ -14,7 +14,10 @@ the amplitude-weighted mean.
 Numerics: one kernel serves 1 or R meters, every density and both draws: it
 contracts amplitude columns, grouped by their tuple of values, with per-axis
 profile samples, block by block, into M or, through a class-pair form, |M|^2,
-held with its grids in one PointerDistribution for 1 or R axes.
+held with its grids in one PointerDistribution for 1 or R axes.  Each block
+of the first axis contracts only the groups within the first profile's reach
+of it (beyond the reach samples() is exactly 0.0), so only exact zeros are
+skipped.
 Norms and means not taken off a held density come from one closed form,
 _moments: a pair sum over the groups weighted by the profiles' overlaps
 C_r(f - f'), with no grid.  Quadrature is composite trapezoid; the
@@ -25,7 +28,6 @@ densities.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -131,6 +133,17 @@ class PointerProfile:
             return out
         scaled = xi / w
         return w**-0.5 * np.interp(scaled, self.template_xs, self.template_values, left=0.0, right=0.0)
+
+    @property
+    def _reach(self) -> float:
+        """Half-width beyond which samples() is exactly 0.0."""
+        w = self.width
+        if self.shape == "gaussian":
+            return w * math.sqrt(4.0 * 746.0)  # exp(-746) underflows to 0.0
+        if self.shape == "rectangular":
+            return w / 2.0 + 1e-9 * w  # the edge tolerance of samples()
+        # widened past the template's end, onto which xi / w can round from a few ulps beyond
+        return w * float(np.abs(self.template_xs[[0, -1]]).max()) * (1.0 + 1e-12)
 
     def autocorrelation(self, delta, moment: int = 0) -> np.ndarray:
         """integral u^moment G(u - delta/2) G(u + delta/2) du, elementwise: the
@@ -312,16 +325,29 @@ class PointerDistribution:
 
     def write_csv(self, path) -> None:
         xs = self._only_grid("write_csv").xs()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["xi", "density"])
-            for x, d in zip(xs, self.density):
-                writer.writerow([repr(float(x)), repr(float(d))])
+
+        def columns(lo, hi):
+            return [map(repr, a[lo:hi].tolist()) for a in (xs, self.density)]
+
+        _write_csv(path, ["xi", "density"], xs.size, columns)
 
 
 # the same class under its R-meter name, which callers such as
 # perfbench/tracer.py still patch attributes through
 JointDistribution = PointerDistribution
+
+
+def _write_csv(path, header: list[str], n_rows: int, columns) -> None:
+    """The bytes csv.writer writes for fields that need no quoting (a float's
+    repr, an integer): the header, then rows 0..n_rows-1, each block of rows
+    lo..hi-1 joined from the string columns that columns(lo, hi) returns.
+    A block of 1024 rows holds about 100 kB of text, whatever n_rows."""
+    block = 1024
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n_rows, block):
+            fh.write("\r\n".join(map(",".join, zip(*columns(lo, min(lo + block, n_rows))))))
+            fh.write("\r\n")
 
 
 class GridCapError(ValueError):
@@ -381,9 +407,15 @@ def _pointer_kernel(amps: np.ndarray, keys: np.ndarray, profiles, grids, form=No
     """M_c(xi) = sum_g amps[g, c] prod_r G_r(xi_r - keys[g, r]) on the grids, in
     blocks of axis 0: complex M, one row per column c, without a form; with a
     K x K class-pair form q, for each of the B = C / K outputs b the row
-    sum_{k,k'} Re(M_{kB+b} conj M_{k'B+b}) q[k, k'], which is |M_b|^2 for K = 1."""
+    sum_{k,k'} Re(M_{kB+b} conj M_{k'B+b}) q[k, k'], which is |M_b|^2 for K = 1.
+
+    Each block contracts only its band: the groups whose axis-0 key lies
+    within the axis-0 profile's reach of the block.  The others would add
+    exact zeros, so nothing is approximated."""
     _check_grids(keys, profiles, grids)
-    keep = np.any(amps != 0, axis=1)
+    # the groups of nonzero amplitude, by axis-0 key, so each band is a slice
+    keep = np.flatnonzero(np.any(amps != 0, axis=1))
+    keep = keep[np.argsort(keys[keep, 0], kind="stable")]
     amps, keys = amps[keep], keys[keep]
     rest = [p.samples(g.xs() - keys[:, r, None]) for r, (p, g) in enumerate(zip(profiles, grids)) if r]
     shape = tuple(g.n for g in grids)
@@ -391,9 +423,17 @@ def _pointer_kernel(amps: np.ndarray, keys: np.ndarray, profiles, grids, form=No
     out = np.empty((n_out, *shape), dtype=complex if form is None else float)
     rows = max(1, KERNEL_BLOCK_CELLS // max(amps.shape[1] * math.prod(shape[1:]), len(amps)))
     xs = grids[0].xs()
-    for lo in range(0, xs.size, rows):
-        first = profiles[0].samples(xs[lo : lo + rows] - keys[:, :1])
-        re, im = (_contract(part.T, first, rest) for part in (amps.real, amps.imag))
+    starts = np.arange(0, xs.size, rows)
+    # the reach is widened by the rounding of each band's ends and of xi - key,
+    # so a group left out of a band has samples of exactly 0.0 on its block
+    reach = profiles[0]._reach
+    reach += 2.0 * np.finfo(float).eps * (reach + max(abs(xs[0]), abs(xs[-1])))
+    firsts = np.searchsorted(keys[:, 0], xs[starts] - reach, side="left")
+    lasts = np.searchsorted(keys[:, 0], xs[np.minimum(starts + rows, xs.size) - 1] + reach, side="right")
+    for lo, band in zip(starts.tolist(), map(slice, firsts.tolist(), lasts.tolist())):
+        first = profiles[0].samples(xs[lo : lo + rows] - keys[band, :1])
+        banded = [s[band] for s in rest]
+        re, im = (_contract(part[band].T, first, banded) for part in (amps.real, amps.imag))
         if form is None:
             out.real[:, lo : lo + rows], out.imag[:, lo : lo + rows] = re, im
         else:

@@ -26,14 +26,13 @@ elementwise, so records are bit-identical for any worker count or chunking.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .meter import Grid, MeterSpec, _check_grids, _integrate, _place_grids, _pointer_kernel
+from .meter import Grid, MeterSpec, _check_grids, _integrate, _place_grids, _pointer_kernel, _write_csv
 from .paths import MeasurementChain, _branch_amplitudes
 from .rng import CHUNK, cdf_index, check_trials, map_chunks, uniform_block
 
@@ -111,17 +110,20 @@ class TrialSet:
         )
 
     def write_csv(self, path) -> None:
-        # the rows csv.writer would write: each Python float as its repr,
-        # formatted once per distinct bit pattern, as readings lie on grid nodes
-        columns = []
+        # each Python float as its repr, formatted once per distinct bit
+        # pattern, as readings lie on grid nodes
+        texts, indices = [], []
         for r in range(self.n_meters):
             bits, inverse = np.unique(self.readings[:, r].view(np.int64), return_inverse=True)
-            text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
-            columns.append(text[inverse].tolist())
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(["trial_id"] + [f"reading_{r}" for r in range(self.n_meters)] + ["branch"])
-            rows = zip(map(str, range(self.n_trials)), *columns, map(str, self.branches.tolist()))
-            fh.writelines(",".join(row) + "\r\n" for row in rows)
+            texts.append(np.array([repr(v) for v in bits.view(float).tolist()], dtype=object))
+            indices.append(inverse)
+
+        def columns(lo, hi):
+            readings = [text[index[lo:hi]].tolist() for text, index in zip(texts, indices)]
+            return [map(str, range(lo, hi)), *readings, map(str, self.branches[lo:hi].tolist())]
+
+        header = ["trial_id"] + [f"reading_{r}" for r in range(self.n_meters)] + ["branch"]
+        _write_csv(path, header, self.n_trials, columns)
 
 
 def sample_trials(

@@ -25,6 +25,7 @@ from qpathnet import (
     PointerProfile,
     Propagator,
     StateVector,
+    grouped_amplitudes,
     joint_reading_distribution,
     path_amplitudes,
     reading_distribution,
@@ -146,6 +147,128 @@ def test_zero_amplitude_group(shape):
     ]
     _assert_matches_brute_force(chain, meters, POINTS[2])
     _assert_matches_brute_force(chain, meters[:1], POINTS[1])
+
+
+# an asymmetric unit template on [-1, 0.4], nonzero at both ends
+_ASYMMETRIC_XS = np.linspace(-1.0, 0.4, 29)
+_ASYMMETRIC = (1.0 + _ASYMMETRIC_XS) * (0.4 - _ASYMMETRIC_XS) + 0.1
+_ASYMMETRIC /= math.sqrt(np.trapezoid(_ASYMMETRIC**2, _ASYMMETRIC_XS))
+
+# first meters whose reach is below the gap of their values, so that bands
+# drop groups: the eigenvalues of each step, the profile, and the axis-0 step
+# for one meter and for more
+BANDED = {
+    # nodes k +- 0.5, on the half-jump edges of the integer values k
+    "rectangular-edges": ([0.0, 1.0], PointerProfile.rectangular(1.0), (0.25, 0.5)),
+    # values 150 apart, over twice the reach of 54.6 widths: nodes between
+    # them, such as 75, are reached by no group
+    "gaussian-spread": ([0.0, 150.0], PointerProfile.gaussian(1.0), (5.0, 20.0)),
+    # nodes k - 1, on the template's left end
+    "asymmetric-tabulated": ([0.0, 1.0], PointerProfile.tabulated(_ASYMMETRIC_XS, _ASYMMETRIC), (0.25, 0.5)),
+}
+
+
+def _banded_case(case, n_meters):
+    """A chain, its meters and their grids; coarser axis-0 grids and later
+    axes of few nodes keep the brute-force loops small for every R."""
+    eigenvalues, first, (one, more) = BANDED[case]
+    scale = eigenvalues[1]
+    chain = random_chain(np.random.default_rng(len(case) + n_meters), 2, 3, eigenvalues=eigenvalues)
+    functionals = [
+        PathFunctional.weighted_steps([1.0, 1.0, 1.0]),
+        PathFunctional.step_eigenvalue(1),
+        PathFunctional.weighted_steps([1.0, -1.0, 0.0]),
+    ][:n_meters]
+    profiles = [first, PointerProfile.gaussian(0.2 * scale), PointerProfile.rectangular(0.3 * scale)][:n_meters]
+    steps = [one if n_meters == 1 else more] + [4.0 * p.width for p in profiles[1:]]
+    grids = [
+        Grid.cover(f.values(chain), p.width, pad=5.0, step=h) for f, p, h in zip(functionals, profiles, steps)
+    ]
+    return chain, [MeterSpec(f, p) for f, p in zip(functionals, profiles)], grids
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 50])
+@pytest.mark.parametrize("n_meters", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(BANDED))
+def test_banded_blocks_match_brute_force(monkeypatch, case, n_meters, block_cells):
+    chain, meters, grids = _banded_case(case, n_meters)
+    monkeypatch.setattr(meter_module, "KERNEL_BLOCK_CELLS", block_cells)
+    joint = joint_reading_distribution(chain, meters, grids)
+    values = [m.functional.values(chain) for m in meters]
+    brute = brute_force_joint_density(
+        path_amplitudes(chain), values, [m.profile for m in meters], [g.xs() for g in grids]
+    )
+    assert np.allclose(joint.density, brute, rtol=1e-10, atol=1e-12)
+    # only exact zeros are left out: a term dropped above the tolerance's
+    # floor would leave a zero where the oracle has none
+    assert np.array_equal(joint.density == 0.0, brute == 0.0)
+    if case == "gaussian-spread":
+        # axis-0 nodes with an empty band hold exact zeros
+        assert np.all(joint.density.reshape(grids[0].n, -1) == 0.0, axis=1).any()
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 50])
+@pytest.mark.parametrize("n_meters", [1, 2, 3])
+def test_all_zero_amplitude_column(monkeypatch, n_meters, block_cells):
+    chain, meters, grids = _banded_case("rectangular-edges", n_meters)
+    profiles, axes = [m.profile for m in meters], [g.xs() for g in grids]
+    keys, amps = grouped_amplitudes(chain, [m.functional for m in meters])
+    columns = np.stack([amps, np.zeros_like(amps), 1j * amps[::-1]], axis=1)
+    monkeypatch.setattr(meter_module, "KERNEL_BLOCK_CELLS", block_cells)
+    pointer = meter_module._pointer_kernel(columns, keys, profiles, grids)
+    for c in (0, 2):
+        brute = brute_force_joint_density(columns[:, c], keys.T, profiles, axes)
+        assert np.allclose(np.abs(pointer[c]) ** 2, brute, rtol=1e-10, atol=1e-12)
+    assert not pointer[1].any()
+    # alone, the zero column leaves no group to contract
+    assert not meter_module._pointer_kernel(columns[:, 1:2], keys, profiles, grids).any()
+
+
+@given(
+    shape=st.sampled_from(SHAPES + ("asymmetric-tabulated",)),
+    width=st.floats(1e-8, 1e8),
+    stretch=st.floats(0.5, 2.0),
+    beyond=st.lists(st.floats(1e-15, 1e3), min_size=1, max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_samples_are_zero_beyond_the_reach(shape, width, stretch, beyond):
+    """The kernel's bands leave out only groups beyond the reach, so samples
+    there must be exactly 0.0: no band can drop a nonzero term.  The
+    asymmetric template, stretched, ends at -stretch with a nonzero value,
+    where width * stretch is rounded."""
+    if shape == "asymmetric-tabulated":
+        xs, values = _ASYMMETRIC_XS * stretch, _ASYMMETRIC / math.sqrt(stretch)
+        profile = PointerProfile.tabulated(xs, values, width)
+    else:
+        profile = _profile(shape, width)
+    reach = profile._reach
+    xi = np.array([np.nextafter(reach, math.inf)] + [reach * (1.0 + b) for b in beyond])
+    assert np.all(profile.samples(np.concatenate([xi, -xi])) == 0.0)
+    if shape == "rectangular":
+        # the half-jump edges lie within the reach
+        assert np.all(profile.samples(np.array([-width / 2.0, width / 2.0])) > 0.0)
+
+
+def test_narrow_meter_samples_few_groups_per_node(monkeypatch):
+    """256 values one apart, a rectangular meter of width 0.5 on its default
+    grid: a block of 128 nodes 0.0025 apart, widened by the reach on both
+    sides, spans less than 1, so its band is at most one group and axis 0
+    takes at most one sample per node, where a contraction over every group
+    takes 256."""
+    chain = random_chain(np.random.default_rng(256), 2, 8, eigenvalues=[0.0, 1.0])
+    functional = PathFunctional.weighted_steps([2.0**k for k in range(8)])
+    assert len(grouped_amplitudes(chain, [functional])[0]) == 256
+    evaluated = []
+    samples = PointerProfile.samples
+
+    def counted(self, xi):
+        evaluated.append(np.size(xi))
+        return samples(self, xi)
+
+    monkeypatch.setattr(PointerProfile, "samples", counted)
+    dist = reading_distribution(chain, MeterSpec(functional, PointerProfile.rectangular(0.5)))
+    assert sum(evaluated) <= dist.grids[0].n
+    assert dist.norm > 0.0
 
 
 def test_ten_step_two_meter_chain_marginal_means():

@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 
@@ -627,3 +628,12 @@ class TestSerialization:
         xi, density = first.split(",")
         assert float(xi) == pytest.approx(dist.grids[0].start)
         assert float(density) == pytest.approx(dist.density[0])
+        # the bytes of row-by-row csv.writer formatting, over several write blocks
+        assert dist.grids[0].n > 2 * 1024
+        rows = tmp_path / "rows.csv"
+        with open(rows, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["xi", "density"])
+            for x, d in zip(dist.grids[0].xs(), dist.density):
+                writer.writerow([repr(float(x)), repr(float(d))])
+        assert path.read_bytes() == rows.read_bytes()
