@@ -53,7 +53,6 @@ from .paths import (
     amplitude_distribution,
     enumerate_paths,
     grouped_amplitudes,
-    path_amplitude,
     path_amplitudes,
     relative_amplitudes,
     strong_mean,

@@ -13,8 +13,9 @@ the amplitude-weighted mean.
 
 Numerics: one kernel serves 1 or R meters, every density and both draws: it
 contracts amplitude columns, grouped by their tuple of values, with per-axis
-profile samples, block by block, into M or, through a class-pair form, |M|^2,
-held with its grids in one PointerDistribution for 1 or R axes.  Each block
+profile samples, block by block, into M, and squares nothing; each reader
+squares its own blocks, a density into |M|^2, held with its grids in one
+PointerDistribution for 1 or R axes.  Each block
 of the first axis contracts only the groups within the first profile's reach
 of it (beyond the reach samples() is exactly 0.0), so only exact zeros are
 skipped.
@@ -392,35 +393,23 @@ def _contract(weights: np.ndarray, first: np.ndarray, rest: list) -> np.ndarray:
     return np.einsum(f"zag,{','.join('g' + c for c in axes)}->za{axes}", lead, *rest)
 
 
-def _pair_form(re: np.ndarray, im: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
-    """out = sum_{k,k'} Re(M_k conj M_k') q[k, k'] over axis 0 of M = re + i im,
-    for every entry of the rows M_k (the classes, each of out's shape)."""
-    re, im = re.reshape(len(q), -1), im.reshape(len(q), -1)
-    form, im_form = np.dot(q, re), np.dot(q, im)
-    form *= re
-    im_form *= im
-    form += im_form
-    np.sum(form.reshape(len(q), *out.shape), axis=0, out=out)
-
-
-def _pointer_kernel(amps: np.ndarray, keys: np.ndarray, profiles, grids, form=None) -> np.ndarray:
-    """M_c(xi) = sum_g amps[g, c] prod_r G_r(xi_r - keys[g, r]) on the grids, in
-    blocks of axis 0: complex M, one row per column c, without a form; with a
-    K x K class-pair form q, for each of the B = C / K outputs b the row
-    sum_{k,k'} Re(M_{kB+b} conj M_{k'B+b}) q[k, k'], which is |M_b|^2 for K = 1.
+def _pointer_blocks(amps: np.ndarray, keys: np.ndarray, profiles, grids):
+    """M_c(xi) = sum_g amps[g, c] prod_r G_r(xi_r - keys[g, r]) on the grids, as
+    (block, re, im) for each block of axis 0: re and im hold one row per column
+    c of M's real and imaginary parts on the nodes block x later axes.  The
+    grids and the later axes' samples of every group, all held at once, are
+    checked on the call; the blocks are contracted as they are taken.
 
     Each block contracts only its band: the groups whose axis-0 key lies
     within the axis-0 profile's reach of the block.  The others would add
     exact zeros, so nothing is approximated."""
-    _check_grids(keys, profiles, grids)
     # the groups of nonzero amplitude, by axis-0 key, so each band is a slice
     keep = np.flatnonzero(np.any(amps != 0, axis=1))
+    _check_grids(keys, profiles, grids, math.prod(g.n for g in grids) + keep.size * sum(g.n for g in grids[1:]))
     keep = keep[np.argsort(keys[keep, 0], kind="stable")]
     amps, keys = amps[keep], keys[keep]
     rest = [p.samples(g.xs() - keys[:, r, None]) for r, (p, g) in enumerate(zip(profiles, grids)) if r]
     shape = tuple(g.n for g in grids)
-    n_out = amps.shape[1] if form is None else amps.shape[1] // len(form)
-    out = np.empty((n_out, *shape), dtype=complex if form is None else float)
     rows = max(1, KERNEL_BLOCK_CELLS // max(amps.shape[1] * math.prod(shape[1:]), len(amps)))
     xs = grids[0].xs()
     starts = np.arange(0, xs.size, rows)
@@ -430,15 +419,14 @@ def _pointer_kernel(amps: np.ndarray, keys: np.ndarray, profiles, grids, form=No
     reach += 2.0 * np.finfo(float).eps * (reach + max(abs(xs[0]), abs(xs[-1])))
     firsts = np.searchsorted(keys[:, 0], xs[starts] - reach, side="left")
     lasts = np.searchsorted(keys[:, 0], xs[np.minimum(starts + rows, xs.size) - 1] + reach, side="right")
-    for lo, band in zip(starts.tolist(), map(slice, firsts.tolist(), lasts.tolist())):
+
+    def block(lo: int, band: slice):
         first = profiles[0].samples(xs[lo : lo + rows] - keys[band, :1])
         banded = [s[band] for s in rest]
         re, im = (_contract(part[band].T, first, banded) for part in (amps.real, amps.imag))
-        if form is None:
-            out.real[:, lo : lo + rows], out.imag[:, lo : lo + rows] = re, im
-        else:
-            _pair_form(re, im, form, out[:, lo : lo + rows])
-    return out
+        return slice(lo, lo + rows), re, im
+
+    return map(block, starts.tolist(), map(slice, firsts.tolist(), lasts.tolist()))
 
 
 def _integrate(density: np.ndarray, weights) -> np.ndarray:
@@ -497,9 +485,16 @@ def _distribution(keys: np.ndarray, amps: np.ndarray, profiles, grids=None) -> P
     over every amplitude column b (a 1-d amps is one column), on the grids."""
     grids = _place_grids(keys, profiles, grids)
     columns = amps.reshape(len(keys), -1)
-    (density,) = _pointer_kernel(columns[:, :1], keys, profiles, grids, np.ones((1, 1)))
-    for b in range(1, columns.shape[1]):
-        density += _pointer_kernel(columns[:, b : b + 1], keys, profiles, grids, np.ones((1, 1)))[0]
+    density = None
+    for b in range(columns.shape[1]):
+        blocks = _pointer_blocks(columns[:, b : b + 1], keys, profiles, grids)
+        if density is None:  # once the kernel has checked the grids
+            density = np.zeros(tuple(g.n for g in grids))
+        for block, re, im in blocks:
+            re *= re
+            im *= im
+            re += im
+            density[block] += re[0]
     return PointerDistribution(grids, density)
 
 
@@ -507,7 +502,11 @@ def final_pointer_state(
     dist: AmplitudeDistribution, profile: PointerProfile, grid: Grid
 ) -> np.ndarray:
     """Pointer amplitude samples M(xi) = sum_m A_m G(xi - f_m)."""
-    return _pointer_kernel(dist.amplitudes[:, None], dist.support[:, None], [profile], [grid])[0]
+    blocks = _pointer_blocks(dist.amplitudes[:, None], dist.support[:, None], [profile], [grid])
+    state = np.empty(grid.n, dtype=complex)
+    for block, re, im in blocks:
+        state.real[block], state.imag[block] = re[0], im[0]
+    return state
 
 
 def pointer_distribution(
@@ -649,9 +648,5 @@ def weak_limit_report(chain: MeasurementChain, functional: PathFunctional, width
         raise ValueError("widths must be strictly increasing")
     dist = amplitude_distribution(chain, functional)
     weak = dist.weak_value()
-    return WeakLimitReport(widths, _sweep_means(dist, widths), weak)
-
-
-def _sweep_means(dist: AmplitudeDistribution, widths) -> tuple[float, ...]:
-    """Mean reading of a Gaussian meter on A(f) at each width, in closed form."""
-    return tuple(_moments(dist.support[:, None], dist.amplitudes, [PointerProfile.gaussian(w)])[1][0] for w in widths)
+    means = (_moments(dist.support[:, None], dist.amplitudes, [PointerProfile.gaussian(w)])[1][0] for w in widths)
+    return WeakLimitReport(widths, tuple(means), weak)

@@ -437,21 +437,6 @@ def path_amplitudes(chain: MeasurementChain) -> np.ndarray:
     return (tensor * closing[0]).reshape(-1)
 
 
-def path_amplitude(chain: MeasurementChain, path: VirtualPath) -> complex:
-    """Amplitude of a single path."""
-    path = tuple(path)
-    if len(path) != chain.n_steps:
-        raise ValueError(f"path length {len(path)} does not match {chain.n_steps} steps")
-    if any(not 0 <= i < chain.dim for i in path):
-        raise ValueError(f"path indices must lie in [0, {chain.dim})")
-    hops, closing = _edges(chain)
-    amp, prev = 1.0 + 0.0j, 0
-    for hop, i in zip(hops, path):
-        amp *= hop[i, prev]
-        prev = i
-    return complex(amp * closing[0, prev])
-
-
 def _cluster(values: np.ndarray) -> np.ndarray:
     """Each value replaced by the smallest member of its cluster: along the
     sorted values, neighbours at most MERGE_TOL apart chain into one cluster."""

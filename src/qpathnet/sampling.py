@@ -16,7 +16,8 @@ later axes read many distinct values, or the product grid is small next to
 the trial count, the first table spans every axis instead: the B x n_0 x
 ... x n_R-1 cell masses of the product grid, with no later axis left
 (_chain_rule_pays chooses, from the counts alone).  Either way one _ChainLaw
-builds its first table through the pointer kernel, with its exact numbers.
+builds its first table, with its exact numbers, from the pointer kernel's
+blocks of M, squared through class-pair forms (_pair_form).
 
 Reproducibility: trial i reads the uniforms at Philox stream positions
 (1 + L) i + c, with L the axes after the first table, c = 0 for that table
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meter import Grid, MeterSpec, _check_grids, _integrate, _place_grids, _pointer_kernel, _write_csv
+from .meter import Grid, MeterSpec, _check_grids, _integrate, _place_grids, _pointer_blocks, _write_csv
 from .paths import MeasurementChain, _branch_amplitudes
 from .rng import CHUNK, cdf_index, check_trials, map_chunks, uniform_block
 
@@ -241,17 +242,33 @@ def _gram(classes: np.ndarray, first: int, tables: list) -> np.ndarray:
     return q
 
 
+def _pair_form(blocks, q: np.ndarray, shape: tuple) -> np.ndarray:
+    """For each of the B = C / K outputs b (shape[0]), the density
+    sum_{k,k'} Re(M_{kB+b} conj M_{k'B+b}) q[k, k'] of the pointer kernel's
+    blocks of the C columns of M and a K x K class-pair form q."""
+    out = np.empty(shape)
+    for block, re, im in blocks:
+        rows = out[:, block]
+        re, im = re.reshape(len(q), -1), im.reshape(len(q), -1)
+        form, im_form = np.dot(q, re), np.dot(q, im)
+        form *= re
+        im_form *= im
+        form += im_form
+        np.sum(form.reshape(len(q), *rows.shape), axis=0, out=rows)
+    return out
+
+
 class _ChainLaw:
     """The (branch, readings) law on the grid nodes in reading order: a first
     table over axes 0..a-1 (a = 1 for the chain rule, R for the product
     grid), per-axis tables for the later axes, and the exact success
-    probability and mean readings.  The first table is the pointer kernel's
-    class-pair form times the cells' trapezoid weights: its coefficients sum
-    amps[g, b] per (cell of values on axes < a, class k of rows sharing their
-    values on axes a..R-1), column k B + b, and its form is
+    probability and mean readings.  The first table is a class-pair form of
+    the pointer kernel's blocks times the cells' trapezoid weights: its
+    coefficients sum amps[g, b] per (cell of values on axes < a, class k of
+    rows sharing their values on axes a..R-1), column k B + b, and its form is
     prod_{r>=a} O_r[k, k'], with O_r = (S_r w_r) S_r^T.  The exact means are
     the success row's marginals on axes < a and, on each later axis r, the
-    kernel's form of the success columns with (S_r w_r xi) S_r^T for O_r.
+    class-pair form of the success columns with (S_r w_r xi) S_r^T for O_r.
     Each later axis r is drawn from F(i) = sum over pairs k <= k' of classes
     (rows sharing their values on axes r..R-1) of Re(u_k conj u_k')
     T_r[k, k', i]: u sums the rows' A^b_g prod_{s<r} S_s[g, i_s] per class,
@@ -268,10 +285,11 @@ class _ChainLaw:
         levels = [_classes(index, r) for r in range(a, n_axes)]
         first, of_row = (levels or [_classes(index, a)])[0]
         cells, of_cell = _classes(index[:, :a], 0)
-        # cells of the masses, K x K forms, complex K x B x V coefficients, later
+        # cells of the masses, K x K forms, complex K x B x V coefficients, the
+        # kernel's samples of axes 1..a-1 for every cell of values, later
         # samples and two overlaps each, then the first axes' samples and pair tables
         held = n_columns * math.prod(g.n for g in grids[:a]) + (1 + n_axes - a) * len(first) ** 2
-        held += 2 * len(first) * n_columns * len(cells)
+        held += 2 * len(first) * n_columns * len(cells) + len(cells) * sum(g.n for g in grids[1:a])
         held += sum(v.size * (g.n + 2 * v.size) for v, g in zip(values[a:], grids[a:]))
         if levels:
             held += sum(v.size * g.n for v, g in zip(values[:a], grids[:a]))
@@ -286,8 +304,9 @@ class _ChainLaw:
         np.add.at(coef, (of_row, slice(None), of_cell), amps)
         coef = coef.reshape(-1, len(cells))
         cell_keys = np.stack([v[c] for v, c in zip(values, cells.T)], axis=1)
-        table = functools.partial(_pointer_kernel, keys=cell_keys, profiles=profiles[:a], grids=grids[:a])
-        masses = table(coef.T, form=_gram(first, a, overlap))
+        blocks = functools.partial(_pointer_blocks, keys=cell_keys, profiles=profiles[:a], grids=grids[:a])
+        shape = tuple(g.n for g in grids[:a])
+        masses = _pair_form(blocks(coef.T), _gram(first, a, overlap), (n_columns, *shape))
         first_weights = [g.weights() for g in grids[:a]]
         for s, w in enumerate(first_weights):
             masses *= w.reshape((-1,) + (1,) * (a - 1 - s))
@@ -296,7 +315,7 @@ class _ChainLaw:
         moments = [masses[0].sum(axis=tuple(s for s in range(a) if s != r)) @ x for r, x in enumerate(xs[:a])]
         for r in range(a, n_axes):
             form = _gram(first, a, [xi_overlap[s] if s == r else overlap[s] for s in range(n_axes)])
-            moments.append(_integrate(table(coef[::n_columns].T, form=form)[0], first_weights))
+            moments.append(_integrate(_pair_form(blocks(coef[::n_columns].T), form, (1, *shape))[0], first_weights))
         self.exact_means = tuple(float(m / self.success) if self.success > 0 else math.nan for m in moments)
         self.xs = xs
         self.shape = masses.shape

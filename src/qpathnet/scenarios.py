@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Observable, Propagator, StateVector
-from .meter import (
-    MeterSpec,
-    PointerProfile,
-    _moments,
-    _sweep_means,
-)
+from .meter import MeterSpec, PointerProfile, _moments, weak_limit_report
 from .paths import (
     ForbiddenTransitionError,
     MeasurementChain,
@@ -305,7 +300,7 @@ def _compute_check(preset: ScenarioPreset, name: str, mc_trials: int) -> float:
     if name == "strong_third_indicator_at_1":
         return amplitude_distribution(chain, PathFunctional.path_indicator((2,))).strong_probabilities().get(1.0, 0.0)
     if name == "sweep_limit":
-        return _sweep_means(amplitude_distribution(chain, functional), preset.sweep_widths[-1:])[0]
+        return weak_limit_report(chain, functional, preset.sweep_widths[-1:]).means[0]
     if name == "mc_success_fraction":
         trials = sample_trials(chain, [preset.meters[0]], mc_trials, seed=20_260_810)
         return trials.summary().success_rate

@@ -32,6 +32,7 @@ from qpathnet import (
     sample_trials,
 )
 from qpathnet import meter as meter_module
+from qpathnet import sampling as sampling_module
 from qpathnet.cli import main
 from qpathnet.meter import MAX_GRID_CELLS
 
@@ -207,6 +208,15 @@ def test_banded_blocks_match_brute_force(monkeypatch, case, n_meters, block_cell
         assert np.all(joint.density.reshape(grids[0].n, -1) == 0.0, axis=1).any()
 
 
+def _pointer(columns, keys, profiles, grids):
+    """M, one row per amplitude column, from the kernel's blocks; a node no
+    block reaches is left NaN."""
+    pointer = np.full((columns.shape[1], *(g.n for g in grids)), np.nan, dtype=complex)
+    for block, re, im in meter_module._pointer_blocks(columns, keys, profiles, grids):
+        pointer.real[:, block], pointer.imag[:, block] = re, im
+    return pointer
+
+
 @pytest.mark.parametrize("block_cells", [1, 7, 50])
 @pytest.mark.parametrize("n_meters", [1, 2, 3])
 def test_all_zero_amplitude_column(monkeypatch, n_meters, block_cells):
@@ -215,13 +225,13 @@ def test_all_zero_amplitude_column(monkeypatch, n_meters, block_cells):
     keys, amps = grouped_amplitudes(chain, [m.functional for m in meters])
     columns = np.stack([amps, np.zeros_like(amps), 1j * amps[::-1]], axis=1)
     monkeypatch.setattr(meter_module, "KERNEL_BLOCK_CELLS", block_cells)
-    pointer = meter_module._pointer_kernel(columns, keys, profiles, grids)
+    pointer = _pointer(columns, keys, profiles, grids)
     for c in (0, 2):
         brute = brute_force_joint_density(columns[:, c], keys.T, profiles, axes)
         assert np.allclose(np.abs(pointer[c]) ** 2, brute, rtol=1e-10, atol=1e-12)
     assert not pointer[1].any()
     # alone, the zero column leaves no group to contract
-    assert not meter_module._pointer_kernel(columns[:, 1:2], keys, profiles, grids).any()
+    assert not _pointer(columns[:, 1:2], keys, profiles, grids).any()
 
 
 @given(
@@ -395,3 +405,41 @@ class TestGridCap:
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), str(tmp_path / "out")]) == 3
         assert "profile.width" in capsys.readouterr().err
+
+
+class TestSamplesCountAgainstTheCap:
+    """The kernel holds each later axis's samples for every group at once:
+    1024 groups on 542 x 511 nodes hold 523k axis-1 samples beside the 277k
+    cells of the product grid.  Each cap below is refused only when the
+    samples are counted."""
+
+    CELLS, SAMPLES = 542 * 511, 1024 * 511
+
+    def _case(self, monkeypatch, cap):
+        chain = random_chain(np.random.default_rng(3), 2, 10, eigenvalues=[0.0, 1.0])
+        # binary weights, forwards and reversed: each of the 1024 paths its own group
+        weights = [2.0**k for k in range(10)]
+        meters = [
+            MeterSpec(PathFunctional.weighted_steps(w), PointerProfile.gaussian(1.0)) for w in (weights, weights[::-1])
+        ]
+        grids = [Grid(-5.0, 1033.0 / (n - 1), n) for n in (542, 511)]
+        keys, _ = grouped_amplitudes(chain, [m.functional for m in meters])
+        assert len(keys) == 1024 and math.prod(g.n for g in grids) == self.CELLS
+        monkeypatch.setattr(meter_module, "MAX_GRID_CELLS", cap)
+        return chain, meters, grids, keys
+
+    def test_joint_density_fails_before_allocating(self, monkeypatch):
+        cap = 600_000
+        assert self.CELLS < cap < self.CELLS + self.SAMPLES
+        chain, meters, grids, _ = self._case(monkeypatch, cap)
+        assert _peak_bytes(lambda: joint_reading_distribution(chain, meters, grids)) < 1 << 20
+
+    def test_product_grid_draw_fails_before_allocating(self, monkeypatch):
+        # the law holds the masses of both branches beside the kernel's
+        # samples, above this cap; the kernel's own count is below it
+        cap = 1_000_000
+        assert self.CELLS + self.SAMPLES < cap < 2 * self.CELLS + self.SAMPLES
+        chain, meters, grids, keys = self._case(monkeypatch, cap)
+        # the later axis's 1024 values make the chain rule's pair tables too many
+        assert not sampling_module._chain_rule_pays(keys, len(chain.branches()), grids, 10)
+        assert _peak_bytes(lambda: sample_trials(chain, meters, 10, seed=1, grids=grids)) < 1 << 20

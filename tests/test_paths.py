@@ -37,7 +37,6 @@ from qpathnet import (
     enumerate_paths,
     grouped_amplitudes,
     mean_reading,
-    path_amplitude,
     path_amplitudes,
     reading_distribution,
     relative_amplitudes,
@@ -137,8 +136,9 @@ class TestEnumeration:
 class TestAmplitudes:
     def test_orthogonality_kills_other_path(self):
         chain = single_step_chain([1, 0], [1, 0])
-        assert path_amplitude(chain, (0,)) == pytest.approx(1.0)
-        assert path_amplitude(chain, (1,)) == pytest.approx(0.0)
+        amps = path_amplitudes(chain)
+        assert amps[0] == pytest.approx(1.0)
+        assert amps[1] == pytest.approx(0.0)
 
     def test_product_values(self):
         # <phi|i><i|psi> for psi = (sqrt(.8), sqrt(.2)), phi = (1,1)/sqrt(2)
@@ -152,7 +152,8 @@ class TestAmplitudes:
         chain = random_chain(rng, 3, 2)
         amps = path_amplitudes(chain)
         for i, path in enumerate(enumerate_paths(chain)):
-            assert path_amplitude(chain, path) == pytest.approx(amps[i], abs=1e-12)
+            dist = amplitude_distribution(chain, PathFunctional.path_indicator(path))
+            assert dist.amplitudes[dist.support.tolist().index(1.0)] == pytest.approx(amps[i], abs=1e-12)
             assert path_amplitude_oracle(chain, path) == pytest.approx(amps[i], abs=1e-12)
 
     @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 3))
@@ -169,13 +170,6 @@ class TestAmplitudes:
             float(np.sum(np.abs(path_amplitudes(branch)) ** 2)) for branch in chain.branches()
         )
         assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_invalid_path(self):
-        chain = single_step_chain([1, 0], [0, 1])
-        with pytest.raises(ValueError):
-            path_amplitude(chain, (0, 1))
-        with pytest.raises(ValueError):
-            path_amplitude(chain, (2,))
 
 
 class TestAmplitudeDistribution:

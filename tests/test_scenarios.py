@@ -247,14 +247,14 @@ class TestVerificationBuildsOnce:
         # the weak marginals come from the moment rule and the draw's first
         # table spans axis 0 alone, so the kernel only ever fills one meter's axis
         axes = []
-        kernel = meter._pointer_kernel
+        kernel = meter._pointer_blocks
 
-        def spy(amps, keys, profiles, grids, form=None):
+        def spy(amps, keys, profiles, grids):
             axes.append(len(grids))
-            return kernel(amps, keys, profiles, grids, form)
+            return kernel(amps, keys, profiles, grids)
 
-        monkeypatch.setattr(meter, "_pointer_kernel", spy)
-        monkeypatch.setattr(sampling, "_pointer_kernel", spy)
+        monkeypatch.setattr(meter, "_pointer_blocks", spy)
+        monkeypatch.setattr(sampling, "_pointer_blocks", spy)
         assert main(["run", "preset:three-box", str(tmp_path), "--mode", "exact"]) == 0
         assert verify_preset(build_three_box(), mc_trials=2000).passed
         assert axes and set(axes) == {1}
