@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .paths import MAX_PATHS, PathCapError, enumerate_paths, path_amplitudes
-from .rng import cdf_index, check_trials, map_chunks, uniform_block
+from .rng import cdf_guide, cdf_index, check_trials, map_chunks, uniform_block
 
 WEIGHT_TOL = 1e-12
 
@@ -267,8 +267,9 @@ def classical_sample(
     """
     check_trials(n_trials)
     cdf = np.cumsum([p.probability for p in paths])
+    guide = cdf_guide(cdf, cdf[-1], min(cdf.size, n_trials))
     chunks = map_chunks(
-        n_trials, lambda lo, hi: cdf_index(cdf, cdf[-1], uniform_block(seed, lo, hi - lo)), max_workers
+        n_trials, lambda lo, hi: cdf_index(cdf, cdf[-1], uniform_block(seed, lo, hi - lo), guide), max_workers
     )
     return np.bincount(np.concatenate(chunks), minlength=cdf.size)
 

@@ -364,16 +364,18 @@ class GridCapError(ValueError):
         self.cells, self.width, self.step, self.pad, self.axis = cells, width, step, pad, axis
 
 
-def _check_grids(keys: np.ndarray, profiles, grids, cells: int | None = None) -> None:
+def _check_grids(keys: np.ndarray, profiles, grids, cells: int | None = None, samples: int = 0) -> None:
     """Refuse grids other than one per profile, more cells held on them (by
-    default the product grid's) than MAX_GRID_CELLS, naming the width of the
-    axis with most nodes, and grids not covering their axis's values."""
+    default the product grid's) plus samples of the later axes than
+    MAX_GRID_CELLS, and grids not covering their axis's values.  A refusal
+    names the width of the axis with most nodes or, where the samples hold
+    more than the cells, of the later axis with most nodes."""
     if len(grids) != len(profiles):
         raise ValueError("need one grid per meter")
     cells = math.prod(g.n for g in grids) if cells is None else cells
-    if cells > MAX_GRID_CELLS:
-        r = max(range(len(grids)), key=lambda i: grids[i].n)
-        raise GridCapError(cells, profiles[r].width, grids[r].step, axis=r)
+    if cells + samples > MAX_GRID_CELLS:
+        r = max(range(1 if samples > cells else 0, len(grids)), key=lambda i: grids[i].n)
+        raise GridCapError(cells + samples, profiles[r].width, grids[r].step, axis=r)
     for r, (profile, grid) in enumerate(zip(profiles, grids)):
         lo = keys[:, r].min() - MIN_PAD_WIDTHS * profile.width
         hi = keys[:, r].max() + MIN_PAD_WIDTHS * profile.width
@@ -405,7 +407,7 @@ def _pointer_blocks(amps: np.ndarray, keys: np.ndarray, profiles, grids):
     exact zeros, so nothing is approximated."""
     # the groups of nonzero amplitude, by axis-0 key, so each band is a slice
     keep = np.flatnonzero(np.any(amps != 0, axis=1))
-    _check_grids(keys, profiles, grids, math.prod(g.n for g in grids) + keep.size * sum(g.n for g in grids[1:]))
+    _check_grids(keys, profiles, grids, samples=keep.size * sum(g.n for g in grids[1:]))
     keep = keep[np.argsort(keys[keep, 0], kind="stable")]
     amps, keys = amps[keep], keys[keep]
     rest = [p.samples(g.xs() - keys[:, r, None]) for r, (p, g) in enumerate(zip(profiles, grids)) if r]
@@ -489,12 +491,16 @@ def _distribution(keys: np.ndarray, amps: np.ndarray, profiles, grids=None) -> P
     for b in range(columns.shape[1]):
         blocks = _pointer_blocks(columns[:, b : b + 1], keys, profiles, grids)
         if density is None:  # once the kernel has checked the grids
-            density = np.zeros(tuple(g.n for g in grids))
+            density = np.empty(tuple(g.n for g in grids))
+        # the blocks cover every node: column 0 stores, later columns add
         for block, re, im in blocks:
             re *= re
             im *= im
             re += im
-            density[block] += re[0]
+            if b:
+                density[block] += re[0]
+            else:
+                density[block] = re[0]
     return PointerDistribution(grids, density)
 
 

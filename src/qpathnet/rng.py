@@ -1,5 +1,5 @@
 """Counter-based uniform streams with stable per-trial positions, and the
-chunked thread-pool runner and inverse-CDF lookup that Monte-Carlo
+chunked thread-pool runner and guided inverse-CDF lookup that Monte-Carlo
 sampling and the classical comparator share.
 
 Trial i always consumes the same positions of one Philox stream keyed by the
@@ -73,12 +73,28 @@ def map_chunks(n_trials: int, draw_chunk, max_workers: int | None = None) -> lis
     return [draw_chunk(lo, hi) for lo, hi in bounds]
 
 
-def cdf_index(cdf: np.ndarray, total: float, u: np.ndarray) -> np.ndarray:
-    """For each uniform, the first entry of cdf above total * u (the last
-    entry if none is)."""
-    # sorted keys keep the bisections in cache; the input order is restored
-    order = np.argsort(u)
-    idx = np.empty(u.size, dtype=np.intp)
-    idx[order] = np.searchsorted(cdf, u[order] * total, side="right")
-    return np.minimum(idx, cdf.size - 1)
+def cdf_guide(cdf: np.ndarray, total: float, buckets: int) -> np.ndarray:
+    """Guide table of cdf_index (Chen and Asau's cutpoints): bucket j holds the
+    first entry of cdf above total * j / buckets, the last entry if none is."""
+    return np.searchsorted(cdf[:-1], total * np.arange(buckets) / buckets, side="right")
 
+
+def cdf_index(cdf: np.ndarray, total: float, u: np.ndarray, guide: np.ndarray) -> np.ndarray:
+    """For each uniform, the first entry of cdf above total * u (the last
+    entry if none is), from cdf's guide table: each lookup starts one bucket
+    below u's, which no rounding of u * total can overshoot, and steps forward
+    at most twice; the lookups left open are bisected."""
+    target = u * total
+    last = cdf.size - 1
+    idx = guide.take(np.maximum((u * guide.size).astype(np.intp) - 1, 0))
+    for _ in range(2):
+        idx += (idx < last) & (cdf.take(idx) <= target)
+    pending = np.flatnonzero((idx < last) & (cdf.take(idx) <= target))
+    if pending.size:
+        # sorted keys keep the bisections in cache
+        keys = target[pending]
+        order = np.argsort(keys)
+        found = np.empty(pending.size, dtype=np.intp)
+        found[order] = np.searchsorted(cdf, keys[order], side="right")
+        idx[pending] = np.minimum(found, last)
+    return idx

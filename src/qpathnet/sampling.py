@@ -11,6 +11,13 @@ grid: memory is O(B n_0 + sum_r P_r n_r) plus one chunk of trials (P_r
 pairs of row classes on axis r), and the cap on grid cells counts these
 cells, not the product grid's.
 
+Each law tabulates, once for the run's trial count, what trials would
+otherwise recompute (_ChainLaw.tabulate): a guide table of the first table's
+CDF (rng.cdf_guide), so most first lookups are a gather and at most two
+comparisons, and, where the first table's cells times the class pairs of
+the first later axis are at most the trials, that axis's coefficients per
+cell, which each trial gathers by its cell.
+
 A trial pays about P_r log2(n_r) table reads on each later axis, so where
 later axes read many distinct values, or the product grid is small next to
 the trial count, the first table spans every axis instead: the B x n_0 x
@@ -22,8 +29,10 @@ blocks of M, squared through class-pair forms (_pair_form).
 Reproducibility: trial i reads the uniforms at Philox stream positions
 (1 + L) i + c, with L the axes after the first table, c = 0 for that table
 and c = r for later axis r: R i + r in the chain-rule draw, i where the
-table spans every axis (see rng.uniform_block); every per-trial step is
-elementwise, so records are bit-identical for any worker count or chunking.
+table spans every axis (see rng.uniform_block); every per-trial step, and
+every per-cell one in its place, is elementwise, so records are
+bit-identical for any worker count or chunking, and for either side of the
+per-cell rule.
 """
 from __future__ import annotations
 
@@ -35,7 +44,7 @@ import numpy as np
 
 from .meter import Grid, MeterSpec, _check_grids, _integrate, _place_grids, _pointer_blocks, _write_csv
 from .paths import MeasurementChain, _branch_amplitudes
-from .rng import CHUNK, cdf_index, check_trials, map_chunks, uniform_block
+from .rng import CHUNK, cdf_guide, cdf_index, check_trials, map_chunks, uniform_block
 
 # Trials drawn at once within a chunk hold about this many per-trial values
 # (trials x (groups + pairs)); a law of few groups draws a whole chunk at once.
@@ -92,10 +101,11 @@ class TrialSet:
 
     def summary(self) -> TrialSummary:
         success = self.branches == 0
-        n_success = int(success.sum())
+        n_success = int(np.count_nonzero(success))
         meters = []
         for r in range(self.n_meters):
-            vals = self.readings[success, r]
+            # a 1-d mask on the column view: a 2-d (mask, r) index is slower
+            vals = self.readings[:, r][success]
             if vals.size:
                 mean = float(vals.mean())
                 se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
@@ -154,6 +164,7 @@ def sample_trials(
     law = _ChainLaw(keys, amps, profiles, grids, first_axes)
     if law.total <= 0.0:
         raise ValueError(_NOTHING_TO_SAMPLE)
+    law.tabulate(n_trials)
 
     readings = np.empty((n_trials, len(grids)))
     branches = np.empty(n_trials, dtype=np.intp)
@@ -220,6 +231,14 @@ def _class_sum(values: np.ndarray, rows) -> np.ndarray:
     return total
 
 
+def _pair_coefs(members: list, pairs: list, re: np.ndarray, im: np.ndarray) -> list:
+    """Re(u_k conj u_k') for each class pair (k, k'), where u_k sums the rows
+    members[k] of re + i im."""
+    u_re = [_class_sum(re, rows) for rows in members]
+    u_im = [_class_sum(im, rows) for rows in members]
+    return [u_re[k] * u_re[k2] + u_im[k] * u_im[k2] for k, k2 in pairs]
+
+
 def _classes(index: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
     """Classes of the rows that share their value indices on axes first..R-1,
     in lexicographic order: each class's indices on those axes, and the class
@@ -274,7 +293,8 @@ class _ChainLaw:
     T_r[k, k', i]: u sums the rows' A^b_g prod_{s<r} S_s[g, i_s] per class,
     and T_r is the cumulative sum of w_r S_r[k] S_r[k'] times
     m prod_{s>r} O_s[k, k'] (m = 1 on the diagonal, 2 off it).  Every array
-    is counted against the grid cap before any is built.
+    is counted against the grid cap before any is built; the tables that
+    tabulate adds for the draw hold at most n_trials values each.
     """
 
     def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids, first_axes: int):
@@ -289,12 +309,12 @@ class _ChainLaw:
         # kernel's samples of axes 1..a-1 for every cell of values, later
         # samples and two overlaps each, then the first axes' samples and pair tables
         held = n_columns * math.prod(g.n for g in grids[:a]) + (1 + n_axes - a) * len(first) ** 2
-        held += 2 * len(first) * n_columns * len(cells) + len(cells) * sum(g.n for g in grids[1:a])
+        held += 2 * len(first) * n_columns * len(cells)
         held += sum(v.size * (g.n + 2 * v.size) for v, g in zip(values[a:], grids[a:]))
         if levels:
             held += sum(v.size * g.n for v, g in zip(values[:a], grids[:a]))
             held += sum(math.comb(len(c) + 1, 2) << (g.n - 1).bit_length() for (c, _), g in zip(levels, grids[a:]))
-        _check_grids(keys, profiles, grids, held)
+        _check_grids(keys, profiles, grids, held, samples=len(cells) * sum(g.n for g in grids[1:a]))
         xs = [g.xs() for g in grids]
         samples = [None] * a + [p.samples(x - v[:, None]) for p, x, v in zip(profiles[a:], xs[a:], values[a:])]
         overlap = [None] * a + [(s * g.weights()) @ s.T for s, g in zip(samples[a:], grids[a:])]
@@ -352,26 +372,54 @@ class _ChainLaw:
         widest = max([len(keys)] + [len(pairs) for _, pairs, _ in self.axes])
         self.rows = max(1, min(CHUNK, SLICE_VALUES // widest))
 
+    def tabulate(self, n_trials: int) -> None:
+        """Build the read-only tables draw gathers from, once for n_trials
+        trials: the first table's guide of min(cells, n_trials) buckets and,
+        where its C cells times the P class pairs of the first later axis are
+        at most n_trials, that axis's coefficients for every cell (P x C)."""
+        self.guide = cdf_guide(self.cdf, self.total, min(self.cdf.size, n_trials))
+        self.cell_coefs = None
+        if not self.axes or self.cdf.size * len(self.axes[0][1]) > n_trials:
+            return
+        # each cell's coefficients by the per-trial arithmetic, a slice of cells at a time
+        members, pairs, _ = self.axes[0]
+        self.cell_coefs = np.empty((len(pairs), self.cdf.size))
+        for lo in range(0, self.cdf.size, self.rows):
+            hi = min(lo + self.rows, self.cdf.size)
+            branches, *drawn = np.unravel_index(np.arange(lo, hi), self.shape)
+            re, im = self._amplitudes(branches, drawn, len(drawn))
+            self.cell_coefs[:, lo:hi] = _pair_coefs(members, pairs, re, im)
+
+    def _amplitudes(self, branches, drawn, r, re=None, im=None):
+        """c_g = A^b_g prod_{s<r} S_s[g, i_s], real and imaginary parts by row:
+        from the amplitudes or, given re and im (the product over s < r - 1),
+        by one more factor in place."""
+        first = r - 1
+        if re is None:
+            at = self.amp_at + branches
+            re, im, first = self.amps_re.take(at), self.amps_im.take(at), 0
+        for s in range(first, r):
+            factor = self.samples[s].take(self.sample_at[s] + drawn[s])
+            re *= factor
+            im *= factor
+        return re, im
+
     def draw(self, u: np.ndarray, readings: np.ndarray, branches: np.ndarray) -> None:
         """Fill readings and branches for the trials whose uniforms are the
         rows of u: column 0 for the first table, column 1 + r - a for later
-        axis r; every step is elementwise per trial."""
-        branches[:], *drawn = np.unravel_index(cdf_index(self.cdf, self.total, u[:, 0]), self.shape)
+        axis r; every step is elementwise per trial.  The first later axis
+        gathers its coefficients by the trial's cell where tabulate built them."""
+        cell = cdf_index(self.cdf, self.total, u[:, 0], self.guide)
+        branches[:], *drawn = np.unravel_index(cell, self.shape)
         for r, i in enumerate(drawn):
             readings[:, r] = self.xs[r][i]
-        if not self.axes:
-            return
-        # c_g = A^b_g prod_{s<r} S_s[g, i_s], real and imaginary parts by row
-        at = self.amp_at + branches
-        re, im = self.amps_re.take(at), self.amps_im.take(at)
         a = len(drawn)
+        re = im = None
         for r, (members, pairs, pair_tables) in enumerate(self.axes, start=a):
-            for s in range(r - 1 if r > a else 0, r):
-                factor = self.samples[s].take(self.sample_at[s] + drawn[s])
-                re *= factor
-                im *= factor
-            u_re = [_class_sum(re, rows) for rows in members]
-            u_im = [_class_sum(im, rows) for rows in members]
-            coefs = [u_re[k] * u_re[k2] + u_im[k] * u_im[k2] for k, k2 in pairs]
+            if r == a and self.cell_coefs is not None:
+                coefs = self.cell_coefs.take(cell, axis=1)
+            else:
+                re, im = self._amplitudes(branches, drawn, r, re, im)
+                coefs = _pair_coefs(members, pairs, re, im)
             drawn.append(_bisect(pair_tables, self.xs[r].size, coefs, u[:, 1 + r - a]))
             readings[:, r] = self.xs[r][drawn[r]]

@@ -433,6 +433,9 @@ class TestSamplesCountAgainstTheCap:
         assert self.CELLS < cap < self.CELLS + self.SAMPLES
         chain, meters, grids, _ = self._case(monkeypatch, cap)
         assert _peak_bytes(lambda: joint_reading_distribution(chain, meters, grids)) < 1 << 20
+        # the axis-1 samples alone exceed the cap: only meter 1's width brings them under it
+        with pytest.raises(ValueError, match=r"widen meters\[1\]\.profile\.width \(1\.0\)"):
+            joint_reading_distribution(chain, meters, grids)
 
     def test_product_grid_draw_fails_before_allocating(self, monkeypatch):
         # the law holds the masses of both branches beside the kernel's

@@ -40,7 +40,7 @@ from qpathnet import (
 )
 from qpathnet import sampling
 from qpathnet.paths import _branch_amplitudes, grouped_amplitudes
-from qpathnet.rng import CHUNK, MAX_TRIALS, THREADS_ENV, cdf_index, uniform_block, worker_count
+from qpathnet.rng import CHUNK, MAX_TRIALS, THREADS_ENV, cdf_guide, cdf_index, uniform_block, worker_count
 from qpathnet.meter import _moments
 
 
@@ -73,6 +73,44 @@ class TestWorkerCount:
     def test_unparsable_env_var_means_one(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV, "many")
         assert worker_count() == 1
+
+
+def _cdf_case(lead, masses, tail, scale):
+    """A flat CDF with zero-mass runs: lead zeros, the masses, tail zeros."""
+    return np.cumsum(np.concatenate([np.zeros(lead), np.asarray(masses) * scale, np.zeros(tail)]))
+
+
+class TestGuidedLookup:
+    @given(
+        st.integers(0, 4),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=1, max_size=60),
+        st.integers(0, 4),
+        st.sampled_from([1e-300, 1.0, 1e300]),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(0, [1.0], 0, 1.0, 1.0, True, [])  # a single cell
+    @example(3, [0.0, 0.5, 0.0, 0.0, 0.25], 5, 1.0, 0.3, False, [0.5, 0.75])  # m < cells
+    # u = 5 / 15 rounds u * 15 up to 5, yet u * total lies below bucket 5's
+    # threshold and a CDF entry lies between them: a lookup started in u's
+    # own bucket would pass that entry
+    @example(0, [0.92, 0.09, 0.22, 0.33, 0.86, 0.1, 0.92, 0.15, 0.52, 0.86, 0.39, 0.68, 0.68, 0.51, 0.33],
+             0, 1.0, 1.0, False, [])
+    def test_equals_the_clipped_bisection(self, lead, masses, tail, scale, share, pairwise, us):
+        cdf = _cdf_case(lead, masses, tail, scale)
+        # the sampler's total is the pairwise sum of the masses, classical_sample's the CDF's last entry
+        total = np.diff(cdf, prepend=0.0).sum() if pairwise else cdf[-1]
+        if not total > 0.0:
+            return
+        buckets = max(1, round(share * cdf.size))
+        # the ends of the stream, and every uniform at a CDF entry or a bucket edge
+        edges = [cdf / total, np.arange(buckets) / buckets, np.nextafter(cdf / total, 0.0)]
+        u = np.concatenate([[0.0, 1.0 - 2.0**-53], us, *edges])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        expected = np.minimum(np.searchsorted(cdf, u * total, side="right"), cdf.size - 1)
+        assert np.array_equal(cdf_index(cdf, total, u, cdf_guide(cdf, total, buckets)), expected)
 
 
 class TestSampleTrials:
@@ -452,7 +490,8 @@ class TestChainRuleLaw:
         n, seed = 50_000, 31
         trials = sample_trials(chain, meters, n, seed=seed, grids=grids)
         masses = _oracle_masses(chain, meters, grids)
-        cells = cdf_index(np.cumsum(masses.reshape(-1)), masses.sum(), uniform_block(seed, 0, n))
+        cdf = np.cumsum(masses.reshape(-1))
+        cells = np.minimum(np.searchsorted(cdf, uniform_block(seed, 0, n) * masses.sum(), side="right"), cdf.size - 1)
         branches, *nodes = np.unravel_index(cells, masses.shape)
         assert np.array_equal(trials.branches, branches)
         for r, (g, i) in enumerate(zip(grids, nodes)):
@@ -514,6 +553,33 @@ class TestChunkInvariance:
         k = CHUNK + 1234
         long = sample_trials(chain, meters, 3 * CHUNK + 5, seed=13, grids=grids)
         short = sample_trials(chain, meters, k, seed=13, grids=grids)
+        assert np.array_equal(long.readings[:k], short.readings)
+        assert np.array_equal(long.branches[:k], short.branches)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("n_meters, step", [(2, 0.002), (3, 0.005)])
+    def test_prefix_across_the_per_cell_rule(self, monkeypatch, n_meters, step, workers):
+        # the first later axis's coefficients are tabulated per first-table
+        # cell where cells x class pairs <= trials: the short run falls below
+        # that count and gathers none, the long run gathers them
+        monkeypatch.setattr(sampling, "_chain_rule_pays", lambda *args: True)
+        laws = []
+
+        class Spy(sampling._ChainLaw):
+            def tabulate(self, n_trials):
+                super().tabulate(n_trials)
+                laws.append(self)
+
+        monkeypatch.setattr(sampling, "_ChainLaw", Spy)
+        chain, meters, grids = self._case(n_meters)
+        grids = [Grid.cover([0.0, 1.0], 0.5, step=step)] + grids[1:]
+        # 2 branches x axis-0 nodes x pairs of the 2^(R-1) classes of later values
+        per_cell = 2 * grids[0].n * math.comb(2 ** (n_meters - 1) + 1, 2)
+        k, n = per_cell - 1, 3 * CHUNK + 5
+        assert CHUNK < k < n
+        short = sample_trials(chain, meters, k, seed=13, grids=grids, max_workers=workers)
+        long = sample_trials(chain, meters, n, seed=13, grids=grids, max_workers=workers)
+        assert [law.cell_coefs is None for law in laws] == [True, False]
         assert np.array_equal(long.readings[:k], short.readings)
         assert np.array_equal(long.branches[:k], short.branches)
 
