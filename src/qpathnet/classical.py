@@ -266,6 +266,8 @@ def classical_sample(
     trials.
     """
     check_trials(n_trials)
+    if not paths:
+        raise ValueError("no paths to sample")
     cdf = np.cumsum([p.probability for p in paths])
     guide = cdf_guide(cdf, cdf[-1], min(cdf.size, n_trials))
     chunks = map_chunks(

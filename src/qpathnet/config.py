@@ -198,7 +198,8 @@ def _parse_profile(doc, where: str) -> PointerProfile:
     _require(shape in ("gaussian", "rectangular", "tabulated"), f"{where}.shape", "must be gaussian, rectangular or tabulated")
     width = _real(doc.get("width", None), f"{where}.width", positive=True)
     if shape == "gaussian":
-        return PointerProfile.gaussian(width)
+        with _field(f"{where}.width"):
+            return PointerProfile.gaussian(width)
     if shape == "rectangular":
         return PointerProfile.rectangular(width)
     xs = doc.get("xs")
@@ -304,6 +305,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
     widths = run_doc.get("widths", [])
     _require(isinstance(widths, list), "run.widths", "expected a list")
     widths = tuple(_real(w, f"run.widths[{i}]", positive=True) for i, w in enumerate(widths))
+    for i, w in enumerate(widths):
+        with _field(f"run.widths[{i}]"):
+            PointerProfile.gaussian(w)  # the sweep's profile
     _require(all(a < b for a, b in zip(widths, widths[1:])), "run.widths", "must be strictly increasing")
     _require(mode != "sweep" or bool(widths), "run.widths", "sweep mode needs a list of widths")
     grid_doc = run_doc.get("grid", {})

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,10 @@ class PointerProfile:
     def __post_init__(self):
         if not (math.isfinite(self.width) and self.width > 0):
             raise ValueError(f"profile width must be positive and finite, not {self.width}")
+        # a Gaussian computes w^2 times up to 8 (in its overlap): both must be normal floats
+        if self.shape == "gaussian" and not sys.float_info.min <= self.width * self.width <= sys.float_info.max / 8:
+            lo, hi = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max / 8)
+            raise ValueError(f"gaussian width must lie in [{lo:.4g}, {hi:.4g}], not {self.width}")
         if self.shape not in ("gaussian", "rectangular", "tabulated"):
             raise ValueError(f"unknown profile shape {self.shape!r}")
         if self.shape == "tabulated":
@@ -646,7 +651,7 @@ def weak_limit_report(chain: MeasurementChain, functional: PathFunctional, width
     """Gaussian-meter mean readings for increasing widths, in closed form.
 
     The error against the real part of the amplitude-weighted mean shrinks
-    as the width grows; no grid is built, so any positive width serves, from
+    as the width grows; no grid is built, so any Gaussian width serves, from
     the accurate end to the weak one.
     """
     widths = tuple(float(w) for w in widths)

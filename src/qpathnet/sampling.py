@@ -11,20 +11,20 @@ grid: memory is O(B n_0 + sum_r P_r n_r) plus one chunk of trials (P_r
 pairs of row classes on axis r), and the cap on grid cells counts these
 cells, not the product grid's.
 
-Each law tabulates, once for the run's trial count, what trials would
-otherwise recompute (_ChainLaw.tabulate): a guide table of the first table's
-CDF (rng.cdf_guide), so most first lookups are a gather and at most two
-comparisons, and, where the first table's cells times the class pairs of
-the first later axis are at most the trials, that axis's coefficients per
-cell, which each trial gathers by its cell.
-
 A trial pays about P_r log2(n_r) table reads on each later axis, so where
 later axes read many distinct values, or the product grid is small next to
 the trial count, the first table spans every axis instead: the B x n_0 x
-... x n_R-1 cell masses of the product grid, with no later axis left
-(_chain_rule_pays chooses, from the counts alone).  Either way one _ChainLaw
-builds its first table, with its exact numbers, from the pointer kernel's
-blocks of M, squared through class-pair forms (_pair_form).
+... x n_R-1 cell masses of the product grid, with no later axis left.  One
+_ChainLaw, built once for the run's trial count, is the whole law: it counts
+the row classes of each later axis, lets _chain_rule_pays choose the draw
+from those counts alone, and builds its first table, with its exact
+numbers, from the pointer kernel's blocks of M, squared through class-pair
+forms (_pair_form).  It also tabulates what trials would otherwise
+recompute: a guide table of the first table's CDF (rng.cdf_guide), so most
+first lookups are a gather and at most two comparisons, and, where the
+first table's cells times the class pairs of the first later axis are at
+most the trials, that axis's coefficients per cell, which each trial
+gathers by its cell.
 
 Reproducibility: trial i reads the uniforms at Philox stream positions
 (1 + L) i + c, with L the axes after the first table, c = 0 for that table
@@ -108,7 +108,11 @@ class TrialSet:
             vals = self.readings[:, r][success]
             if vals.size:
                 mean = float(vals.mean())
-                se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+                with np.errstate(over="ignore"):
+                    sd = vals.std(ddof=1) if vals.size > 1 else 0.0
+                if np.isinf(sd):  # readings whose squares leave the float range: scale them first
+                    sd = np.abs(vals).max() * (vals / np.abs(vals).max()).std(ddof=1)
+                se = float(sd / math.sqrt(vals.size))
             else:
                 mean, se = math.nan, math.nan
             meters.append(MeterSummary(mean, se, self.exact_means[r]))
@@ -155,16 +159,7 @@ def sample_trials(
     keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
     profiles = [m.profile for m in meters]
     grids = _place_grids(keys, profiles, grids)
-    # rows that vanish on every branch are neither drawn nor counted as classes
-    keep = np.any(amps != 0, axis=1)
-    if not keep.any():
-        raise ValueError(_NOTHING_TO_SAMPLE)
-    keys, amps = keys[keep], amps[keep]
-    first_axes = 1 if _chain_rule_pays(keys, amps.shape[1], grids, n_trials) else len(grids)
-    law = _ChainLaw(keys, amps, profiles, grids, first_axes)
-    if law.total <= 0.0:
-        raise ValueError(_NOTHING_TO_SAMPLE)
-    law.tabulate(n_trials)
+    law = _ChainLaw(keys, amps, profiles, grids, n_trials)
 
     readings = np.empty((n_trials, len(grids)))
     branches = np.empty(n_trials, dtype=np.intp)
@@ -179,18 +174,18 @@ def sample_trials(
     return TrialSet(seed, readings, branches, float(law.success / law.total), law.exact_means)
 
 
-def _chain_rule_pays(keys: np.ndarray, n_branches: int, grids, n_trials: int) -> bool:
+def _chain_rule_pays(n_groups: int, class_counts: list, n_branches: int, grids, n_trials: int) -> bool:
     """Whether a first table over axis 0 alone, with per-axis tables for the
     later axes, draws the trials for less memory and work than one table
     over every axis of the product grid.
 
     A later axis r costs each trial about G + P_r ceil(log2 n_r) table reads
-    (G groups; P_r pairs of the classes of rows sharing their values on axes
-    r..R-1), where the product grid costs its B prod_r n_r cells once for all
-    trials; one meter has no later axis and always pays."""
-    pairs = [math.comb(len(np.unique(keys[:, r:], axis=0)) + 1, 2) for r in range(1, len(grids))]
+    (G groups; P_r pairs of the class_counts[r - 1] classes of rows sharing
+    their values on axes r..R-1), where the product grid costs its B prod_r
+    n_r cells once for all trials; one meter has no later axis and pays."""
+    pairs = [math.comb(k + 1, 2) for k in class_counts]
     tables = sum(p * g.n for p, g in zip(pairs, grids[1:]))
-    per_trial = sum(len(keys) + p * (g.n - 1).bit_length() for p, g in zip(pairs, grids[1:]))
+    per_trial = sum(n_groups + p * (g.n - 1).bit_length() for p, g in zip(pairs, grids[1:]))
     cells = n_branches * math.prod(g.n for g in grids)
     return tables <= cells and n_trials * per_trial <= READS_PER_CELL * cells
 
@@ -278,31 +273,40 @@ def _pair_form(blocks, q: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class _ChainLaw:
-    """The (branch, readings) law on the grid nodes in reading order: a first
-    table over axes 0..a-1 (a = 1 for the chain rule, R for the product
-    grid), per-axis tables for the later axes, and the exact success
-    probability and mean readings.  The first table is a class-pair form of
-    the pointer kernel's blocks times the cells' trapezoid weights: its
-    coefficients sum amps[g, b] per (cell of values on axes < a, class k of
-    rows sharing their values on axes a..R-1), column k B + b, and its form is
-    prod_{r>=a} O_r[k, k'], with O_r = (S_r w_r) S_r^T.  The exact means are
-    the success row's marginals on axes < a and, on each later axis r, the
-    class-pair form of the success columns with (S_r w_r xi) S_r^T for O_r.
-    Each later axis r is drawn from F(i) = sum over pairs k <= k' of classes
-    (rows sharing their values on axes r..R-1) of Re(u_k conj u_k')
-    T_r[k, k', i]: u sums the rows' A^b_g prod_{s<r} S_s[g, i_s] per class,
-    and T_r is the cumulative sum of w_r S_r[k] S_r[k'] times
-    m prod_{s>r} O_s[k, k'] (m = 1 on the diagonal, 2 off it).  Every array
-    is counted against the grid cap before any is built; the tables that
-    tabulate adds for the draw hold at most n_trials values each.
+    """The (branch, readings) law on the grid nodes in reading order, for a
+    draw of n_trials trials: a first table over axes 0..a-1 (a = 1 for the
+    chain rule, R for the product grid, as _chain_rule_pays picks from the
+    law's own class counts), per-axis tables for the later axes, and the
+    exact success probability and mean readings.  The first table is a
+    class-pair form of the pointer kernel's blocks times the cells' trapezoid
+    weights: its coefficients sum amps[g, b] per (cell of values on axes < a,
+    class k of rows sharing their values on axes a..R-1), column k B + b, and
+    its form is prod_{r>=a} O_r[k, k'], with O_r = (S_r w_r) S_r^T.  The
+    exact means are the success row's marginals on axes < a and, on each
+    later axis r, the class-pair form of the success columns with
+    (S_r w_r xi) S_r^T for O_r.  Each later axis r is drawn from F(i) = sum
+    over pairs k <= k' of classes (rows sharing their values on axes
+    r..R-1) of Re(u_k conj u_k') T_r[k, k', i]: u sums the rows'
+    A^b_g prod_{s<r} S_s[g, i_s] per class, and T_r is the cumulative sum of
+    w_r S_r[k] S_r[k'] times m prod_{s>r} O_s[k, k'] (m = 1 on the diagonal,
+    2 off it).  Every array is counted against the grid cap before any is
+    built; the first table's guide and the first later axis's coefficients
+    per cell hold at most n_trials values each.
     """
 
-    def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids, first_axes: int):
-        n_axes, n_columns, a = len(grids), amps.shape[1], first_axes
+    def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids, n_trials: int):
+        # rows that vanish on every branch are neither drawn nor counted as classes
+        keep = np.any(amps != 0, axis=1)
+        if not keep.any():
+            raise ValueError(_NOTHING_TO_SAMPLE)
+        keys, amps = keys[keep], amps[keep]
+        n_axes, n_columns = len(grids), amps.shape[1]
         values, index = zip(*(np.unique(keys[:, r], return_inverse=True) for r in range(n_axes)))
         index = np.stack([i.reshape(-1) for i in index], axis=1)
+        levels = [_classes(index, r) for r in range(1, n_axes)]
+        a = 1 if _chain_rule_pays(len(keys), [len(c) for c, _ in levels], n_columns, grids, n_trials) else n_axes
         # the first table's classes are those of axis a (one class for a = R)
-        levels = [_classes(index, r) for r in range(a, n_axes)]
+        levels = levels[a - 1 :]
         first, of_row = (levels or [_classes(index, a)])[0]
         cells, of_cell = _classes(index[:, :a], 0)
         # cells of the masses, K x K forms, complex K x B x V coefficients, the
@@ -340,11 +344,15 @@ class _ChainLaw:
         self.xs = xs
         self.shape = masses.shape
         self.total = masses.sum()
+        if self.total <= 0.0:
+            raise ValueError(_NOTHING_TO_SAMPLE)
         self.cdf = masses.reshape(-1)
         np.cumsum(self.cdf, out=self.cdf)
+        # the first lookups' guide of min(cells, n_trials) buckets
+        self.guide = cdf_guide(self.cdf, self.total, min(self.cdf.size, n_trials))
         # uniforms per trial: one for the first table, one per later axis
         self.stride = 1 + len(levels)
-        self.axes, self.rows = [], CHUNK
+        self.axes, self.rows, self.cell_coefs = [], CHUNK, None
         if not levels:
             return
         # the draw reads these from axis 0 to R-2
@@ -371,34 +379,23 @@ class _ChainLaw:
         self.sample_at = [(index[:, s] * g.n)[:, None] for s, g in enumerate(grids)]
         widest = max([len(keys)] + [len(pairs) for _, pairs, _ in self.axes])
         self.rows = max(1, min(CHUNK, SLICE_VALUES // widest))
-
-    def tabulate(self, n_trials: int) -> None:
-        """Build the read-only tables draw gathers from, once for n_trials
-        trials: the first table's guide of min(cells, n_trials) buckets and,
-        where its C cells times the P class pairs of the first later axis are
-        at most n_trials, that axis's coefficients for every cell (P x C)."""
-        self.guide = cdf_guide(self.cdf, self.total, min(self.cdf.size, n_trials))
-        self.cell_coefs = None
-        if not self.axes or self.cdf.size * len(self.axes[0][1]) > n_trials:
-            return
-        # each cell's coefficients by the per-trial arithmetic, a slice of cells at a time
+        # where the C cells times the P class pairs of the first later axis are
+        # at most n_trials, that axis's coefficients for every cell (P x C), by
+        # the per-trial arithmetic, a slice of cells at a time
         members, pairs, _ = self.axes[0]
+        if self.cdf.size * len(pairs) > n_trials:
+            return
         self.cell_coefs = np.empty((len(pairs), self.cdf.size))
         for lo in range(0, self.cdf.size, self.rows):
             hi = min(lo + self.rows, self.cdf.size)
             branches, *drawn = np.unravel_index(np.arange(lo, hi), self.shape)
-            re, im = self._amplitudes(branches, drawn, len(drawn))
-            self.cell_coefs[:, lo:hi] = _pair_coefs(members, pairs, re, im)
+            self.cell_coefs[:, lo:hi] = _pair_coefs(members, pairs, *self._amplitudes(branches, drawn, a))
 
-    def _amplitudes(self, branches, drawn, r, re=None, im=None):
-        """c_g = A^b_g prod_{s<r} S_s[g, i_s], real and imaginary parts by row:
-        from the amplitudes or, given re and im (the product over s < r - 1),
-        by one more factor in place."""
-        first = r - 1
-        if re is None:
-            at = self.amp_at + branches
-            re, im, first = self.amps_re.take(at), self.amps_im.take(at), 0
-        for s in range(first, r):
+    def _amplitudes(self, branches, drawn, r):
+        """c_g = A^b_g prod_{s<r} S_s[g, i_s], real and imaginary parts by row."""
+        at = self.amp_at + branches
+        re, im = self.amps_re.take(at), self.amps_im.take(at)
+        for s in range(r):
             factor = self.samples[s].take(self.sample_at[s] + drawn[s])
             re *= factor
             im *= factor
@@ -408,18 +405,16 @@ class _ChainLaw:
         """Fill readings and branches for the trials whose uniforms are the
         rows of u: column 0 for the first table, column 1 + r - a for later
         axis r; every step is elementwise per trial.  The first later axis
-        gathers its coefficients by the trial's cell where tabulate built them."""
+        gathers its coefficients by the trial's cell where the law built them."""
         cell = cdf_index(self.cdf, self.total, u[:, 0], self.guide)
         branches[:], *drawn = np.unravel_index(cell, self.shape)
         for r, i in enumerate(drawn):
             readings[:, r] = self.xs[r][i]
         a = len(drawn)
-        re = im = None
         for r, (members, pairs, pair_tables) in enumerate(self.axes, start=a):
             if r == a and self.cell_coefs is not None:
                 coefs = self.cell_coefs.take(cell, axis=1)
             else:
-                re, im = self._amplitudes(branches, drawn, r, re, im)
-                coefs = _pair_coefs(members, pairs, re, im)
+                coefs = _pair_coefs(members, pairs, *self._amplitudes(branches, drawn, r))
             drawn.append(_bisect(pair_tables, self.xs[r].size, coefs, u[:, 1 + r - a]))
             readings[:, r] = self.xs[r][drawn[r]]

@@ -22,6 +22,7 @@ from qpathnet import (
     strong_mean,
 )
 from qpathnet.classical import to_connector, to_receptacle
+from qpathnet.rng import MAX_TRIALS
 
 
 def simple_network(weights, blocked=frozenset()):
@@ -323,6 +324,15 @@ class TestClassicalSampling:
         counts = classical_sample(classical_paths(net), n, seed=12)
         sigma = math.sqrt(n * 0.125 * 0.875)
         assert all(abs(c - n * 0.125) <= 3 * sigma for c in counts)
+
+    def test_an_empty_path_list_is_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="no paths to sample"):
+                classical_sample([], MAX_TRIALS, seed=0)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     def test_reproducible_and_worker_independent(self):
         paths = classical_paths(uniform_two_layer_network())

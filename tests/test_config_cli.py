@@ -585,7 +585,7 @@ class TestCliEntryPoint:
         "edit, field, pad_named",
         [
             # the support's span over a step of width / 200 overflows the node count
-            (lambda doc: doc["meters"].append(dict(doc["meters"][0], profile={"shape": "gaussian", "width": 1e-320})),
+            (lambda doc: doc["meters"].append(dict(doc["meters"][0], profile={"shape": "rectangular", "width": 1e-320})),
              "meters[1].profile.width", False),
             # no width brings the pad's nodes back under the cap
             (lambda doc: doc["run"].update(grid={"pad": 1e308}), "meters[0].profile.width", True),
@@ -736,13 +736,44 @@ class TestCliEntryPoint:
         assert main(["run", str(path), str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["projector", "minus-hundred", "difference", "three-box"])
+    def test_extreme_widths_exit_cleanly(self, tmp_path, capsys, name):
+        # a Gaussian width whose square left the float range raised
+        # OverflowError, or wrote a NaN that the summary refused unnamed; the
+        # readings of a rectangular width of 1e200 overflowed the sample
+        # summary's spread
+        preset = build_preset(name)
+        base = export_config(preset.name, preset.chain, preset.meters, RunSettings(widths=preset.sweep_widths))
+        for value in (1e-300, 1e-200, 1e200, 1e300):
+            cases = []
+            for i, meter in enumerate(base["meters"]):
+                doc = copy.deepcopy(base)
+                doc["meters"][i]["profile"]["width"] = value
+                cases.append((doc, f"meters[{i}].profile.width", meter["profile"]["shape"] == "gaussian"))
+            doc = copy.deepcopy(base)
+            widths = doc["run"]["widths"]
+            doc["run"]["widths"] = [value] + widths if value < 1.0 else widths + [value]
+            cases.append((doc, f"run.widths[{0 if value < 1.0 else len(widths)}]", True))
+            for doc, field, gaussian in cases:
+                path = tmp_path / "cfg.json"
+                path.write_text(json.dumps(doc))
+                for mode in ("exact", "sweep", "sample", "classical"):
+                    out = tmp_path / f"{len(list(tmp_path.iterdir()))}"
+                    code = main(["run", str(path), str(out), "--mode", mode, "--trials", "1000"])
+                    err = capsys.readouterr().err
+                    assert code in ((2,) if gaussian else (0, 2, 3)), (field, value, mode, err)
+                    if gaussian:
+                        assert f"{field}: gaussian width must lie in" in err
+                    written = [f.read_text().lower() for f in out.glob("*")] if out.exists() else []
+                    assert not any("nan" in text for text in written), (field, value, mode)
+
     def test_grid_step_reaches_every_grid_of_the_run(self, tmp_path, monkeypatch):
         law_grids = []
 
         class Spy(sampling._ChainLaw):
-            def __init__(self, keys, amps, profiles, grids, first_axes):
+            def __init__(self, keys, amps, profiles, grids, n_trials):
                 law_grids.append(grids)
-                super().__init__(keys, amps, profiles, grids, first_axes)
+                super().__init__(keys, amps, profiles, grids, n_trials)
 
         monkeypatch.setattr(sampling, "_ChainLaw", Spy)
         for mode in ("exact", "sample"):

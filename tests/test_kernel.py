@@ -444,5 +444,6 @@ class TestSamplesCountAgainstTheCap:
         assert self.CELLS + self.SAMPLES < cap < 2 * self.CELLS + self.SAMPLES
         chain, meters, grids, keys = self._case(monkeypatch, cap)
         # the later axis's 1024 values make the chain rule's pair tables too many
-        assert not sampling_module._chain_rule_pays(keys, len(chain.branches()), grids, 10)
+        classes = [len(np.unique(keys[:, 1]))]
+        assert not sampling_module._chain_rule_pays(len(keys), classes, len(chain.branches()), grids, 10)
         assert _peak_bytes(lambda: sample_trials(chain, meters, 10, seed=1, grids=grids)) < 1 << 20

@@ -98,6 +98,19 @@ class TestProfiles:
         with pytest.raises(ValueError, match="width"):
             PointerProfile.gaussian(0.0)
 
+    @pytest.mark.parametrize("width", [1e-300, 1e-155, 1.3e154, 1e300])
+    def test_gaussian_width_keeps_its_square_in_the_float_range(self, width):
+        # 2 pi w^2 overflowed to inf at 1.3e154, and samples(0.0) read 0.0
+        with pytest.raises(ValueError, match="gaussian width must lie in"):
+            PointerProfile.gaussian(width)
+
+    @pytest.mark.parametrize("width", [1.5e-154, 4.7e153])
+    def test_gaussian_widths_at_the_ends_of_the_range(self, width):
+        profile = PointerProfile.gaussian(width)
+        peak = profile.samples(0.0)
+        assert 0.0 < peak < math.inf and peak == pytest.approx((2.0 * math.pi) ** -0.25 / math.sqrt(width))
+        assert profile.autocorrelation(width) == pytest.approx(math.exp(-1.0 / 8.0))
+
     @pytest.mark.parametrize("width", [math.nan, math.inf])
     def test_width_must_be_finite(self, width):
         # `width <= 0` is False for NaN, which would reach a sweep as a NaN mean
@@ -150,7 +163,7 @@ class TestGrid:
 
     def test_a_refused_grid_of_one_meter_names_meter_zero(self):
         chain = random_chain(np.random.default_rng(3), 2, 2, eigenvalues=[1.0, -1.0])
-        meter = MeterSpec(PathFunctional.step_eigenvalue(0), PointerProfile.gaussian(1e-320))
+        meter = MeterSpec(PathFunctional.step_eigenvalue(0), PointerProfile.rectangular(1e-320))
         with pytest.raises(GridCapError, match=r"meters\[0\]\.profile\.width \(1e-320\)"):
             reading_distribution(chain, meter)
 
@@ -158,7 +171,7 @@ class TestGrid:
         chain = random_chain(np.random.default_rng(3), 2, 2, eigenvalues=[1.0, -1.0])
         meters = [
             MeterSpec(PathFunctional.step_eigenvalue(0), PointerProfile.gaussian(1.0)),
-            MeterSpec(PathFunctional.step_eigenvalue(1), PointerProfile.gaussian(1e-320)),
+            MeterSpec(PathFunctional.step_eigenvalue(1), PointerProfile.rectangular(1e-320)),
         ]
         with pytest.raises(GridCapError, match=r"meters\[1\]\.profile\.width \(1e-320\)"):
             joint_reading_distribution(chain, meters)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -41,7 +41,7 @@ from qpathnet import (
 from qpathnet import sampling
 from qpathnet.paths import _branch_amplitudes, grouped_amplitudes
 from qpathnet.rng import CHUNK, MAX_TRIALS, THREADS_ENV, cdf_guide, cdf_index, uniform_block, worker_count
-from qpathnet.meter import _moments
+from qpathnet.meter import _moments, _place_grids
 
 
 class TestUniformBlocks:
@@ -368,22 +368,75 @@ class TestDrawChoice:
     than the product grid's cells, and never holds more than that grid."""
 
     @staticmethod
-    def _keys(n_values):
-        # two branches' rows: meter 0 reads 0 or 1, meter 1 one of n_values
-        return np.array([[a, b / n_values] for a in (0.0, 1.0) for b in range(n_values)])
+    def _counts(n_values):
+        # the rows (meter 0 reads 0 or 1, meter 1 one of n_values) and the
+        # classes of meter 1's values
+        return 2 * n_values, [n_values]
 
     def test_few_values_on_later_axes_take_the_chain_rule(self):
-        assert sampling._chain_rule_pays(self._keys(2), 2, [Grid(-6.0, 0.005, 2601)] * 2, 500_000)
-        assert sampling._chain_rule_pays(self._keys(4), 2, [Grid(-6.0, 0.005, 2601)] * 2, 500_000)
+        assert sampling._chain_rule_pays(*self._counts(2), 2, [Grid(-6.0, 0.005, 2601)] * 2, 500_000)
+        assert sampling._chain_rule_pays(*self._counts(4), 2, [Grid(-6.0, 0.005, 2601)] * 2, 500_000)
 
     def test_many_values_on_later_axes_take_the_product_grid(self):
-        assert not sampling._chain_rule_pays(self._keys(100), 2, [Grid(-6.0, 0.005, 2601)] * 2, 500_000)
+        assert not sampling._chain_rule_pays(*self._counts(100), 2, [Grid(-6.0, 0.005, 2601)] * 2, 500_000)
         # tables larger than the product grid, whatever the trial count
-        assert not sampling._chain_rule_pays(self._keys(100), 2, [Grid(-6.0, 0.5, 5), Grid(-6.0, 0.005, 2601)], 1)
+        assert not sampling._chain_rule_pays(*self._counts(100), 2, [Grid(-6.0, 0.5, 5), Grid(-6.0, 0.005, 2601)], 1)
 
     def test_one_meter_always_takes_the_chain_rule(self):
-        keys = np.arange(5000.0)[:, None]
-        assert sampling._chain_rule_pays(keys, 3, [Grid(-6.0, 1.0, 5013)], MAX_TRIALS)
+        assert sampling._chain_rule_pays(5000, [], 3, [Grid(-6.0, 1.0, 5013)], MAX_TRIALS)
+
+    @given(
+        st.integers(1, 3),
+        # values 0, 0.5 or 1 on each axis, and whether the row lives on some branch
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.booleans()), max_size=12),
+        st.integers(1, 3),
+        st.sampled_from([1, 100, 10_000, MAX_TRIALS]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_the_law_counts_the_classes_of_its_kept_rows(self, n_axes, rows, n_branches, n_trials, seed):
+        alive = np.array([row[3] for row in rows], dtype=bool)
+        assume(alive.any())
+        keys = np.array([row[:n_axes] for row in rows], dtype=float) / 2.0
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=(len(rows), n_branches)) + 1j * rng.normal(size=(len(rows), n_branches))
+        amps[~alive] = 0.0
+        profiles, grids = [PointerProfile.gaussian(0.3)] * n_axes, [Grid(-1.6, 0.2, 22)] * n_axes
+        # the classes of the kept rows' values on axes r..R-1, counted over rows
+        kept = keys[alive]
+        counts = [len(np.unique(kept[:, r:], axis=0)) for r in range(1, n_axes)]
+        pays, seen = sampling._chain_rule_pays, []
+
+        def rule(*args):
+            seen.append(args[:2])
+            return pays(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "_chain_rule_pays", rule)
+            law = sampling._ChainLaw(keys, amps, profiles, grids, n_trials)
+        assert seen == [(len(kept), counts)]
+        # the chain rule leaves a first table over (branch, axis 0)
+        assert len(law.shape) == (2 if pays(len(kept), counts, n_branches, grids, n_trials) else 1 + n_axes)
+
+    @staticmethod
+    def _law(chain, meters, n_trials):
+        keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
+        profiles = [m.profile for m in meters]
+        return sampling._ChainLaw(keys, amps, profiles, _place_grids(keys, profiles), n_trials)
+
+    def test_the_benchmark_inputs_keep_their_draws(self):
+        # joint-sample's shape: two Gaussian(1.0) meters reading 0 or 1 on
+        # 2601-node axes, 500k trials: 5202 cells x 3 class pairs per cell
+        chain = random_chain(np.random.default_rng(1), 2, 2, eigenvalues=[0.0, 1.0])
+        meters = [MeterSpec(PathFunctional.step_eigenvalue(k), PointerProfile.gaussian(1.0)) for k in range(2)]
+        law = self._law(chain, meters, 500_000)
+        assert law.shape == (2, 2601) and law.cell_coefs is not None
+        # three-box's 7206 cells x 3 class pairs lie between cli-presets'
+        # 10k trials, drawn with per-trial coefficients, and 100k
+        preset = build_three_box()
+        laws = [self._law(preset.chain, list(preset.meters), n) for n in (10_000, 100_000)]
+        assert [law.shape for law in laws] == [(3, 2402)] * 2
+        assert [law.cell_coefs is None for law in laws] == [True, False]
 
 
 @pytest.fixture(params=["chain", "grid"])
@@ -456,7 +509,8 @@ class TestChainRuleLaw:
     the loop-built oracle density."""
 
     @pytest.mark.parametrize("n_meters, n_points", [(1, 40), (2, 25), (3, 9)])
-    def test_first_axis_table_is_the_marginal(self, n_meters, n_points):
+    def test_first_axis_table_is_the_marginal(self, monkeypatch, n_meters, n_points):
+        monkeypatch.setattr(sampling, "_chain_rule_pays", lambda *args: True)
         chain, meters, grids = _law_case(n_meters, n_points)
         keys, amps = _branch_amplitudes(chain, [m.functional for m in meters], chain.branches())
         law = sampling._ChainLaw(keys, amps, [m.profile for m in meters], grids, 1)
@@ -566,8 +620,8 @@ class TestChunkInvariance:
         laws = []
 
         class Spy(sampling._ChainLaw):
-            def tabulate(self, n_trials):
-                super().tabulate(n_trials)
+            def __init__(self, *args):
+                super().__init__(*args)
                 laws.append(self)
 
         monkeypatch.setattr(sampling, "_ChainLaw", Spy)
