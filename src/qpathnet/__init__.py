@@ -18,8 +18,6 @@ from .core import (
     Observable,
     Propagator,
     StateVector,
-    basis_state,
-    evolve,
     orthonormal_completion,
     robertson_check,
 )

@@ -17,10 +17,11 @@ chain_comparator, and means and sampling take either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
-from .paths import MAX_PATHS, PathCapError, enumerate_paths, path_amplitudes
+from .paths import MAX_PATHS, PathCapError, _format_count, enumerate_paths, path_amplitudes
 from .rng import cdf_guide, cdf_index, check_trials, map_chunks, uniform_block
 
 WEIGHT_TOL = 1e-12
@@ -138,33 +139,15 @@ class ClassicalNetwork:
 
 
 def _feed_order(network: ClassicalNetwork) -> list[str]:
-    """Every connector after every connector its outlets feed, by a
-    depth-first search with its own stack; a cycle is refused."""
-    adjacency = {name: [] for name in network.connectors}
+    """Every connector after every connector its outlets feed; a cycle is refused."""
+    feeds = {name: [] for name in network.connectors}
     for (name, _), target in network.wiring.items():
         if target[0] == "connector":
-            adjacency[name].append(target[1])
-    state: dict[str, int] = {}  # 1 while on the stack, 2 once finished
-    order: list[str] = []
-    for root in network.connectors:
-        if root in state:
-            continue
-        state[root] = 1
-        stack = [(root, iter(adjacency[root]))]
-        while stack:
-            node, feeds = stack[-1]
-            for nxt in feeds:
-                if state.get(nxt) == 1:
-                    raise ValueError(f"network wiring contains a cycle through {nxt!r}")
-                if nxt not in state:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    break
-            else:
-                state[node] = 2
-                order.append(node)
-                stack.pop()
-    return order
+            feeds[name].append(target[1])
+    try:
+        return list(TopologicalSorter(feeds).static_order())
+    except CycleError as exc:
+        raise ValueError(f"network wiring contains a cycle through {exc.args[1][0]!r}") from None
 
 
 def _check_path_count(network: ClassicalNetwork) -> None:
@@ -184,7 +167,7 @@ def _check_path_count(network: ClassicalNetwork) -> None:
     n = counts[entry_name, entry_inlet]
     if n > MAX_PATHS:
         raise PathCapError(
-            f"the network has {n} paths from its entry, above the cap MAX_PATHS = {MAX_PATHS}: "
+            f"the network has {_format_count(n)} paths from its entry, above the cap MAX_PATHS = {MAX_PATHS}: "
             "use fewer connectors in series"
         )
 

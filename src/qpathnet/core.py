@@ -79,15 +79,6 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def basis_state(dim: int, index: int) -> StateVector:
-    """Computational basis vector |index> (0-based)."""
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
-    amps = np.zeros(dim, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps)
-
-
 def orthonormal_completion(state: StateVector) -> tuple[StateVector, ...]:
     """dim-1 orthonormal vectors spanning the complement of `state`.
 
@@ -198,13 +189,6 @@ class Propagator:
             raise ValueError("time must be finite")
         v = self._eigenvectors
         return _readonly((v * np.exp(-1j * self._eigenvalues * t)) @ v.conj().T)
-
-
-def evolve(state: StateVector, prop: Propagator, t: float) -> StateVector:
-    """Apply U(t) to a state; norm is preserved to machine precision."""
-    if state.dim != prop.dim:
-        raise ValueError(f"dimension mismatch: state {state.dim} vs propagator {prop.dim}")
-    return StateVector(prop.unitary(t) @ state.amplitudes)
 
 
 def robertson_check(state: StateVector, a: Observable, b: Observable) -> tuple[float, float]:

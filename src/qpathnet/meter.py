@@ -43,6 +43,7 @@ from .paths import (
     PathFunctional,
     _branch_amplitudes,
     _edges,
+    _format_count,
     amplitude_distribution,
     grouped_amplitudes,
 )
@@ -127,7 +128,7 @@ class PointerProfile:
         xi = np.asarray(xi, dtype=float)
         w = self.width
         if self.shape == "gaussian":
-            return (2.0 * np.pi * w**2) ** (-0.25) * np.exp(-(xi**2) / (4.0 * w**2))
+            return (2.0 * np.pi * w**2) ** (-0.25) * _gaussian(xi, w, 4.0)
         if self.shape == "rectangular":
             half = w / 2.0
             edge_tol = 1e-9 * w
@@ -160,7 +161,7 @@ class PointerProfile:
         if moment and self.shape != "tabulated":
             return np.zeros_like(delta)
         if self.shape == "gaussian":
-            return np.exp(-(delta**2) / (8.0 * self.width**2))
+            return _gaussian(delta, self.width, 8.0)
         if self.shape == "rectangular":
             return np.maximum(0.0, 1.0 - np.abs(delta) / self.width)
         lags, tables = _unit_autocorrelation(self.with_width(1.0))
@@ -182,6 +183,19 @@ class PointerProfile:
 
     def __hash__(self):
         return hash(self._key())
+
+
+def _gaussian(x: np.ndarray, w: float, c: float) -> np.ndarray:
+    """exp(-x^2 / (c w^2)), c = 4 or 8.  Where x^2 overflows, the exponent is
+    taken as (x / 2w)^2 4/c instead; a quotient that still overflows is inf,
+    and exp(-inf) = 0 is exact."""
+    try:
+        with np.errstate(over="raise"):
+            return np.exp(-(x**2) / (c * w**2))
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            q = x**2 / (c * w**2)
+            return np.exp(-np.where(np.isinf(q), (x / (2.0 * w)) ** 2 * (4.0 / c), q))
 
 
 @functools.lru_cache(maxsize=8)
@@ -365,7 +379,7 @@ class GridCapError(ValueError):
         remedy = f"widen meters[{axis}].profile.width ({width}) or coarsen run.grid.step ({step})"
         if pad is not None:
             remedy += f" or narrow run.grid.pad ({pad})"
-        super().__init__(f"reading grids holding {cells:.0f} cells exceed MAX_GRID_CELLS = {MAX_GRID_CELLS}: {remedy}")
+        super().__init__(f"reading grids holding {_format_count(cells)} cells exceed MAX_GRID_CELLS = {MAX_GRID_CELLS}: {remedy}")
         self.cells, self.width, self.step, self.pad, self.axis = cells, width, step, pad, axis
 
 

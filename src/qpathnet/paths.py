@@ -17,6 +17,7 @@ that coincide exactly.  Values closer than MERGE_TOL are then joined into one.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -66,11 +67,24 @@ class PathCapError(ValueError):
     """A path list or a step of the walk above MAX_PATHS, refused before it exists."""
 
 
+def _format_count(n: int | float) -> str:
+    """A count for a message: exact below 2**53, else as %.3e.  A huge int is
+    scaled to about 17 digits first, since str() and float() of it may raise."""
+    if n < 2**53:
+        return f"{n:.0f}"
+    if isinstance(n, float):
+        return f"{n:.3e}"
+    n = int(n)
+    shift = max(0, int((n.bit_length() - 1) * math.log10(2)) - 17)
+    mantissa, exponent = f"{n / 10**shift:.3e}".split("e")
+    return f"{mantissa}e+{int(exponent) + shift}"
+
+
 def check_path_count(chain: "MeasurementChain", purpose: str) -> None:
     """Refuse to list the chain's dim^K virtual paths above MAX_PATHS."""
     if chain.n_paths > MAX_PATHS:
         raise PathCapError(
-            f"{purpose} lists all {chain.dim}^{chain.n_steps} = {chain.n_paths} virtual paths, "
+            f"{purpose} lists all {chain.dim}^{chain.n_steps} = {_format_count(chain.n_paths)} virtual paths, "
             f"above the cap MAX_PATHS = {MAX_PATHS}: shorten steps"
         )
 

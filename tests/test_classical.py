@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -38,6 +39,36 @@ def series_network(connectors):
     wiring = {(a, o): to_connector(b, o) for a, b in zip(names, names[1:]) for o in (0, 1)}
     wiring.update({(names[-1], o): to_receptacle(f"f{o}") for o in (0, 1)})
     return ClassicalNetwork({c.name: c for c in connectors}, wiring, (names[0], 0))
+
+
+def post_selected_network():
+    """The reference network cut after its first layer: a0 and a1 drop both
+    outlets into receptacles b0 and b1, crossed."""
+    connectors = {
+        "in": ClassicalConnector("in", np.array([[0.3, 0.3], [0.7, 0.7]])),
+        "a0": ClassicalConnector("a0", np.array([[0.6, 0.6], [0.4, 0.4]])),
+        "a1": ClassicalConnector("a1", np.array([[0.2, 0.2], [0.8, 0.8]])),
+    }
+    wiring = {
+        ("in", 0): to_connector("a0", 0),
+        ("in", 1): to_connector("a1", 0),
+        ("a0", 0): to_receptacle("b0"),
+        ("a0", 1): to_receptacle("b1"),
+        ("a1", 0): to_receptacle("b1"),
+        ("a1", 1): to_receptacle("b0"),
+    }
+    return ClassicalNetwork(connectors, wiring, ("in", 0))
+
+
+# one network of each wiring the tests below build (the feed order reads the
+# wiring, not the weights)
+NETWORKS = {
+    "one connector": lambda: simple_network(np.eye(2)),
+    "one blocked connector": lambda: simple_network(np.full((2, 2), 0.5), blocked=frozenset({1})),
+    "series": lambda: series_network([ClassicalConnector.uniform(f"c{i}") for i in range(40)]),
+    "two layers": uniform_two_layer_network,
+    "post-selected": post_selected_network,
+}
 
 
 class TestConnector:
@@ -101,6 +132,29 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match="cycle"):
             ClassicalNetwork({"a": a, "b": b}, wiring, ("a", 0))
 
+    def test_a_self_loop_is_a_cycle(self):
+        a = ClassicalConnector.uniform("a")
+        wiring = {("a", 0): to_connector("a", 1), ("a", 1): to_receptacle("f0")}
+        with pytest.raises(ValueError, match="network wiring contains a cycle through 'a'"):
+            ClassicalNetwork({"a": a}, wiring, ("a", 0))
+
+    def test_a_cycle_of_three_connectors_is_refused(self):
+        names = ("a", "b", "c")
+        wiring = {(x, 0): to_connector(y, 0) for x, y in zip(names, names[1:] + names[:1])}
+        wiring.update({(x, 1): to_receptacle(f"f{x}") for x in names})
+        with pytest.raises(ValueError, match="network wiring contains a cycle through '[abc]'"):
+            ClassicalNetwork({x: ClassicalConnector.uniform(x) for x in names}, wiring, ("a", 0))
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_the_feed_order_puts_each_connector_after_those_it_feeds(self, name):
+        network = NETWORKS[name]()
+        order = qpathnet.classical._feed_order(network)
+        assert sorted(order) == sorted(network.connectors)
+        position = {c: i for i, c in enumerate(order)}
+        for (c, _), target in network.wiring.items():
+            if target[0] == "connector":
+                assert position[c] > position[target[1]], (c, target)
+
 
 class TestClassicalPaths:
     def test_paths_above_the_cap_are_refused_before_any_is_listed(self, monkeypatch):
@@ -113,6 +167,17 @@ class TestClassicalPaths:
         with pytest.raises(PathCapError, match=f"{2**40} paths.*MAX_PATHS"):
             classical_paths(net)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n, count", [(3000, "1.230e+903"), (20000, "3.980e+6020")])
+    def test_a_long_series_is_refused_with_a_short_count(self, n, count):
+        # the count printed as an integer of about n / 3.3 digits, and from
+        # 4300 digits on its conversion raised a plain ValueError instead
+        net = series_network([ClassicalConnector.uniform(f"c{i}") for i in range(n)])
+        start = time.perf_counter()
+        with pytest.raises(PathCapError, match=rf"^the network has {re.escape(count)} paths from its entry") as info:
+            classical_paths(net)
+        assert time.perf_counter() - start < 2.0
+        assert len(str(info.value)) < 200
 
     def test_a_long_series_is_checked_and_listed_without_recursion(self):
         n = 1200
@@ -170,24 +235,7 @@ class TestClassicalPaths:
         # keep only the runs reaching the first second-layer junction by
         # treating it as a terminal: two paths remain, with the products
         # of the entry and first-layer weights
-        rng = np.random.default_rng(8)
-        w_in = np.array([[0.3, 0.3], [0.7, 0.7]])
-        w_a0 = np.array([[0.6, 0.6], [0.4, 0.4]])
-        w_a1 = np.array([[0.2, 0.2], [0.8, 0.8]])
-        connectors = {
-            "in": ClassicalConnector("in", w_in),
-            "a0": ClassicalConnector("a0", w_a0),
-            "a1": ClassicalConnector("a1", w_a1),
-        }
-        wiring = {
-            ("in", 0): to_connector("a0", 0),
-            ("in", 1): to_connector("a1", 0),
-            ("a0", 0): to_receptacle("b0"),
-            ("a0", 1): to_receptacle("b1"),
-            ("a1", 0): to_receptacle("b1"),
-            ("a1", 1): to_receptacle("b0"),
-        }
-        net = ClassicalNetwork(connectors, wiring, ("in", 0))
+        net = post_selected_network()
         kept = [p for p in classical_paths(net) if p.receptacle == "b0"]
         assert len(kept) == 2
         probs = sorted(p.probability for p in kept)

@@ -767,6 +767,32 @@ class TestCliEntryPoint:
                     written = [f.read_text().lower() for f in out.glob("*")] if out.exists() else []
                     assert not any("nan" in text for text in written), (field, value, mode)
 
+    def test_a_gaussian_width_near_the_top_of_the_range_keeps_its_norm(self, tmp_path):
+        # nodes beyond 1.34e154 squared to inf and read 0.0: the density's
+        # trapezoid norm was 0.899279 against the closed form 0.9, with an
+        # overflow warning
+        preset = build_preset("projector")
+        doc = export_config(preset.name, preset.chain, preset.meters, RunSettings(widths=preset.sweep_widths))
+        doc["meters"][0]["profile"] = {"shape": "gaussian", "width": 4e153}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out"), "--mode", "exact"]) == 0
+        norm = json.loads((tmp_path / "out" / "summary.json").read_text())["meters"][0]["norm"]
+        xs, density = np.loadtxt(tmp_path / "out" / "distribution_m0.csv", delimiter=",", skiprows=1).T
+        assert np.trapezoid(density, xs) == pytest.approx(norm, rel=1e-6)
+
+    def test_a_grid_cap_prints_a_huge_count_in_floating_point(self, tmp_path, capsys):
+        # the count printed as an integer of 303 digits
+        preset = build_preset("projector")
+        doc = export_config(preset.name, preset.chain, preset.meters, RunSettings(widths=preset.sweep_widths))
+        doc["meters"][0]["profile"]["width"] = 1e-300
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out"), "--mode", "exact"]) == 3
+        err = capsys.readouterr().err
+        assert "reading grids holding 2.000e+302 cells exceed MAX_GRID_CELLS" in err
+        assert len(err) < 200
+
     def test_grid_step_reaches_every_grid_of_the_run(self, tmp_path, monkeypatch):
         law_grids = []
 

@@ -1,6 +1,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,13 +24,13 @@ from qpathnet import (
     PathFunctional,
     PointerDistribution,
     PointerProfile,
+    StateVector,
     amplitude_distribution,
     build_difference_meter,
     build_minus_hundred,
     build_projector_postselected,
     build_three_box,
     conditional_state,
-    evolve,
     final_pointer_state,
     joint_reading_distribution,
     mean_reading,
@@ -110,6 +111,22 @@ class TestProfiles:
         peak = profile.samples(0.0)
         assert 0.0 < peak < math.inf and peak == pytest.approx((2.0 * math.pi) ** -0.25 / math.sqrt(width))
         assert profile.autocorrelation(width) == pytest.approx(math.exp(-1.0 / 8.0))
+
+    def test_gaussian_values_past_the_overflow_of_the_square(self):
+        # xi^2 overflowed above 1.34e154, and both read 0.0 where the true
+        # value is not 0
+        profile = PointerProfile.gaussian(4e153)
+        assert profile.autocorrelation(1.5e154) == pytest.approx(math.exp(-((1.5e154 / 4e153) ** 2) / 8.0), rel=1e-12)
+        expected = (2.0 * math.pi) ** -0.25 / math.sqrt(4e153) * math.exp(-((2e154 / 8e153) ** 2))
+        assert profile.samples(np.array([2e154]))[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_a_gaussian_exponent_beyond_the_float_range_is_exactly_zero(self):
+        # the quotient overflowed to inf with a warning, though exp(-inf) = 0 is right
+        profile = PointerProfile.gaussian(1.5e-154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert profile.autocorrelation(100.0) == 0.0
+            assert np.all(profile.samples(np.array([10.0, 1e300])) == 0.0)
 
     @pytest.mark.parametrize("width", [math.nan, math.inf])
     def test_width_must_be_finite(self, width):
@@ -434,7 +451,8 @@ class TestConditionalState:
         i = dist.grids[0].n // 3
         xi0 = float(dist.grids[0].xs()[i])
         state = conditional_state(chain, meter, xi0)
-        carried = evolve(state, chain.propagator, chain.total_time - chain.steps[0].time)
+        u = chain.propagator.unitary(chain.total_time - chain.steps[0].time)
+        carried = StateVector(u @ state.amplitudes)
         amp = chain.post_state.inner(carried)
         assert dist.density[i] == pytest.approx(abs(amp) ** 2, abs=1e-12)
 

@@ -109,6 +109,17 @@ class TestEnumeration:
         dist = amplitude_distribution(chain, PathFunctional.path_indicator((0,) * 10))
         assert dist.support.tolist() == [0.0, 1.0]
 
+    def test_a_count_beyond_the_integer_string_limit_is_refused_as_a_cap(self):
+        # 2^15000 has 4516 digits, past str()'s limit of 4300: the message
+        # raised a plain ValueError instead of PathCapError
+        obs = Observable.from_matrix(np.diag([1.0, -1.0]))
+        steps = tuple(MeasurementStep((k + 1) / 15001, obs) for k in range(15000))
+        psi = StateVector.from_components([1, 1]).normalized()
+        chain = MeasurementChain(psi, steps, Propagator.free(2), psi, 1.0)
+        for operation in (enumerate_paths, path_amplitudes):
+            with pytest.raises(PathCapError, match=r"lists all 2\^15000 = 2\.818e\+4515 virtual paths"):
+                operation(chain)
+
     def test_times_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             MeasurementChain(
