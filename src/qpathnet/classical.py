@@ -106,6 +106,8 @@ class ClassicalNetwork:
     wiring: dict[tuple[str, int], Target]
     entry: tuple[str, int]
     labels: dict[str, float] = field(default_factory=dict)
+    # every connector after those its outlets feed, built once by the cycle check
+    _order: list[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entry_name, entry_inlet = self.entry
@@ -135,7 +137,7 @@ class ClassicalNetwork:
             for outlet in (0, 1):
                 if (name, outlet) not in self.wiring:
                     raise ValueError(f"outlet ({name!r}, {outlet}) is not wired")
-        _feed_order(self)
+        object.__setattr__(self, "_order", _feed_order(self))
 
 
 def _feed_order(network: ClassicalNetwork) -> list[str]:
@@ -154,7 +156,7 @@ def _check_path_count(network: ClassicalNetwork) -> None:
     """Refuse a network with more than MAX_PATHS paths of nonzero weight
     from its entry, counted per (connector, inlet) before any is listed."""
     counts: dict[tuple[str, int], int] = {}
-    for name in _feed_order(network):
+    for name in network._order:
         w = network.connectors[name].effective_weights()
         for inlet in (0, 1):
             n = 0

@@ -430,10 +430,10 @@ def main(argv=None) -> int:
                 print("error: run needs an output directory", file=sys.stderr)
                 return 2
             summary = run(args.source, out, args)
-            print(f"wrote {summary['mode']} artifacts for {summary['name']!r} to {out}")
+            print(f"wrote {summary['mode']} artifacts for {summary['name']!r} to {out}", flush=True)
             return 0
         table = report(args.summaries, args.out)
-        print(table)
+        print(table, flush=True)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -446,6 +446,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
+    except BrokenPipeError:
+        # stdout's reader left early (report ... | head): the rest goes nowhere, not fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return 3

@@ -19,9 +19,13 @@ PointerDistribution for 1 or R axes.  Each block
 of the first axis contracts only the groups within the first profile's reach
 of it (beyond the reach samples() is exactly 0.0), so only exact zeros are
 skipped.
-Norms and means not taken off a held density come from one closed form,
-_moments: a pair sum over the groups weighted by the profiles' overlaps
-C_r(f - f'), with no grid.  Quadrature is composite trapezoid; the
+A joint law of R >= 2 meters gives the density on some of its axes, each
+other axis r integrated through its grid overlap O_r = (S_r w_r) S_r^T, by
+one class-pair form, _pair_density, with no product grid: a joint density's
+norm and marginals (its density is built only when read) and the sampler's
+first table and exact means.  Norms and means of no grid come from one
+closed form, _moments: a pair sum over the groups weighted by the profiles'
+overlaps C_r(f - f').  Quadrature is composite trapezoid; the
 rectangular profile reports the half-jump value at its edges, which makes
 trapezoid sums over edge-aligned grids exact for piecewise-constant
 densities.
@@ -288,7 +292,8 @@ class Grid:
 @dataclass(frozen=True, eq=False)
 class PointerDistribution:
     """Unnormalized reading density of R >= 1 pointers, one grid per axis;
-    norm is its total trapezoid integral."""
+    norm is its total trapezoid integral.  One of R >= 2 meters keeps its
+    law, gives norm and marginals from it, and builds its density when read."""
 
     grids: tuple[Grid, ...]
     density: np.ndarray
@@ -302,6 +307,14 @@ class PointerDistribution:
         object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "density", d)
         object.__setattr__(self, "norm", float(_integrate(d, [g.weights() for g in grids])))
+
+    def __getattr__(self, name):
+        # only a law's density and norm are missing, until first read
+        law = vars(self).get("_law")
+        if law is None or name not in ("density", "norm"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = vars(self)[name] = _density(*law, self.grids) if name == "density" else self.marginal(0).norm
+        return value
 
     @property
     def n_axes(self) -> int:
@@ -320,10 +333,15 @@ class PointerDistribution:
         return axis % self.n_axes
 
     def marginal(self, axis: int) -> "PointerDistribution":
-        """Integrate out every other axis."""
+        """Integrate out every other axis: through the law's class-pair form
+        where it pays, else off the density."""
         axis = self._axis(axis)
-        weights = [None if r == axis else g.weights() for r, g in enumerate(self.grids)]
-        return PointerDistribution((self.grids[axis],), _integrate(self.density, weights))
+        law = vars(self).get("_law")
+        density = None if law is None else _law_marginal(*law, self.grids, axis)
+        if density is None:
+            weights = [None if r == axis else g.weights() for r, g in enumerate(self.grids)]
+            density = _integrate(self.density, weights)
+        return PointerDistribution((self.grids[axis],), density)
 
     def marginal_mean(self, axis: int = 0) -> float:
         return mean_reading(self.marginal(axis))
@@ -458,6 +476,77 @@ def _integrate(density: np.ndarray, weights) -> np.ndarray:
     return density
 
 
+def _value_index(keys: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The distinct values of each column of keys, and each key's indices into them."""
+    values, index = zip(*(np.unique(column, return_inverse=True) for column in keys.T))
+    return values, np.stack([i.reshape(-1) for i in index], axis=1)
+
+
+def _classes(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the rows that share their value indices on every column of
+    index, in lexicographic order: each class's indices, and the class of each
+    row.  Each column ranks the pairs (rank so far, index) in turn, which
+    costs a fraction of np.unique over rows; with no columns all rows are one class."""
+    rank, rows = np.zeros(len(index), dtype=np.intp), np.zeros(min(len(index), 1), dtype=np.intp)
+    for column in index.T:
+        _, rows, rank = np.unique(rank * len(index) + column, return_index=True, return_inverse=True)
+    return index[rows], rank
+
+
+def _gram(classes: np.ndarray, tables: list) -> np.ndarray:
+    """prod_s tables[s][v_s(k), v_s(k')] over class pairs (k, k') and the
+    columns s of classes whose table is given (None skips the column)."""
+    q = np.ones((len(classes), len(classes)))
+    for v, table in zip(classes.T, tables):
+        if table is not None:
+            q *= table[np.ix_(v, v)]
+    return q
+
+
+def _pair_density(index: np.ndarray, values, amps: np.ndarray, profiles, grids, a: int, tables) -> np.ndarray:
+    """For each column b of amps, |sum_g amps[g, b] prod_r G_r(xi_r -
+    values[r][index[g, r]])|^2 on the nodes of axes < a, shape (B, n_0, ...,
+    n_a-1), each later axis r integrated through tables[r][v, v'] (for the
+    density's own integral its grid overlap (S_r w_r) S_r^T, S_r[v] = G_r(xi -
+    values[r][v])): sum_{k,k'} Re(u_kb conj u_k'b) prod_{r>=a} tables[r][v_kr,
+    v_k'r] over classes k of rows sharing their values on axes >= a, where
+    u_kb, column k B + b of the kernel over the cells of values on axes < a,
+    sums the class's amps[g, b] prod_{r<a} G_r."""
+    first, of_row = _classes(index[:, a:])
+    cells, of_cell = _classes(index[:, :a])
+    coef = np.zeros((len(first), amps.shape[1], len(cells)), dtype=complex)
+    np.add.at(coef, (of_row, slice(None), of_cell), amps)
+    cell_keys = np.stack([v[c] for v, c in zip(values, cells.T)], axis=1)
+    q = _gram(first, tables[a:])
+    out = np.empty((amps.shape[1], *(g.n for g in grids[:a])))
+    for block, re, im in _pointer_blocks(coef.reshape(-1, len(cells)).T, cell_keys, profiles[:a], grids[:a]):
+        rows = out[:, block]
+        re, im = re.reshape(len(q), -1), im.reshape(len(q), -1)
+        form, im_form = np.dot(q, re), np.dot(q, im)
+        form *= re
+        im_form *= im
+        form += im_form
+        np.sum(form.reshape(len(q), *rows.shape), axis=0, out=rows)
+    return out
+
+
+def _law_marginal(keys: np.ndarray, amps: np.ndarray, profiles, grids, axis: int) -> np.ndarray | None:
+    """The density of meter axis under a joint law, every other axis
+    integrated by _pair_density; None where its K row classes outnumber the
+    other axes' product grid nodes, or its K^2 form and its samples and
+    overlaps of the other axes' values would hold more than MAX_GRID_CELLS."""
+    order = [axis] + [r for r in range(len(grids)) if r != axis]
+    values, index = _value_index(keys[:, order])
+    grids, profiles = [grids[r] for r in order], [profiles[r] for r in order]
+    n_classes = len(_classes(index[:, 1:])[0])
+    held = n_classes**2 + sum(v.size * (g.n + v.size) for v, g in zip(values[1:], grids[1:]))
+    if n_classes > math.prod(g.n for g in grids[1:]) or held > MAX_GRID_CELLS:
+        return None
+    samples = [p.samples(g.xs() - v[:, None]) for p, g, v in zip(profiles[1:], grids[1:], values[1:])]
+    tables = [None] + [(s * g.weights()) @ s.T for s, g in zip(samples, grids[1:])]
+    return _pair_density(index, values, amps.reshape(len(keys), 1), profiles, grids, 1, tables)[0]
+
+
 def _moments(keys: np.ndarray, amps: np.ndarray, profiles) -> tuple[np.ndarray, tuple]:
     """Each amplitude column's norm sum_{g,h} Re(A_g conj A_h) C[g, h], with
     C[g, h] = prod_r C_r(keys[g, r] - keys[h, r]), and column 0's mean on each
@@ -501,10 +590,9 @@ def _place_grids(keys: np.ndarray, profiles, grids=None, pad=None, step=None) ->
     return tuple(grids)
 
 
-def _distribution(keys: np.ndarray, amps: np.ndarray, profiles, grids=None) -> PointerDistribution:
+def _density(keys: np.ndarray, amps: np.ndarray, profiles, grids) -> np.ndarray:
     """Reading density sum_b |sum_g amps[g, b] prod_r G_r(xi_r - keys[g, r])|^2
     over every amplitude column b (a 1-d amps is one column), on the grids."""
-    grids = _place_grids(keys, profiles, grids)
     columns = amps.reshape(len(keys), -1)
     density = None
     for b in range(columns.shape[1]):
@@ -520,7 +608,19 @@ def _distribution(keys: np.ndarray, amps: np.ndarray, profiles, grids=None) -> P
                 density[block] += re[0]
             else:
                 density[block] = re[0]
-    return PointerDistribution(grids, density)
+    return density
+
+
+def _distribution(keys: np.ndarray, amps: np.ndarray, profiles, grids=None) -> PointerDistribution:
+    """_density on the grids, each missing one placed; with R >= 2 axes the
+    grids are checked as the kernel checks them, and the density waits until read."""
+    grids = _place_grids(keys, profiles, grids)
+    if len(grids) == 1:
+        return PointerDistribution(grids, _density(keys, amps, profiles, grids))
+    _check_grids(keys, profiles, grids, samples=np.count_nonzero(amps) * sum(g.n for g in grids[1:]))
+    joint = object.__new__(PointerDistribution)
+    vars(joint).update(grids=grids, _law=(keys, amps, profiles))
+    return joint
 
 
 def final_pointer_state(
@@ -617,7 +717,9 @@ def joint_reading_distribution(
 
         P(xi_1, ..., xi_R) = | sum_paths A[path] prod_r G_r(xi_r - F_r[path]) |^2.
 
-    With a single meter this reduces exactly to reading_distribution.
+    With a single meter this reduces exactly to reading_distribution.  With
+    more, the density is built the first time it is read: norm and
+    marginals come from the law.
     """
     if not meters:
         raise ValueError("need at least one meter")

@@ -18,13 +18,13 @@ the trial count, the first table spans every axis instead: the B x n_0 x
 _ChainLaw, built once for the run's trial count, is the whole law: it counts
 the row classes of each later axis, lets _chain_rule_pays choose the draw
 from those counts alone, and builds its first table, with its exact
-numbers, from the pointer kernel's blocks of M, squared through class-pair
-forms (_pair_form).  It also tabulates what trials would otherwise
-recompute: a guide table of the first table's CDF (rng.cdf_guide), so most
-first lookups are a gather and at most two comparisons, and, where the
-first table's cells times the class pairs of the first later axis are at
-most the trials, that axis's coefficients per cell, which each trial
-gathers by its cell.
+numbers, by meter._pair_density, the class-pair form that also gives a
+joint density's norm and marginals.  It also tabulates what trials would
+otherwise recompute: a guide table of the first table's CDF
+(rng.cdf_guide), so most first lookups are a gather and at most two
+comparisons, and, where the first table's cells times the class pairs of
+the first later axis are at most the trials, that axis's coefficients per
+cell, which each trial gathers by its cell.
 
 Reproducibility: trial i reads the uniforms at Philox stream positions
 (1 + L) i + c, with L the axes after the first table, c = 0 for that table
@@ -36,13 +36,12 @@ per-cell rule.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .meter import Grid, MeterSpec, _check_grids, _integrate, _place_grids, _pointer_blocks, _write_csv
+from .meter import Grid, MeterSpec, _check_grids, _classes, _gram, _integrate, _pair_density, _place_grids, _value_index, _write_csv
 from .paths import MeasurementChain, _branch_amplitudes
 from .rng import CHUNK, cdf_guide, cdf_index, check_trials, map_chunks, uniform_block
 
@@ -234,57 +233,17 @@ def _pair_coefs(members: list, pairs: list, re: np.ndarray, im: np.ndarray) -> l
     return [u_re[k] * u_re[k2] + u_im[k] * u_im[k2] for k, k2 in pairs]
 
 
-def _classes(index: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of the rows that share their value indices on axes first..R-1,
-    in lexicographic order: each class's indices on those axes, and the class
-    of each row.  Each axis ranks the pairs (rank so far, index) in turn, which
-    costs a fraction of np.unique over rows; with no axes all rows are one class."""
-    rank, rows = np.zeros(len(index), dtype=np.intp), np.zeros(min(len(index), 1), dtype=np.intp)
-    for column in index[:, first:].T:
-        _, rows, rank = np.unique(rank * len(index) + column, return_index=True, return_inverse=True)
-    return index[rows, first:], rank
-
-
-def _gram(classes: np.ndarray, first: int, tables: list) -> np.ndarray:
-    """prod_s tables[s][v_s(k), v_s(k')] over class pairs (k, k') and the axes
-    s >= first whose table is given (None skips the axis)."""
-    q = np.ones((len(classes), len(classes)))
-    for s in range(first, first + classes.shape[1]):
-        if tables[s] is not None:
-            v = classes[:, s - first]
-            q *= tables[s][np.ix_(v, v)]
-    return q
-
-
-def _pair_form(blocks, q: np.ndarray, shape: tuple) -> np.ndarray:
-    """For each of the B = C / K outputs b (shape[0]), the density
-    sum_{k,k'} Re(M_{kB+b} conj M_{k'B+b}) q[k, k'] of the pointer kernel's
-    blocks of the C columns of M and a K x K class-pair form q."""
-    out = np.empty(shape)
-    for block, re, im in blocks:
-        rows = out[:, block]
-        re, im = re.reshape(len(q), -1), im.reshape(len(q), -1)
-        form, im_form = np.dot(q, re), np.dot(q, im)
-        form *= re
-        im_form *= im
-        form += im_form
-        np.sum(form.reshape(len(q), *rows.shape), axis=0, out=rows)
-    return out
-
-
 class _ChainLaw:
     """The (branch, readings) law on the grid nodes in reading order, for a
     draw of n_trials trials: a first table over axes 0..a-1 (a = 1 for the
     chain rule, R for the product grid, as _chain_rule_pays picks from the
     law's own class counts), per-axis tables for the later axes, and the
-    exact success probability and mean readings.  The first table is a
-    class-pair form of the pointer kernel's blocks times the cells' trapezoid
-    weights: its coefficients sum amps[g, b] per (cell of values on axes < a,
-    class k of rows sharing their values on axes a..R-1), column k B + b, and
-    its form is prod_{r>=a} O_r[k, k'], with O_r = (S_r w_r) S_r^T.  The
-    exact means are the success row's marginals on axes < a and, on each
-    later axis r, the class-pair form of the success columns with
-    (S_r w_r xi) S_r^T for O_r.  Each later axis r is drawn from F(i) = sum
+    exact success probability and mean readings.  The first table is
+    meter._pair_density on axes < a, every later axis r integrated through
+    O_r = (S_r w_r) S_r^T, times the cells' trapezoid weights.  The exact
+    means are the success row's marginals on axes < a and, on each later
+    axis r, _pair_density of the success column with (S_r w_r xi) S_r^T for
+    O_r.  Each later axis r is drawn from F(i) = sum
     over pairs k <= k' of classes (rows sharing their values on axes
     r..R-1) of Re(u_k conj u_k') T_r[k, k', i]: u sums the rows'
     A^b_g prod_{s<r} S_s[g, i_s] per class, and T_r is the cumulative sum of
@@ -301,14 +260,13 @@ class _ChainLaw:
             raise ValueError(_NOTHING_TO_SAMPLE)
         keys, amps = keys[keep], amps[keep]
         n_axes, n_columns = len(grids), amps.shape[1]
-        values, index = zip(*(np.unique(keys[:, r], return_inverse=True) for r in range(n_axes)))
-        index = np.stack([i.reshape(-1) for i in index], axis=1)
-        levels = [_classes(index, r) for r in range(1, n_axes)]
+        values, index = _value_index(keys)
+        levels = [_classes(index[:, r:]) for r in range(1, n_axes)]
         a = 1 if _chain_rule_pays(len(keys), [len(c) for c, _ in levels], n_columns, grids, n_trials) else n_axes
         # the first table's classes are those of axis a (one class for a = R)
         levels = levels[a - 1 :]
-        first, of_row = (levels or [_classes(index, a)])[0]
-        cells, of_cell = _classes(index[:, :a], 0)
+        first = (levels or [_classes(index[:, a:])])[0][0]
+        cells = _classes(index[:, :a])[0]
         # cells of the masses, K x K forms, complex K x B x V coefficients, the
         # kernel's samples of axes 1..a-1 for every cell of values, later
         # samples and two overlaps each, then the first axes' samples and pair tables
@@ -323,14 +281,7 @@ class _ChainLaw:
         samples = [None] * a + [p.samples(x - v[:, None]) for p, x, v in zip(profiles[a:], xs[a:], values[a:])]
         overlap = [None] * a + [(s * g.weights()) @ s.T for s, g in zip(samples[a:], grids[a:])]
         xi_overlap = [None] * a + [(s * (g.weights() * x)) @ s.T for s, g, x in zip(samples[a:], grids[a:], xs[a:])]
-        # row k B + b of coef: column b of amps summed over class k, by cell of axes < a
-        coef = np.zeros((len(first), n_columns, len(cells)), dtype=complex)
-        np.add.at(coef, (of_row, slice(None), of_cell), amps)
-        coef = coef.reshape(-1, len(cells))
-        cell_keys = np.stack([v[c] for v, c in zip(values, cells.T)], axis=1)
-        blocks = functools.partial(_pointer_blocks, keys=cell_keys, profiles=profiles[:a], grids=grids[:a])
-        shape = tuple(g.n for g in grids[:a])
-        masses = _pair_form(blocks(coef.T), _gram(first, a, overlap), (n_columns, *shape))
+        masses = _pair_density(index, values, amps, profiles, grids, a, overlap)
         first_weights = [g.weights() for g in grids[:a]]
         for s, w in enumerate(first_weights):
             masses *= w.reshape((-1,) + (1,) * (a - 1 - s))
@@ -338,8 +289,8 @@ class _ChainLaw:
         # means: the success row's marginals on axes < a, then the later axes' xi forms
         moments = [masses[0].sum(axis=tuple(s for s in range(a) if s != r)) @ x for r, x in enumerate(xs[:a])]
         for r in range(a, n_axes):
-            form = _gram(first, a, [xi_overlap[s] if s == r else overlap[s] for s in range(n_axes)])
-            moments.append(_integrate(_pair_form(blocks(coef[::n_columns].T), form, (1, *shape))[0], first_weights))
+            tables = [xi_overlap[s] if s == r else overlap[s] for s in range(n_axes)]
+            moments.append(_integrate(_pair_density(index, values, amps[:, :1], profiles, grids, a, tables)[0], first_weights))
         self.exact_means = tuple(float(m / self.success) if self.success > 0 else math.nan for m in moments)
         self.xs = xs
         self.shape = masses.shape
@@ -361,7 +312,7 @@ class _ChainLaw:
         # later axes: the rows of each class, and the pair tables T_r padded
         # to a power-of-two length by repeating their last node
         for r, (classes, of_row) in enumerate(levels, start=a):
-            q = _gram(classes, r, [overlap[s] if s > r else None for s in range(n_axes)])
+            q = _gram(classes, [None] + overlap[r + 1 :])
             pairs = list(zip(*np.triu_indices(len(classes))))
             n, weights = grids[r].n, grids[r].weights()
             pair_tables = np.empty((len(pairs), 1 << (n - 1).bit_length()))

@@ -1,3 +1,4 @@
+import graphlib
 import math
 import re
 import time
@@ -154,6 +155,24 @@ class TestNetworkValidation:
         for (c, _), target in network.wiring.items():
             if target[0] == "connector":
                 assert position[c] > position[target[1]], (c, target)
+
+
+    def test_the_feed_order_is_built_once_per_network(self, monkeypatch):
+        connectors = [ClassicalConnector.uniform(f"c{i}") for i in range(6)]
+        expected = classical_paths(series_network(connectors))
+        calls = []
+
+        class Counting(graphlib.TopologicalSorter):
+            def static_order(self):
+                calls.append(self)
+                return super().static_order()
+
+        monkeypatch.setattr(qpathnet.classical, "TopologicalSorter", Counting)
+        paths = classical_paths(series_network(connectors))
+        assert len(calls) == 1
+        assert [(p.hops, p.receptacle, p.probability) for p in paths] == [
+            (p.hops, p.receptacle, p.probability) for p in expected
+        ]
 
 
 class TestClassicalPaths:

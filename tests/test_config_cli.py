@@ -1,7 +1,11 @@
 import copy
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,8 @@ from qpathnet.cli import main, report, run
 from qpathnet.config import RunSettings
 from qpathnet.rng import MAX_TRIALS
 from qpathnet.scenarios import build_difference_meter, build_preset, build_projector_postselected
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def sample_config(mode="exact"):
@@ -940,6 +946,25 @@ class TestReport:
             assert main(["report", str(tmp_path / "a" / "summary.json"), "--out", str(out)]) == 3
             assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == before
         assert not (tmp_path / "rep").exists()
+
+    def test_a_reader_that_closes_the_pipe_is_not_an_engine_error(self, tmp_path):
+        # about 110 kB of table, more than a pipe holds: the command is still
+        # writing when the reader closes its end after the first line
+        run("preset:projector", tmp_path / "a")
+        summaries = [str(tmp_path / "a" / "summary.json")] * 400
+        path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p)
+        with subprocess.Popen(
+            [sys.executable, "-m", "qpathnet.cli", "report", *summaries],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert first.split() == [b"source", b"metric", b"value"]
+        assert (code, err) == (0, b"")
 
     def test_null_and_absent_numbers_are_skipped(self, tmp_path):
         # a null weak marginal, and an exact meter without mean_reading

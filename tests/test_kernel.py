@@ -447,3 +447,95 @@ class TestSamplesCountAgainstTheCap:
         classes = [len(np.unique(keys[:, 1]))]
         assert not sampling_module._chain_rule_pays(len(keys), classes, len(chain.branches()), grids, 10)
         assert _peak_bytes(lambda: sample_trials(chain, meters, 10, seed=1, grids=grids)) < 1 << 20
+
+
+def _law_grid(values, width, rng):
+    """A given grid over the values, 40-120 nodes 6 to 7 widths past them."""
+    lo = float(np.min(values)) - width * rng.uniform(6.0, 7.0)
+    hi = float(np.max(values)) + width * rng.uniform(6.0, 7.0)
+    n = int(rng.integers(40, 121))
+    return Grid(lo, (hi - lo) / (n - 1), n)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_meters=st.integers(2, 3),
+    shapes=st.lists(st.sampled_from(SHAPES), min_size=3, max_size=3),
+    default_axis=st.integers(0, 3),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_joint_law_norm_and_marginals_match_the_integrated_density(seed, n_meters, shapes, default_axis):
+    # the law integrates each other axis through its grid overlaps, the
+    # density through the same trapezoid weights: equal up to rounding.  Two
+    # meters may leave one axis to its default grid (about 2400-3000 nodes)
+    rng = np.random.default_rng(seed)
+    dim, n_steps = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    chain = random_chain(rng, dim, n_steps)
+    functionals = [
+        PathFunctional.step_eigenvalue(int(rng.integers(n_steps)))
+        if rng.random() < 0.5
+        else PathFunctional.weighted_steps(rng.integers(-2, 3, n_steps).astype(float).tolist())
+        for _ in range(n_meters)
+    ]
+    meters = [MeterSpec(f, _profile(s, rng.uniform(0.3, 2.0))) for f, s in zip(functionals, shapes)]
+    keys, _ = grouped_amplitudes(chain, functionals)
+    grids = [_law_grid(keys[:, r], m.profile.width, rng) for r, m in enumerate(meters)]
+    if n_meters == 2 and default_axis < 2:
+        grids[default_axis] = None
+    joint = joint_reading_distribution(chain, meters, grids)
+    weights = [g.weights() for g in joint.grids]
+    law_norm = joint.norm
+    assert "density" not in vars(joint)
+    density = joint.density
+    assert abs(law_norm - meter_module._integrate(density, weights)) <= 1e-12 * law_norm
+    for i in range(n_meters):
+        marginal = joint.marginal(i)
+        expected = meter_module._integrate(density, [None if r == i else w for r, w in enumerate(weights)])
+        assert np.abs(marginal.density - expected).max() <= 1e-12 * expected.max()
+        assert joint.marginal_mean(i) == meter_module.mean_reading(marginal)
+
+
+def _two_projector_meters(seed):
+    """A 2-step chain of projectors (eigenvalues 0 and 1), read by one
+    Gaussian meter of width 1 per step: default grids of 2601 nodes each."""
+    chain = random_chain(np.random.default_rng(seed), 2, 2, eigenvalues=[0.0, 1.0])
+    profile = PointerProfile.gaussian(1.0)
+    return chain, [MeterSpec(PathFunctional.step_eigenvalue(s), profile) for s in (0, 1)]
+
+
+def test_joint_law_reads_norm_and_means_without_the_density():
+    # the 2601^2 density is 54 MB; the law's forms and kernel blocks a few hundred kB
+    chain, meters = _two_projector_meters(11)
+    tracemalloc.start()
+    try:
+        joint = joint_reading_distribution(chain, meters)
+        numbers = [joint.norm, joint.marginal_mean(0), joint.marginal_mean(1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert all(math.isfinite(x) for x in numbers)
+    assert joint.density.shape == (2601, 2601)
+
+
+def test_joint_law_marginal_falls_back_to_the_density(monkeypatch):
+    # TestSamplesCountAgainstTheCap's chain: each of its 1024 groups is its
+    # own class on either axis, more than the other axis's 511 or 542 nodes,
+    # so each marginal integrates the density, exactly as before
+    chain = random_chain(np.random.default_rng(3), 2, 10, eigenvalues=[0.0, 1.0])
+    weights = [2.0**k for k in range(10)]
+    meters = [
+        MeterSpec(PathFunctional.weighted_steps(w), PointerProfile.gaussian(1.0)) for w in (weights, weights[::-1])
+    ]
+    grids = [Grid(-5.0, 1033.0 / (n - 1), n) for n in (542, 511)]
+    joint = joint_reading_distribution(chain, meters, grids)
+
+    def refused(*args):
+        raise AssertionError("the class-pair form ran")
+
+    monkeypatch.setattr(meter_module, "_pair_density", refused)
+    weights = [g.weights() for g in grids]
+    for i in range(2):
+        expected = meter_module._integrate(joint.density, [None if r == i else w for r, w in enumerate(weights)])
+        assert np.array_equal(joint.marginal(i).density, expected)
+    assert joint.norm == joint.marginal(0).norm

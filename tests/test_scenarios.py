@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import count_grouped_amplitudes, record_walks
-from qpathnet import meter, sampling
+from qpathnet import meter
 from qpathnet.cli import main
 from qpathnet import (
     AmplitudeDistribution,
@@ -254,7 +254,6 @@ class TestVerificationBuildsOnce:
             return kernel(amps, keys, profiles, grids)
 
         monkeypatch.setattr(meter, "_pointer_blocks", spy)
-        monkeypatch.setattr(sampling, "_pointer_blocks", spy)
         assert main(["run", "preset:three-box", str(tmp_path), "--mode", "exact"]) == 0
         assert verify_preset(build_three_box(), mc_trials=2000).passed
         assert axes and set(axes) == {1}
