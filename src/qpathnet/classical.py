@@ -183,19 +183,25 @@ def classical_paths(network: ClassicalNetwork) -> list[ClassicalPath]:
     """
     _check_path_count(network)
     out: list[ClassicalPath] = []
-    # (where the ball is, hops so far, probability); popped depth first
-    stack = [(to_connector(*network.entry), (), 1.0)]
+    # (where the ball is, (last hop, the link before it) or None, probability);
+    # popped depth first.  Paths share their linked prefixes, and each path's
+    # hops tuple is built once, at its receptacle, in time linear in its length.
+    stack = [(to_connector(*network.entry), None, 1.0)]
     while stack:
-        target, hops, prob = stack.pop()
+        target, link, prob = stack.pop()
         if target[0] == "receptacle":
-            out.append(ClassicalPath(hops, target[1], prob))
+            hops = []
+            while link is not None:
+                hop, link = link
+                hops.append(hop)
+            out.append(ClassicalPath(tuple(reversed(hops)), target[1], prob))
             continue
         _, name, inlet = target
         w = network.connectors[name].effective_weights()
         for outlet in (1, 0):  # pushed last, outlet 0 is listed first
             p = prob * w[outlet, inlet]
             if p != 0.0:
-                stack.append((network.wiring[name, outlet], hops + ((name, inlet, outlet),), p))
+                stack.append((network.wiring[name, outlet], ((name, inlet, outlet), link), p))
     return out
 
 

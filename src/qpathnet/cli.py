@@ -392,7 +392,7 @@ def report(summary_paths, out_dir=None) -> str:
                 elif s.get("mode") == "exact":
                     src = path.parent / s["meters"][0]["distribution_csv"]
                     if src.exists():
-                        (out / f"plot_{s['name']}_distribution.csv").write_text(src.read_text())
+                        shutil.copyfile(src, out / f"plot_{s['name']}_distribution.csv")
             (out / "report.txt").write_text(table + "\n")
     return table
 

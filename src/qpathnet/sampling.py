@@ -21,10 +21,13 @@ from those counts alone, and builds its first table, with its exact
 numbers, by meter._pair_density, the class-pair form that also gives a
 joint density's norm and marginals.  It also tabulates what trials would
 otherwise recompute: a guide table of the first table's CDF
-(rng.cdf_guide), so most first lookups are a gather and at most two
-comparisons, and, where the first table's cells times the class pairs of
-the first later axis are at most the trials, that axis's coefficients per
-cell, which each trial gathers by its cell.
+(rng.cdf_guide) of four buckets per cell, but no more than trials, so most
+first lookups are a gather and at most two comparisons, and, where the
+first table's cells times the class pairs of the first later axis are at
+most the trials, that axis's coefficients and total F(n-1) per cell, which
+each trial gathers by its cell.  A drawn cell splits into its branch and
+node indices by integer division, as np.unravel_index would, for less
+work.
 
 Reproducibility: trial i reads the uniforms at Philox stream positions
 (1 + L) i + c, with L the axes after the first table, c = 0 for that table
@@ -82,7 +85,7 @@ class TrialSummary:
 @dataclass(frozen=True, eq=False)
 class TrialSet:
     """Sampled records in trial order plus the exact distribution they came
-    from."""
+    from.  readings is column-major, so each meter's readings are contiguous."""
 
     seed: int
     readings: np.ndarray  # shape (n_trials, n_meters)
@@ -103,18 +106,21 @@ class TrialSet:
         n_success = int(np.count_nonzero(success))
         meters = []
         for r in range(self.n_meters):
-            # a 1-d mask on the column view: a 2-d (mask, r) index is slower
-            vals = self.readings[:, r][success]
+            # np.compress on the contiguous column is faster than a boolean
+            # index; it builds an index array besides the values, so each
+            # column's values are freed (del below) before the next one's
+            vals = np.compress(success, self.readings[:, r])
             if vals.size:
                 mean = float(vals.mean())
                 with np.errstate(over="ignore"):
-                    sd = vals.std(ddof=1) if vals.size > 1 else 0.0
+                    sd = vals.std(ddof=1, mean=mean) if vals.size > 1 else 0.0
                 if np.isinf(sd):  # readings whose squares leave the float range: scale them first
                     sd = np.abs(vals).max() * (vals / np.abs(vals).max()).std(ddof=1)
                 se = float(sd / math.sqrt(vals.size))
             else:
                 mean, se = math.nan, math.nan
             meters.append(MeterSummary(mean, se, self.exact_means[r]))
+            del vals
         return TrialSummary(
             n_trials=self.n_trials,
             n_success=n_success,
@@ -160,7 +166,7 @@ def sample_trials(
     grids = _place_grids(keys, profiles, grids)
     law = _ChainLaw(keys, amps, profiles, grids, n_trials)
 
-    readings = np.empty((n_trials, len(grids)))
+    readings = np.empty((n_trials, len(grids)), order="F")
     branches = np.empty(n_trials, dtype=np.intp)
 
     def draw_chunk(lo: int, hi: int) -> None:
@@ -189,32 +195,42 @@ def _chain_rule_pays(n_groups: int, class_counts: list, n_branches: int, grids, 
     return tables <= cells and n_trials * per_trial <= READS_PER_CELL * cells
 
 
-def _bisect(tables: np.ndarray, n: int, coefs: list, u: np.ndarray) -> np.ndarray:
+def _bisect(tables: np.ndarray, n: int, coefs: list, u: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
     """For each trial t, the first node i < n with F_t(i) > u[t] F_t(n-1) (the
     last node if none is), where F_t(i) = sum_p coefs[p][t] tables[p, i] and
-    each table repeats its node n-1 up to a power-of-two length.
+    each table repeats its node n-1 up to a power-of-two length.  total, if
+    given, holds F_t(n-1) as _node_sum sums it.
 
     Branchless: ceil(log2 n) steps, every one elementwise over the trials."""
-    total = coefs[0] * tables[0, n - 1]
-    for p in range(1, len(coefs)):
-        total += coefs[p] * tables[p, n - 1]
+    if total is None:
+        total = _node_sum(tables, n - 1, coefs)
     target = total * u
-    pos, at, move = (np.zeros(u.size, dtype=np.intp) for _ in range(3))
+    pos, move = np.zeros(u.size, dtype=np.intp), np.empty(u.size, dtype=np.intp)
     below = np.empty(u.size, dtype=bool)
-    step = tables.shape[1] >> 1
-    while step:
-        np.add(pos, step - 1, out=at)
-        f = tables[0].take(at)
+    level = tables.shape[1].bit_length() - 1
+    while level:
+        level -= 1
+        # node pos + 2^level - 1, read through views that start at node 2^level - 1
+        ahead = tables[:, (1 << level) - 1 :]
+        f = ahead[0].take(pos)
         f *= coefs[0]
         for p in range(1, len(coefs)):
-            term = tables[p].take(at)
+            term = ahead[p].take(pos)
             term *= coefs[p]
             f += term
         np.less_equal(f, target, out=below)
-        np.multiply(below, step, out=move)
+        np.copyto(move, below)
+        np.left_shift(move, level, out=move)
         pos += move
-        step >>= 1
     return np.minimum(pos, n - 1, out=pos)
+
+
+def _node_sum(tables: np.ndarray, i: int, coefs) -> np.ndarray:
+    """sum_p coefs[p] tables[p, i], added in pair order."""
+    total = coefs[0] * tables[0, i]
+    for p in range(1, len(coefs)):
+        total += coefs[p] * tables[p, i]
+    return total
 
 
 def _class_sum(values: np.ndarray, rows) -> np.ndarray:
@@ -249,8 +265,11 @@ class _ChainLaw:
     A^b_g prod_{s<r} S_s[g, i_s] per class, and T_r is the cumulative sum of
     w_r S_r[k] S_r[k'] times m prod_{s>r} O_s[k, k'] (m = 1 on the diagonal,
     2 off it).  Every array is counted against the grid cap before any is
-    built; the first table's guide and the first later axis's coefficients
-    per cell hold at most n_trials values each.
+    built.  The first table's guide holds min(4 C, n_trials) buckets for its
+    C cells.  Where C P <= n_trials for the P class pairs of the first later
+    axis, the law holds that axis's P x C coefficients per cell and each
+    cell's total F(n-1), by _bisect's _node_sum.  A drawn cell is split into
+    branch and node indices by _split.
     """
 
     def __init__(self, keys: np.ndarray, amps: np.ndarray, profiles, grids, n_trials: int):
@@ -299,11 +318,11 @@ class _ChainLaw:
             raise ValueError(_NOTHING_TO_SAMPLE)
         self.cdf = masses.reshape(-1)
         np.cumsum(self.cdf, out=self.cdf)
-        # the first lookups' guide of min(cells, n_trials) buckets
-        self.guide = cdf_guide(self.cdf, self.total, min(self.cdf.size, n_trials))
+        # the first lookups' guide of min(4 cells, n_trials) buckets
+        self.guide = cdf_guide(self.cdf, self.total, min(4 * self.cdf.size, n_trials))
         # uniforms per trial: one for the first table, one per later axis
         self.stride = 1 + len(levels)
-        self.axes, self.rows, self.cell_coefs = [], CHUNK, None
+        self.axes, self.rows, self.cell_coefs, self.cell_totals = [], CHUNK, None, None
         if not levels:
             return
         # the draw reads these from axis 0 to R-2
@@ -332,15 +351,27 @@ class _ChainLaw:
         self.rows = max(1, min(CHUNK, SLICE_VALUES // widest))
         # where the C cells times the P class pairs of the first later axis are
         # at most n_trials, that axis's coefficients for every cell (P x C), by
-        # the per-trial arithmetic, a slice of cells at a time
-        members, pairs, _ = self.axes[0]
+        # the per-trial arithmetic, a slice of cells at a time, and each cell's
+        # total F(n-1)
+        members, pairs, pair_tables = self.axes[0]
         if self.cdf.size * len(pairs) > n_trials:
             return
         self.cell_coefs = np.empty((len(pairs), self.cdf.size))
         for lo in range(0, self.cdf.size, self.rows):
             hi = min(lo + self.rows, self.cdf.size)
-            branches, *drawn = np.unravel_index(np.arange(lo, hi), self.shape)
+            branches, *drawn = self._split(np.arange(lo, hi))
             self.cell_coefs[:, lo:hi] = _pair_coefs(members, pairs, *self._amplitudes(branches, drawn, a))
+        self.cell_totals = _node_sum(pair_tables, grids[a].n - 1, self.cell_coefs)
+
+    def _split(self, cell: np.ndarray) -> list:
+        """Branch and node indices of first-table cells: np.unravel_index(cell,
+        self.shape) by one floor division and one subtraction per node axis."""
+        nodes = []
+        for size in self.shape[:0:-1]:
+            rest = cell // size
+            nodes.append(cell - rest * size)
+            cell = rest
+        return [cell, *nodes[::-1]]
 
     def _amplitudes(self, branches, drawn, r):
         """c_g = A^b_g prod_{s<r} S_s[g, i_s], real and imaginary parts by row."""
@@ -358,14 +389,15 @@ class _ChainLaw:
         axis r; every step is elementwise per trial.  The first later axis
         gathers its coefficients by the trial's cell where the law built them."""
         cell = cdf_index(self.cdf, self.total, u[:, 0], self.guide)
-        branches[:], *drawn = np.unravel_index(cell, self.shape)
+        branches[:], *drawn = self._split(cell)
         for r, i in enumerate(drawn):
             readings[:, r] = self.xs[r][i]
         a = len(drawn)
         for r, (members, pairs, pair_tables) in enumerate(self.axes, start=a):
+            total = None
             if r == a and self.cell_coefs is not None:
-                coefs = self.cell_coefs.take(cell, axis=1)
+                coefs, total = self.cell_coefs.take(cell, axis=1), self.cell_totals.take(cell)
             else:
                 coefs = _pair_coefs(members, pairs, *self._amplitudes(branches, drawn, r))
-            drawn.append(_bisect(pair_tables, self.xs[r].size, coefs, u[:, 1 + r - a]))
+            drawn.append(_bisect(pair_tables, self.xs[r].size, coefs, u[:, 1 + r - a], total))
             readings[:, r] = self.xs[r][drawn[r]]

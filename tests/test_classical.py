@@ -204,6 +204,17 @@ class TestClassicalPaths:
         assert path.hops == tuple((f"c{i}", 0, 0) for i in range(n))
         assert path.receptacle == "f0" and path.probability == 1.0
 
+    def test_a_long_path_is_listed_in_linear_time(self):
+        # extending the hops tuple at every connector copied O(L^2) hops:
+        # 2.9 s for this path on 2 vCPUs, where one tuple built at the
+        # receptacle takes 0.15 s
+        n = 40_000
+        net = series_network([ClassicalConnector.deterministic(f"c{i}") for i in range(n)])
+        start = time.perf_counter()
+        (path,) = classical_paths(net)
+        assert time.perf_counter() - start < 1.5
+        assert path.hops == tuple((f"c{i}", 0, 0) for i in range(n))
+
     def test_deterministic_connectors_single_path(self):
         net = simple_network(np.eye(2))
         paths = classical_paths(net)

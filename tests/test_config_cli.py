@@ -1006,6 +1006,15 @@ class TestReport:
         capsys.readouterr()
         assert crashes == []
 
+    def test_distribution_plot_csv_is_the_runs_bytes(self, tmp_path):
+        # a text copy turned the run's CRLF line endings into LF
+        run("preset:projector", tmp_path / "a")
+        out = tmp_path / "rep"
+        report([tmp_path / "a" / "summary.json"], out)
+        source = (tmp_path / "a" / "distribution_m0.csv").read_bytes()
+        assert b"\r\n" in source
+        assert (out / "plot_projector_distribution.csv").read_bytes() == source
+
     def test_sweep_plot_csv(self, tmp_path):
         summary = run("preset:minus-hundred", tmp_path / "s", _Args(mode="sweep"))
         # the widest meter lands within 5 percent of the -100 limit

@@ -86,13 +86,15 @@ class TestGuidedLookup:
         st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=1, max_size=60),
         st.integers(0, 4),
         st.sampled_from([1e-300, 1.0, 1e300]),
-        st.floats(0.0, 1.0),
+        # buckets per CDF entry: the sampler's guide holds up to 4 per entry
+        st.floats(0.0, 8.0),
         st.booleans(),
         st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
     )
     @settings(max_examples=300, deadline=None)
     @example(0, [1.0], 0, 1.0, 1.0, True, [])  # a single cell
     @example(3, [0.0, 0.5, 0.0, 0.0, 0.25], 5, 1.0, 0.3, False, [0.5, 0.75])  # m < cells
+    @example(3, [0.0, 0.5, 0.0, 0.0, 0.25], 5, 1.0, 4.0, True, [0.5, 0.75])  # m > cells
     # u = 5 / 15 rounds u * 15 up to 5, yet u * total lies below bucket 5's
     # threshold and a CDF entry lies between them: a lookup started in u's
     # own bucket would pass that entry
@@ -111,6 +113,42 @@ class TestGuidedLookup:
         u = u[(u >= 0.0) & (u < 1.0)]
         expected = np.minimum(np.searchsorted(cdf, u * total, side="right"), cdf.size - 1)
         assert np.array_equal(cdf_index(cdf, total, u, cdf_guide(cdf, total, buckets)), expected)
+
+
+# node counts on either side of a power of two, where the tables' padding starts or ends
+_BISECT_NODES = st.one_of(st.integers(1, 300), st.sampled_from([(1 << k) + d for k in range(1, 9) for d in (-1, 0, 1)]))
+
+
+class TestBisect:
+    @given(
+        st.integers(1, 4),
+        _BISECT_NODES,
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(1, 1, [], 0, 0.0)  # one node, no bisection step
+    @example(3, 257, [0.5], 1, 1.0)  # every mass and coefficient zero
+    def test_equals_the_clipped_search(self, n_pairs, n, us, seed, zeros):
+        # masses and coefficients >= 0, each zero with probability `zeros`
+        rng = np.random.default_rng(seed)
+        u = np.array([0.0, 1.0 - 2.0**-53, *us])
+        masses = np.where(rng.random((n_pairs, n)) < zeros, 0.0, rng.random((n_pairs, n)))
+        coefs = list(np.where(rng.random((n_pairs, u.size)) < zeros, 0.0, 10.0 * rng.random((n_pairs, u.size))))
+        tables = np.empty((n_pairs, 1 << (n - 1).bit_length()))
+        np.cumsum(masses, axis=1, out=tables[:, :n])
+        tables[:, n:] = tables[:, n - 1 : n]
+        expected, totals = [], np.empty(u.size)
+        for t in range(u.size):
+            # F_t summed pair by pair, in the order _bisect sums it
+            f = coefs[0][t] * tables[0, :n]
+            for p in range(1, n_pairs):
+                f = f + coefs[p][t] * tables[p, :n]
+            totals[t] = f[-1]
+            expected.append(min(np.searchsorted(f, totals[t] * u[t], side="right"), n - 1))
+        assert sampling._bisect(tables, n, coefs, u).tolist() == expected
+        assert sampling._bisect(tables, n, coefs, u, totals).tolist() == expected
 
 
 class TestSampleTrials:
