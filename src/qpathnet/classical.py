@@ -16,6 +16,7 @@ chain_comparator, and means and sampling take either.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
@@ -36,18 +37,21 @@ class ClassicalConnector:
     blocked: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if w.shape != (2, 2):
             raise ValueError(f"connector {self.name!r}: weights must be 2x2")
-        if np.any(w < -WEIGHT_TOL):
+        # checked as Python floats, which cost a fraction of numpy calls on four numbers
+        (a, b), (c, d) = w.tolist()
+        if not all(map(math.isfinite, (a, b, c, d))):
+            raise ValueError(f"connector {self.name!r}: weights must be finite")
+        if min(a, b, c, d) < -WEIGHT_TOL:
             raise ValueError(f"connector {self.name!r}: weights must be non-negative")
-        if np.any(np.abs(w.sum(axis=0) - 1.0) > WEIGHT_TOL):
+        if abs(a + c - 1.0) > WEIGHT_TOL or abs(b + d - 1.0) > WEIGHT_TOL:
             raise ValueError(f"connector {self.name!r}: each inlet column must sum to 1")
         if not set(self.blocked) <= {0, 1}:
             raise ValueError(f"connector {self.name!r}: blocked outlets must be 0 or 1")
         if len(self.blocked) > 1:
             raise ValueError(f"connector {self.name!r}: cannot block both outlets")
-        w = np.array(w)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "blocked", frozenset(int(b) for b in self.blocked))

@@ -50,6 +50,8 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size < 2:
             raise ValueError("state dimension must be at least 2")
+        if not np.isfinite(amps).all():
+            raise ValueError("state amplitudes must be finite")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
     @property
@@ -95,6 +97,8 @@ def _check_hermitian(matrix: np.ndarray, what: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
     scale = np.linalg.norm(m)
+    if not np.isfinite(scale):
+        raise ValueError(f"{what} must be finite, not of norm {scale}")
     if np.linalg.norm(m - m.conj().T) > TOL_CONSTRUCT * max(scale, 1.0):
         raise ValueError(f"{what} is not Hermitian")
     return m
@@ -116,6 +120,8 @@ class Observable:
         object.__setattr__(self, "matrix", _readonly(np.asarray(self.matrix, dtype=complex)))
         object.__setattr__(self, "eigenvalues", _readonly(np.asarray(self.eigenvalues, dtype=float)))
         object.__setattr__(self, "eigenvectors", _readonly(np.asarray(self.eigenvectors, dtype=complex)))
+        if not all(np.isfinite(a).all() for a in (self.matrix, self.eigenvalues, self.eigenvectors)):
+            raise ValueError("observable matrix, eigenvalues and eigenvectors must be finite")
         v = self.eigenvectors
         gram = v.conj().T @ v
         if np.linalg.norm(gram - np.eye(self.dim)) > TOL_DERIVED:
@@ -142,7 +148,8 @@ class Observable:
         vecs = np.asarray(eigenvectors, dtype=complex)
         if vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvectors must be square with one column per eigenvalue")
-        matrix = (vecs * vals) @ vecs.conj().T
+        with np.errstate(invalid="ignore"):  # inf times 0: the constructor refuses what is not finite
+            matrix = (vecs * vals) @ vecs.conj().T
         return cls(matrix, vals, vecs)
 
     def eigenstate(self, index: int) -> StateVector:

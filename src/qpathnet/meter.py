@@ -13,17 +13,17 @@ the amplitude-weighted mean.
 
 Numerics: one kernel serves 1 or R meters, every density and both draws: it
 contracts amplitude columns, grouped by their tuple of values, with per-axis
-profile samples, block by block, into M, and squares nothing; each reader
-squares its own blocks, a density into |M|^2, held with its grids in one
-PointerDistribution for 1 or R axes.  Each block
+profile samples, block by block, into M, and squares nothing.  Each block
 of the first axis contracts only the groups within the first profile's reach
 of it (beyond the reach samples() is exactly 0.0), so only exact zeros are
-skipped.
-A joint law of R >= 2 meters gives the density on some of its axes, each
-other axis r integrated through its grid overlap O_r = (S_r w_r) S_r^T, by
-one class-pair form, _pair_density, with no product grid: a joint density's
-norm and marginals (its density is built only when read) and the sampler's
-first table and exact means.  Norms and means of no grid come from one
+skipped.  The kernel has two readers: final_pointer_state, which stores M,
+and one class-pair form, _pair_density, which squares M into the density on
+some axes, each other axis r integrated through its grid overlap
+O_r = (S_r w_r) S_r^T, with no product grid.  _law_density reads every
+density (on every axis) and every joint marginal through it, each held with
+its grids in one PointerDistribution for 1 or R axes, and the sampler reads
+its first table and exact means through it; a joint density of R >= 2
+meters is built only when read.  Norms and means of no grid come from one
 closed form, _moments: a pair sum over the groups weighted by the profiles'
 overlaps C_r(f - f').  Quadrature is composite trapezoid; the
 rectangular profile reports the half-jump value at its edges, which makes
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -293,7 +294,8 @@ class Grid:
 class PointerDistribution:
     """Unnormalized reading density of R >= 1 pointers, one grid per axis;
     norm is its total trapezoid integral.  One of R >= 2 meters keeps its
-    law, gives norm and marginals from it, and builds its density when read."""
+    law and reads its density, norm and marginals from it by _law_density,
+    the density only when first read."""
 
     grids: tuple[Grid, ...]
     density: np.ndarray
@@ -313,7 +315,7 @@ class PointerDistribution:
         law = vars(self).get("_law")
         if law is None or name not in ("density", "norm"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = vars(self)[name] = _density(*law, self.grids) if name == "density" else self.marginal(0).norm
+        value = vars(self)[name] = _law_density(*law, self.grids) if name == "density" else self.marginal(0).norm
         return value
 
     @property
@@ -337,7 +339,7 @@ class PointerDistribution:
         where it pays, else off the density."""
         axis = self._axis(axis)
         law = vars(self).get("_law")
-        density = None if law is None else _law_marginal(*law, self.grids, axis)
+        density = None if law is None else _law_density(*law, self.grids, axis)
         if density is None:
             weights = [None if r == axis else g.weights() for r, g in enumerate(self.grids)]
             density = _integrate(self.density, weights)
@@ -530,23 +532,6 @@ def _pair_density(index: np.ndarray, values, amps: np.ndarray, profiles, grids, 
     return out
 
 
-def _law_marginal(keys: np.ndarray, amps: np.ndarray, profiles, grids, axis: int) -> np.ndarray | None:
-    """The density of meter axis under a joint law, every other axis
-    integrated by _pair_density; None where its K row classes outnumber the
-    other axes' product grid nodes, or its K^2 form and its samples and
-    overlaps of the other axes' values would hold more than MAX_GRID_CELLS."""
-    order = [axis] + [r for r in range(len(grids)) if r != axis]
-    values, index = _value_index(keys[:, order])
-    grids, profiles = [grids[r] for r in order], [profiles[r] for r in order]
-    n_classes = len(_classes(index[:, 1:])[0])
-    held = n_classes**2 + sum(v.size * (g.n + v.size) for v, g in zip(values[1:], grids[1:]))
-    if n_classes > math.prod(g.n for g in grids[1:]) or held > MAX_GRID_CELLS:
-        return None
-    samples = [p.samples(g.xs() - v[:, None]) for p, g, v in zip(profiles[1:], grids[1:], values[1:])]
-    tables = [None] + [(s * g.weights()) @ s.T for s, g in zip(samples, grids[1:])]
-    return _pair_density(index, values, amps.reshape(len(keys), 1), profiles, grids, 1, tables)[0]
-
-
 def _moments(keys: np.ndarray, amps: np.ndarray, profiles) -> tuple[np.ndarray, tuple]:
     """Each amplitude column's norm sum_{g,h} Re(A_g conj A_h) C[g, h], with
     C[g, h] = prod_r C_r(keys[g, r] - keys[h, r]), and column 0's mean on each
@@ -590,33 +575,37 @@ def _place_grids(keys: np.ndarray, profiles, grids=None, pad=None, step=None) ->
     return tuple(grids)
 
 
-def _density(keys: np.ndarray, amps: np.ndarray, profiles, grids) -> np.ndarray:
+def _law_density(keys: np.ndarray, amps: np.ndarray, profiles, grids, axis: int | None = None) -> np.ndarray | None:
     """Reading density sum_b |sum_g amps[g, b] prod_r G_r(xi_r - keys[g, r])|^2
-    over every amplitude column b (a 1-d amps is one column), on the grids."""
-    columns = amps.reshape(len(keys), -1)
-    density = None
-    for b in range(columns.shape[1]):
-        blocks = _pointer_blocks(columns[:, b : b + 1], keys, profiles, grids)
-        if density is None:  # once the kernel has checked the grids
-            density = np.empty(tuple(g.n for g in grids))
-        # the blocks cover every node: column 0 stores, later columns add
-        for block, re, im in blocks:
-            re *= re
-            im *= im
-            re += im
-            if b:
-                density[block] += re[0]
-            else:
-                density[block] = re[0]
-    return density
+    over every amplitude column b (a 1-d amps is one column), by _pair_density
+    one column at a time: on every axis (axis None), or on meter axis alone,
+    every other axis r integrated through its grid overlap (S_r w_r) S_r^T.
+    With an axis, None where the K row classes of the other axes outnumber
+    their product grid nodes, or their K^2 form and their samples and
+    overlaps would hold more than MAX_GRID_CELLS."""
+    if len(grids) != len(profiles):
+        raise ValueError("need one grid per meter")
+    kept = range(len(grids)) if axis is None else [axis]
+    order, a = [*kept, *(r for r in range(len(grids)) if r not in kept)], len(kept)
+    values, index = _value_index(keys[:, order])
+    grids, profiles = [grids[r] for r in order], [profiles[r] for r in order]
+    n_classes = len(_classes(index[:, a:])[0])
+    held = n_classes**2 + sum(v.size * (g.n + v.size) for v, g in zip(values[a:], grids[a:]))
+    if n_classes > math.prod(g.n for g in grids[a:]) or held > MAX_GRID_CELLS:
+        return None
+    samples = [p.samples(g.xs() - v[:, None]) for p, g, v in zip(profiles[a:], grids[a:], values[a:])]
+    tables = [None] * a + [(s * g.weights()) @ s.T for s, g in zip(samples, grids[a:])]
+    columns = amps.reshape(len(keys), -1).T
+    densities = (_pair_density(index, values, c[:, None], profiles, grids, a, tables)[0] for c in columns)
+    return functools.reduce(operator.iadd, densities)
 
 
 def _distribution(keys: np.ndarray, amps: np.ndarray, profiles, grids=None) -> PointerDistribution:
-    """_density on the grids, each missing one placed; with R >= 2 axes the
-    grids are checked as the kernel checks them, and the density waits until read."""
+    """_law_density on the grids, each missing one placed; with R >= 2 axes
+    the grids are checked as the kernel checks them, and the density waits until read."""
     grids = _place_grids(keys, profiles, grids)
     if len(grids) == 1:
-        return PointerDistribution(grids, _density(keys, amps, profiles, grids))
+        return PointerDistribution(grids, _law_density(keys, amps, profiles, grids))
     _check_grids(keys, profiles, grids, samples=np.count_nonzero(amps) * sum(g.n for g in grids[1:]))
     joint = object.__new__(PointerDistribution)
     vars(joint).update(grids=grids, _law=(keys, amps, profiles))

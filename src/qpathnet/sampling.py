@@ -52,10 +52,12 @@ from .rng import CHUNK, cdf_guide, cdf_index, check_trials, map_chunks, uniform_
 # (trials x (groups + pairs)); a law of few groups draws a whole chunk at once.
 SLICE_VALUES = 1 << 18
 # Per-trial table reads of the chain-rule draw that take as long as one cell
-# of the product-grid draw (kernel, weighting, CDF): 2 meters, 500k trials on
-# 1301- and 2601-node axes took 3-7 ns a read and 26-37 ns a cell, the cell's
-# time nearly the same for 4 to 64 groups.
-READS_PER_CELL = 6
+# of the product-grid draw (kernel, weighting, CDF, and each trial's lookup
+# in it): both draws took equal time at 27-50 reads per cell on laws of 3 to
+# 10 class pairs on the later axis (242^2 to 2601^2 nodes; joint-sample's law
+# still drew faster by the chain rule at 24), at 15 on one of 36 pairs and at
+# about 1 on one of 2080, whose reads pay numpy's per-call cost on small slices.
+READS_PER_CELL = 24
 
 _NOTHING_TO_SAMPLE = "total probability of all branches is zero; nothing to sample"
 
@@ -68,6 +70,8 @@ class MeterSummary:
 
     @property
     def z_score(self) -> float:
+        """(mean - exact) / standard error: NaN where the standard error is
+        (fewer than two successes), 0.0 where it is 0 (every reading equal)."""
         if self.standard_error == 0.0:
             return 0.0
         return (self.conditional_mean - self.exact_mean) / self.standard_error
@@ -110,15 +114,15 @@ class TrialSet:
             # index; it builds an index array besides the values, so each
             # column's values are freed (del below) before the next one's
             vals = np.compress(success, self.readings[:, r])
-            if vals.size:
-                mean = float(vals.mean())
+            # no reading leaves the mean undefined, and one its standard error
+            mean = float(vals.mean()) if vals.size else math.nan
+            se = math.nan
+            if vals.size > 1:
                 with np.errstate(over="ignore"):
-                    sd = vals.std(ddof=1, mean=mean) if vals.size > 1 else 0.0
+                    sd = vals.std(ddof=1, mean=mean)
                 if np.isinf(sd):  # readings whose squares leave the float range: scale them first
                     sd = np.abs(vals).max() * (vals / np.abs(vals).max()).std(ddof=1)
                 se = float(sd / math.sqrt(vals.size))
-            else:
-                mean, se = math.nan, math.nan
             meters.append(MeterSummary(mean, se, self.exact_means[r]))
             del vals
         return TrialSummary(

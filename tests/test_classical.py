@@ -81,6 +81,21 @@ class TestConnector:
         with pytest.raises(ValueError, match="non-negative"):
             ClassicalConnector("x", np.array([[1.5, 0.5], [-0.5, 0.5]]))
 
+    @pytest.mark.parametrize("weights", [[[np.nan, 0.0], [np.nan, 1.0]], [[np.inf, 0.0], [-np.inf, 1.0]]])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            ClassicalConnector("x", weights)
+
+    def test_weights_must_be_two_by_two(self):
+        with pytest.raises(ValueError, match="must be 2x2"):
+            ClassicalConnector("x", np.eye(3))
+
+    def test_weights_are_a_read_only_copy(self):
+        weights = np.eye(2)
+        conn = ClassicalConnector("x", weights)
+        weights[0, 0] = 0.0
+        assert conn.weights.tolist() == [[1.0, 0.0], [0.0, 1.0]] and not conn.weights.flags.writeable
+
     def test_blocked_outlet_diverts_everything(self):
         conn = ClassicalConnector("x", np.full((2, 2), 0.5), blocked=frozenset({0}))
         w = conn.effective_weights()
@@ -120,6 +135,22 @@ class TestNetworkValidation:
         }
         with pytest.raises(ValueError, match="inlet must be 0 or 1, got 2 on 'b'"):
             ClassicalNetwork({"a": a, "b": b}, wiring, ("a", 0))
+
+    @pytest.mark.parametrize(
+        "wiring, entry, message",
+        [
+            ({}, ("z", 0), "entry connector 'z' is not defined"),
+            ({}, ("a", 2), "entry inlet must be 0 or 1"),
+            ({("z", 0): to_receptacle("f0")}, ("a", 0), "wire from unknown connector 'z'"),
+            ({("a", 2): to_receptacle("f0")}, ("a", 0), "outlet must be 0 or 1, got 2 on 'a'"),
+            ({("a", 0): to_connector("z", 0)}, ("a", 0), "wire into unknown connector 'z'"),
+            ({("a", 0): ("box", "f0")}, ("a", 0), "unknown wiring target"),
+        ],
+    )
+    def test_refuses_undefined_connectors_and_ports(self, wiring, entry, message):
+        wiring = {("a", 0): to_receptacle("f0"), ("a", 1): to_receptacle("f1"), **wiring}
+        with pytest.raises(ValueError, match=message):
+            ClassicalNetwork({"a": ClassicalConnector.uniform("a")}, wiring, entry)
 
     def test_cycle_detected(self):
         a = ClassicalConnector("a", np.full((2, 2), 0.5))

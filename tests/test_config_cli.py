@@ -22,7 +22,7 @@ from qpathnet import (
 )
 from qpathnet import classical, cli, sampling, strong_mean
 from qpathnet.cli import main, report, run
-from qpathnet.config import RunSettings
+from qpathnet.config import RunSettings, load_config, read_document
 from qpathnet.rng import MAX_TRIALS
 from qpathnet.scenarios import build_difference_meter, build_preset, build_projector_postselected
 
@@ -162,6 +162,26 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown functional rule 'bogus'"):
             PathFunctional("bogus")
 
+    # the two paths carry probabilities 0.4 and 0.1: a table (2, -1) has the
+    # strong mean (0.8 - 0.1) / 0.5, a constant its value
+    @pytest.mark.parametrize(
+        "functional, params, expected",
+        [
+            ({"rule": "table", "values": [2.0, -1.0]}, {"values": (2.0, -1.0)}, 1.4),
+            ({"rule": "constant", "value": 1.5}, {"value": 1.5}, 1.5),
+        ],
+    )
+    def test_table_and_constant_rules(self, tmp_path, functional, params, expected):
+        doc = sample_config()
+        doc["functionals"] = [dict(functional, name="first")]
+        parsed = parse_config(doc).meters[0].functional
+        assert (parsed.rule, parsed.params) == (functional["rule"], params)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["strong_mean"] == pytest.approx(expected, abs=1e-12)
+
     def test_functional_consistency_checked_against_chain(self):
         doc = sample_config()
         doc["functionals"][0] = {"name": "first", "rule": "step_eigenvalue", "step": 5}
@@ -277,6 +297,28 @@ class TestParsing:
 
 
 class TestRoundTrip:
+    def test_load_config_reads_and_parses_a_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(sample_config()))
+        config = load_config(path)
+        assert config.name == "spin-readout" and config.run == parse_config(sample_config()).run
+
+    def test_invalid_json_names_the_file(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"name": ')
+        with pytest.raises(ConfigError, match=r"config: invalid JSON in .*broken\.json: Expecting value"):
+            read_document(path)
+
+    def test_post_complement_survives(self):
+        doc = sample_config()
+        r2 = math.sqrt(0.5)
+        doc["post_complement"] = [[[r2, 0.0], [-r2, 0.0]]]
+        config = parse_config(doc)
+        exported = json.loads(json.dumps(export_config(config.name, config.chain, config.meters)))
+        assert exported["post_complement"] == doc["post_complement"]
+        (complement,) = parse_config(exported).chain.post_complement
+        assert np.array_equal(complement.amplitudes, config.chain.post_complement[0].amplitudes)
+
     def test_export_parse_rebuilds_identical_chain(self):
         preset = build_difference_meter()
         doc = json.loads(json.dumps(export_config(preset.name, preset.chain, preset.meters)))
@@ -359,6 +401,17 @@ class TestRunModes:
             assert meter["empirical_mean"] is None and meter["standard_error"] is None and meter["z_score"] is None
         assert main(["report", str(tmp_path / "out" / "summary.json")]) == 0
         assert "meter0_empirical_mean" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_one_success_has_no_standard_error(self, tmp_path, seed):
+        # one reading has a mean but no spread: its standard error and z-score are null, not 0
+        flags = ["--mode", "sample", "--trials", "1", "--seed", str(seed)]
+        assert main(["run", "preset:projector", str(tmp_path), *flags]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["success_count"] == 1
+        (meter,) = summary["meters"]
+        assert meter["empirical_mean"] is not None
+        assert meter["standard_error"] is None and meter["z_score"] is None
 
     def test_classical_artifacts(self, tmp_path):
         summary = run("preset:difference", tmp_path, _Args(mode="classical"))
@@ -508,6 +561,10 @@ class TestCliEntryPoint:
         bad.write_text(json.dumps(doc))
         assert main(["run", str(bad), str(tmp_path / "out")]) == 2
         assert "steps[0].observable" in capsys.readouterr().err
+
+    def test_run_without_an_output_directory_exit_code(self, capsys):
+        assert main(["run", "preset:projector"]) == 2
+        assert "run needs an output directory" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json"), str(tmp_path / "out")]) == 2

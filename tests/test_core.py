@@ -23,6 +23,11 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(np.array([1.0 + 0j]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            StateVector([bad, 1.0])
+
     def test_normalization(self):
         s = StateVector.from_components([3.0, 4.0])
         assert not s.is_normalized()
@@ -46,6 +51,33 @@ class TestObservable:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             Observable.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_matrix(self, bad):
+        with pytest.raises(ValueError, match="observable must be finite"):
+            Observable.from_matrix([[bad, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "matrix, eigenvalues, eigenvectors",
+        [
+            (None, [np.nan, 1.0], np.eye(2)),
+            (None, [np.inf, 1.0], np.eye(2)),
+            (np.eye(2), [1.0, 1.0], [[np.nan, 0.0], [0.0, 1.0]]),
+            ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0], np.eye(2)),
+        ],
+    )
+    def test_rejects_a_non_finite_eigensystem(self, matrix, eigenvalues, eigenvectors):
+        with pytest.raises(ValueError, match="must be finite"):
+            if matrix is None:
+                Observable.from_eigensystem(eigenvalues, eigenvectors)
+            else:
+                Observable(matrix, eigenvalues, eigenvectors)
+
+    def test_rejects_a_wrong_eigensystem(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Observable(np.eye(2), [1.0, 1.0], 2.0 * np.eye(2))
+        with pytest.raises(ValueError, match="does not reconstruct"):
+            Observable(np.eye(2), [1.0, 2.0], np.eye(2))
 
     @given(st.integers(0, 10_000), st.integers(2, 5))
     @settings(max_examples=40, deadline=None)
@@ -72,6 +104,11 @@ class TestObservable:
 
 
 class TestPropagator:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_hamiltonian(self, bad):
+        with pytest.raises(ValueError, match="hamiltonian must be finite"):
+            Propagator([[bad, 0.0], [0.0, 1.0]])
+
     def test_zero_hamiltonian_is_identity(self):
         prop = Propagator.free(3)
         psi = random_state_vector(np.random.default_rng(1), 3)

@@ -25,11 +25,14 @@ from qpathnet import (
     PointerProfile,
     Propagator,
     StateVector,
+    amplitude_distribution,
+    final_pointer_state,
     grouped_amplitudes,
     joint_reading_distribution,
     path_amplitudes,
     reading_distribution,
     sample_trials,
+    total_reading_distribution,
 )
 from qpathnet import meter as meter_module
 from qpathnet import sampling as sampling_module
@@ -232,6 +235,21 @@ def test_all_zero_amplitude_column(monkeypatch, n_meters, block_cells):
     assert not pointer[1].any()
     # alone, the zero column leaves no group to contract
     assert not _pointer(columns[:, 1:2], keys, profiles, grids).any()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("profile", [PointerProfile.gaussian(0.7), PointerProfile.rectangular(0.4)])
+def test_total_density_adds_each_branch_in_turn(dim, profile):
+    # the density reads one amplitude column at a time: bit for bit each
+    # branch's squared pointer state, added in branch order
+    chain = random_chain(np.random.default_rng(dim), dim, 3)
+    meter = MeterSpec(PathFunctional.weighted_steps([1.0, 0.5, -0.25]), profile)
+    total = total_reading_distribution(chain, meter)
+    expected = 0.0
+    for branch in chain.branches():
+        state = final_pointer_state(amplitude_distribution(branch, meter.functional), profile, total.grids[0])
+        expected = expected + (state.real * state.real + state.imag * state.imag)
+    assert np.array_equal(total.density, expected)
 
 
 @given(
@@ -530,8 +548,13 @@ def test_joint_law_marginal_falls_back_to_the_density(monkeypatch):
     grids = [Grid(-5.0, 1033.0 / (n - 1), n) for n in (542, 511)]
     joint = joint_reading_distribution(chain, meters, grids)
 
-    def refused(*args):
-        raise AssertionError("the class-pair form ran")
+    pair_density = meter_module._pair_density
+
+    def refused(index, values, amps, profiles, grids, a, tables):
+        # the density itself is the form on every axis; only an integrated axis is refused
+        if a < len(grids):
+            raise AssertionError("the class-pair form ran")
+        return pair_density(index, values, amps, profiles, grids, a, tables)
 
     monkeypatch.setattr(meter_module, "_pair_density", refused)
     weights = [g.weights() for g in grids]
